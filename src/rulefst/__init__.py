@@ -2,9 +2,8 @@
 
 A desk-scale toolkit: declarative rewrite rules with context windows, four
 input-serialization methods (NR, RB, RCAT, CARI), a from-scratch numpy
-seq2seq transformer with beam decoding, BLEU / macro-F1 / Pearson metrics,
-a synthetic-corpus generator for controlled experiments, and a downstream
-classification harness.
+seq2seq transformer with beam decoding, and BLEU / macro-F1 / Pearson
+metrics.
 """
 
 from .errors import DataError, RuleFstError, TrainingError, UsageError

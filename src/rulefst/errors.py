@@ -1,8 +1,4 @@
-"""Exception types shared across the toolkit.
-
-The CLI maps these onto exit codes: UsageError -> 1, DataError -> 2,
-TrainingError -> 3.
-"""
+"""Exception types shared across the toolkit."""
 
 
 class RuleFstError(Exception):

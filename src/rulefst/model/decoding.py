@@ -5,6 +5,12 @@ hypothesis with its top-`fanout` next tokens, then reselects the best
 `beam_size` by score. Hypotheses end at [EOS] or max_len and the best
 finished hypothesis wins. Scores are sum log-probability, divided by the
 generated length when length_normalize is on.
+
+Decoding is incremental: the step callback receives only the token that each
+live hypothesis has just added, plus a back-pointer to the row of the
+previous step's state that the hypothesis extends, so a model step feeds one
+position per hypothesis through the decoder (fairseq's incremental_state and
+reorder_incremental_state, Ott et al. 2019).
 """
 
 from __future__ import annotations
@@ -15,10 +21,12 @@ import numpy as np
 
 from ..errors import DataError
 from ..text import BOS_ID, EOS_ID
-from .seq2seq import Seq2SeqTransformer
+from .seq2seq import DecoderCache, Seq2SeqTransformer
 
-# step_fn maps a batch of prefixes (each starting with BOS) to (n, V) next-token log-probs
-StepFn = Callable[[list[list[int]]], np.ndarray]
+# step_fn(parents, tokens) -> (n, V) next-token log-probs. Hypothesis i is the
+# prefix that row parents[i] of the previous call scored, extended by
+# tokens[i]; the first call gets parents [0] and tokens [BOS].
+StepFn = Callable[[np.ndarray, list[int]], np.ndarray]
 
 
 def _score(logp_sum: float, length: int, length_normalize: bool) -> float:
@@ -48,24 +56,28 @@ def beam_search(
         raise DataError("beam_size must be >= 1")
     if fanout < 1:
         raise DataError("fanout must be >= 1")
+    if max_len < 1:
+        raise DataError("max_len must be >= 1")
     live: list[tuple[list[int], float]] = [([], 0.0)]
+    parents = [0]
     finished: list[tuple[list[int], float]] = []
     for _ in range(max_len):
-        prefixes = [[BOS_ID] + tokens for tokens, _ in live]
-        logprobs = step_fn(prefixes)
-        candidates: list[tuple[list[int], float]] = []
-        for (tokens, logp), row in zip(live, logprobs):
+        last = [tokens[-1] if tokens else BOS_ID for tokens, _ in live]
+        logprobs = step_fn(np.asarray(parents), last)
+        candidates: list[tuple[list[int], float, int]] = []
+        for parent, ((tokens, logp), row) in enumerate(zip(live, logprobs)):
             k = min(fanout, row.shape[-1])
             top = np.argpartition(-row, k - 1)[:k]
             for tok in sorted(top.tolist(), key=lambda t: (-row[t], t)):
-                candidates.append((tokens + [tok], logp + float(row[tok])))
-        candidates.sort(key=lambda h: _hyp_key(h, length_normalize))
-        live = []
-        for tokens, logp in candidates:
+                candidates.append((tokens + [tok], logp + float(row[tok]), parent))
+        candidates.sort(key=lambda h: _hyp_key(h[:2], length_normalize))
+        live, parents = [], []
+        for tokens, logp, parent in candidates:
             if tokens[-1] == EOS_ID:
                 finished.append((tokens, logp))
             elif len(live) < beam_size:
                 live.append((tokens, logp))
+                parents.append(parent)
         if not live:
             break
     finished.extend(live)  # ran into max_len
@@ -77,19 +89,16 @@ def beam_search(
 
 
 def model_step_fn(model: Seq2SeqTransformer, src_ids: Sequence[int]) -> StepFn:
-    """Encode once; score next tokens for any batch of target prefixes."""
+    """Encode once; each step reorders the decoder cache by the back-pointers
+    and feeds one new position per hypothesis through the decoder."""
     src = np.asarray([src_ids], dtype=np.int64)
     enc_out, src_mask = model.encode(src, train=False)
+    cache = DecoderCache(model.config.dec_layers)
 
-    def step(prefixes: list[list[int]]) -> np.ndarray:
-        n = len(prefixes)
-        length = max(len(p) for p in prefixes)
-        tgt = np.full((n, length), BOS_ID, dtype=np.int64)
-        for i, p in enumerate(prefixes):
-            tgt[i, : len(p)] = p
-        enc = np.repeat(enc_out, n, axis=0)
-        mask = np.repeat(src_mask, n, axis=0)
-        return model.next_token_logprobs(enc, mask, tgt)
+    def step(parents: np.ndarray, tokens: list[int]) -> np.ndarray:
+        cache.reorder(parents)
+        new_ids = np.asarray(tokens, dtype=np.int64)[:, None]
+        return model.next_token_logprobs(enc_out, src_mask, new_ids, cache)
 
     return step
 
@@ -102,11 +111,19 @@ def beam_decode(
     max_len: int | None = None,
     length_normalize: bool = True,
 ) -> list[int]:
-    """Beam-search translation of one encoded source sentence."""
+    """Beam-search translation of one source sentence.
+
+    max_len defaults to, and may not exceed, model.config.max_len - 1, so
+    that [BOS] + output fits the model's positions; a bad max_len raises
+    DataError before the source is encoded.
+    """
     if fanout < beam_size:
         raise DataError("fanout must be >= beam_size")
+    limit = model.config.max_len - 1
     if max_len is None:
-        max_len = model.config.max_len - 1
+        max_len = limit
+    elif not 1 <= max_len <= limit:
+        raise DataError(f"max_len={max_len} is outside 1..{limit}, the model's output length range")
     return beam_search(
         model_step_fn(model, src_ids),
         beam_size=beam_size,
@@ -117,15 +134,5 @@ def beam_decode(
 
 
 def greedy_decode(model: Seq2SeqTransformer, src_ids: Sequence[int], max_len: int | None = None) -> list[int]:
-    """Argmax decoding; equivalent to beam_size=1, fanout=1."""
-    if max_len is None:
-        max_len = model.config.max_len - 1
-    step = model_step_fn(model, src_ids)
-    tokens: list[int] = []
-    for _ in range(max_len):
-        row = step([[BOS_ID] + tokens])[0]
-        tok = int(np.argmax(row))
-        if tok == EOS_ID:
-            break
-        tokens.append(tok)
-    return tokens
+    """Argmax decoding: beam search with beam_size=1, fanout=1."""
+    return beam_decode(model, src_ids, beam_size=1, fanout=1, max_len=max_len)

@@ -111,7 +111,11 @@ class LayerNorm:
 
 
 class Embedding:
-    """Token embedding; also provides the tied output projection."""
+    """Token embedding table; also provides the tied output projection.
+
+    The lookup and its gradient live in Seq2SeqTransformer._embed and
+    _embed_backward, which add the positional embedding in the same pass.
+    """
 
     def __init__(self, store: ParamStore, name: str, n: int, d: int, rng: np.random.Generator):
         self.store = store
@@ -122,16 +126,6 @@ class Embedding:
     @property
     def table(self) -> np.ndarray:
         return self.store.values[self.name + ".E"]
-
-    def forward(self, ids: np.ndarray) -> np.ndarray:
-        self._ids = ids
-        return self.table[ids]
-
-    def backward(self, dout: np.ndarray) -> None:
-        dE = np.zeros_like(self.table)
-        flat_ids = self._ids.reshape(-1)
-        np.add.at(dE, flat_ids, dout.reshape(-1, dout.shape[-1]))
-        self.store.accumulate(self.name + ".E", dE)
 
     def project_out(self, h: np.ndarray) -> np.ndarray:
         """Tied unembedding: logits = h @ E^T."""
@@ -164,11 +158,33 @@ class Dropout:
         return dout * self._mask
 
 
+class KVCache:
+    """Projected keys and values of one attention layer, kept across decode
+    steps, each (B, heads, Lk, d_head).
+
+    A static cache (cross-attention) is filled from the first call's kv_in
+    and reused as is; it may keep batch size 1 and broadcast against any
+    number of queries. Otherwise (self-attention) each call appends the keys
+    and values of its new rows, and `reorder` selects the rows that the next
+    step extends.
+    """
+
+    def __init__(self, static: bool = False):
+        self.static = static
+        self.k: np.ndarray | None = None
+        self.v: np.ndarray | None = None
+
+    def reorder(self, rows: np.ndarray) -> None:
+        if not self.static and self.k is not None:
+            self.k, self.v = self.k[rows], self.v[rows]
+
+
 class MultiHeadAttention:
     """Scaled dot-product attention over `heads` heads.
 
     Query input and key/value input may differ (cross-attention). The mask is
-    additive, broadcastable to (B, 1, Lq, Lk).
+    additive, broadcastable to (B, 1, Lq, Lk). With a KVCache, forward is
+    inference only: backward needs the full sequence in one call.
     """
 
     def __init__(self, store: ParamStore, name: str, d_model: int, heads: int, rng: np.random.Generator):
@@ -189,10 +205,20 @@ class MultiHeadAttention:
         b, h, l, dh = x.shape
         return x.transpose(0, 2, 1, 3).reshape(b, l, h * dh)
 
-    def forward(self, q_in: np.ndarray, kv_in: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+    def forward(
+        self, q_in: np.ndarray, kv_in: np.ndarray, mask: np.ndarray | None, cache: KVCache | None = None
+    ) -> np.ndarray:
         q = self._split(self.wq.forward(q_in))
-        k = self._split(self.wk.forward(kv_in))
-        v = self._split(self.wv.forward(kv_in))
+        if cache is not None and cache.static and cache.k is not None:
+            k, v = cache.k, cache.v
+        else:
+            k = self._split(self.wk.forward(kv_in))
+            v = self._split(self.wv.forward(kv_in))
+            if cache is not None:
+                if not cache.static and cache.k is not None:
+                    k = np.concatenate([cache.k, k], axis=2)
+                    v = np.concatenate([cache.v, v], axis=2)
+                cache.k, cache.v = k, v
         scale = 1.0 / np.sqrt(self.d_head)
         scores = (q @ k.transpose(0, 1, 3, 2)) * scale
         if mask is not None:

@@ -20,6 +20,7 @@ from .layers import (
     Dropout,
     Embedding,
     FeedForward,
+    KVCache,
     LayerNorm,
     MultiHeadAttention,
     ParamStore,
@@ -88,11 +89,11 @@ class _DecoderBlock:
         self.ffn = FeedForward(store, prefix + ".ffn", cfg.d_model, cfg.ffn_dim, rng)
         self.drop3 = Dropout(cfg.dropout)
 
-    def forward(self, x, enc_out, self_mask, cross_mask, train, rng):
+    def forward(self, x, enc_out, self_mask, cross_mask, train, rng, self_kv=None, cross_kv=None):
         h = self.ln1.forward(x)
-        x = x + self.drop1.forward(self.self_attn.forward(h, h, self_mask), train, rng)
+        x = x + self.drop1.forward(self.self_attn.forward(h, h, self_mask, self_kv), train, rng)
         x = x + self.drop2.forward(
-            self.cross_attn.forward(self.ln2.forward(x), enc_out, cross_mask), train, rng
+            self.cross_attn.forward(self.ln2.forward(x), enc_out, cross_mask, cross_kv), train, rng
         )
         x = x + self.drop3.forward(self.ffn.forward(self.ln3.forward(x)), train, rng)
         return x
@@ -105,6 +106,33 @@ class _DecoderBlock:
         dq, dkv = self.self_attn.backward(self.drop1.backward(dx))
         dx = dx + self.ln1.backward(dq + dkv)
         return dx, denc
+
+
+class DecoderCache:
+    """Incremental decoding state for one source sentence, after fairseq's
+    incremental_state: per decoder layer, the self-attention keys and values
+    of every decoded position (one row per live hypothesis) and the
+    cross-attention keys and values of the source (batch 1, shared by all
+    rows), plus the additive mask that hides decoded [PAD] keys.
+    """
+
+    def __init__(self, layers: int):
+        self.self_kv = [KVCache() for _ in range(layers)]
+        self.cross_kv = [KVCache(static=True) for _ in range(layers)]
+        self.pad_mask: np.ndarray | None = None  # (rows, 1, 1, length)
+
+    @property
+    def length(self) -> int:
+        """Target positions decoded so far."""
+        return 0 if self.pad_mask is None else self.pad_mask.shape[-1]
+
+    def reorder(self, rows: np.ndarray) -> None:
+        """Keep row rows[i] of the state as row i (beam back-pointers)."""
+        if self.pad_mask is None:
+            return
+        self.pad_mask = self.pad_mask[rows]
+        for kv in self.self_kv:
+            kv.reorder(rows)
 
 
 class Seq2SeqTransformer:
@@ -136,14 +164,12 @@ class Seq2SeqTransformer:
 
     # ---- helpers -------------------------------------------------------
 
-    def _check_len(self, ids: np.ndarray, what: str) -> None:
-        if ids.shape[-1] > self.config.max_len:
-            raise DataError(
-                f"{what} length {ids.shape[-1]} exceeds max_len={self.config.max_len}"
-            )
+    def _check_len(self, length: int, what: str) -> None:
+        if length > self.config.max_len:
+            raise DataError(f"{what} length {length} exceeds max_len={self.config.max_len}")
 
-    def _embed(self, ids: np.ndarray, drop: Dropout, train: bool) -> np.ndarray:
-        pos = self.store.values["embed.pos"][: ids.shape[1]]
+    def _embed(self, ids: np.ndarray, drop: Dropout, train: bool, start: int = 0) -> np.ndarray:
+        pos = self.store.values["embed.pos"][start : start + ids.shape[1]]
         x = self.tok.table[ids] + pos
         return drop.forward(x, train, self._dropout_rng)
 
@@ -162,27 +188,49 @@ class Seq2SeqTransformer:
         return np.where(ids[:, None, None, :] == PAD_ID, NEG_INF, 0.0).astype(dtype)
 
     @staticmethod
-    def causal_mask(length: int, dtype) -> np.ndarray:
-        m = np.triu(np.full((length, length), NEG_INF), k=1)
+    def causal_mask(length: int, dtype, start: int = 0) -> np.ndarray:
+        """(1, 1, length, start + length) additive mask: query i sits at
+        position start + i and sees keys up to that position."""
+        m = np.triu(np.full((length, start + length), NEG_INF), k=start + 1)
         return m[None, None].astype(dtype)
 
     # ---- forward / backward -------------------------------------------
 
     def encode(self, src_ids: np.ndarray, train: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        self._check_len(src_ids, "source")
+        self._check_len(src_ids.shape[1], "source")
         mask = self.pad_mask(src_ids, self.store.dtype)
         x = self._embed(src_ids, self.emb_drop_src, train)
         for block in self.enc_blocks:
             x = block.forward(x, mask, train, self._dropout_rng)
         return self.enc_ln.forward(x), mask
 
-    def decode(self, enc_out: np.ndarray, src_mask: np.ndarray, tgt_in_ids: np.ndarray, train: bool = False) -> np.ndarray:
-        self._check_len(tgt_in_ids, "target")
+    def decode(
+        self,
+        enc_out: np.ndarray,
+        src_mask: np.ndarray,
+        tgt_in_ids: np.ndarray,
+        train: bool = False,
+        cache: DecoderCache | None = None,
+    ) -> np.ndarray:
+        """Logits at each position of tgt_in_ids, (B, T, V).
+
+        With a cache, tgt_in_ids are the next T positions after the cache's
+        length (inference only); the cache then holds them too, and enc_out
+        and src_mask may keep batch size 1 for any B.
+        """
+        start = 0 if cache is None else cache.length
         t = tgt_in_ids.shape[1]
-        self_mask = self.causal_mask(t, self.store.dtype) + self.pad_mask(tgt_in_ids, self.store.dtype)
-        x = self._embed(tgt_in_ids, self.emb_drop_tgt, train)
-        for block in self.dec_blocks:
-            x = block.forward(x, enc_out, self_mask, src_mask, train, self._dropout_rng)
+        self._check_len(start + t, "target")
+        pad = self.pad_mask(tgt_in_ids, self.store.dtype)
+        if cache is not None:
+            if cache.pad_mask is not None:
+                pad = np.concatenate([cache.pad_mask, pad], axis=-1)
+            cache.pad_mask = pad
+        self_mask = self.causal_mask(t, self.store.dtype, start) + pad
+        x = self._embed(tgt_in_ids, self.emb_drop_tgt, train, start)
+        for i, block in enumerate(self.dec_blocks):
+            kv = (None, None) if cache is None else (cache.self_kv[i], cache.cross_kv[i])
+            x = block.forward(x, enc_out, self_mask, src_mask, train, self._dropout_rng, *kv)
         h = self.dec_ln.forward(x)
         if self.out_proj is None:
             logits = self.tok.project_out(h)
@@ -257,9 +305,18 @@ class Seq2SeqTransformer:
         self._embed_backward(src_ids, dx, self.emb_drop_src)
         return loss, n_tok
 
-    def next_token_logprobs(self, enc_out: np.ndarray, src_mask: np.ndarray, prefix_ids: np.ndarray) -> np.ndarray:
-        """Log-probabilities for the next token after each prefix, (B, V)."""
-        logits = self.decode(enc_out, src_mask, prefix_ids, train=False)
+    def next_token_logprobs(
+        self,
+        enc_out: np.ndarray,
+        src_mask: np.ndarray,
+        prefix_ids: np.ndarray,
+        cache: DecoderCache | None = None,
+    ) -> np.ndarray:
+        """Log-probabilities for the next token after each prefix, (B, V).
+
+        With a cache, prefix_ids hold only the positions after the cached ones.
+        """
+        logits = self.decode(enc_out, src_mask, prefix_ids, train=False, cache=cache)
         last = logits[:, -1, :].astype(np.float64)
         shifted = last - last.max(axis=-1, keepdims=True)
         return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
