@@ -6,7 +6,7 @@ seq2seq transformer with beam decoding, and BLEU / macro-F1 / Pearson
 metrics.
 """
 
-from .errors import DataError, RuleFstError, TrainingError, UsageError
+from .errors import DataError, RuleFstError, TrainingError
 from .rules import (
     DEFAULT_WINDOW,
     Rule,
@@ -20,7 +20,6 @@ from .rules import (
 )
 from .serialize import (
     CARI,
-    DOWNSTREAM,
     METHODS,
     NR,
     RB,

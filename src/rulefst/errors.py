@@ -5,10 +5,6 @@ class RuleFstError(Exception):
     pass
 
 
-class UsageError(RuleFstError):
-    """Bad invocation or inconsistent configuration."""
-
-
 class DataError(RuleFstError):
     """Malformed or inconsistent input data (rule files, corpora, vocab)."""
 

@@ -43,7 +43,13 @@ class Checkpoint:
     seed: int = 0
     history: list = field(default_factory=list)
 
-    def restore_model(self) -> Seq2SeqTransformer:
+    def restore_model(self, vocab_hash: str | None = None) -> Seq2SeqTransformer:
+        """Rebuild the trained model. Given the hash of the vocabulary it will
+        be used with, refuse a vocabulary other than the one it was trained on."""
+        if vocab_hash is not None and vocab_hash != self.vocab_hash:
+            raise DataError(
+                f"checkpoint was trained with vocabulary {self.vocab_hash!r}, not {vocab_hash!r}"
+            )
         model = Seq2SeqTransformer(self.config, seed=self.seed)
         model.store.load(self.params)
         return model

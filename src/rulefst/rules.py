@@ -12,7 +12,7 @@ significant: it defines first-come-first-served priority downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import DataError
 
@@ -41,13 +41,24 @@ class Rule:
 
 @dataclass(frozen=True)
 class RuleSet:
+    """Rules in file order, indexed by the first token of their pattern.
+
+    `rules` is stored as a tuple, so the index cannot go stale when the
+    caller later changes the sequence it was built from."""
+
     rules: tuple[Rule, ...] = ()
+    by_head: dict[str, tuple[Rule, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "rules", tuple(self.rules))
         ids = [r.id for r in self.rules]
         if len(set(ids)) != len(ids):
             dup = next(i for i in ids if ids.count(i) > 1)
             raise DataError(f"duplicate rule id {dup!r}")
+        by_head: dict[str, list[Rule]] = {}
+        for rule in self.rules:
+            by_head.setdefault(rule.pattern[0], []).append(rule)
+        object.__setattr__(self, "by_head", {head: tuple(rs) for head, rs in by_head.items()})
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -155,14 +166,18 @@ def extract_context(tokens: Sequence[str], span: tuple[int, int], w: int) -> tup
 def match_rules(tokens: Sequence[str], rules: RuleSet, w: int = DEFAULT_WINDOW) -> RuleMatchSet:
     """Every (position, rule) occurrence, including overlaps, sorted by
     (start, rule file order). Matching is case-insensitive; matched_text
-    keeps the original casing."""
+    keeps the original casing.
+
+    Only the rules whose pattern starts with the token at a position are
+    compared there, so a sentence costs O(tokens x rules sharing the head
+    token), not O(tokens x rules)."""
     if w < 0:
         raise ValueError("window size must be >= 0")
     lowered = [t.lower() for t in tokens]
     n = len(tokens)
     matches: list[RuleMatch] = []
     for start in range(n):
-        for rule in rules:
+        for rule in rules.by_head.get(lowered[start], ()):
             end = start + len(rule.pattern)
             if end > n:
                 continue

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DataError
-from .rules import RuleMatchSet, RuleSet, extract_context, match_rules
+from .rules import RuleMatchSet, RuleSet, match_rules
 from .text import SEP
 
-NR, RB, RCAT, CARI, DOWNSTREAM = "NR", "RB", "RCAT", "CARI", "DOWNSTREAM"
+NR, RB, RCAT, CARI = "NR", "RB", "RCAT", "CARI"
 METHODS = (NR, RB, RCAT, CARI)
 
 SEGMENT_MODES = ("substituted", "literal")
@@ -92,7 +92,6 @@ def serialize_rcat(x: Sequence[str], x_prime: Sequence[str], y: Sequence[str], m
 def serialize_cari(
     x: Sequence[str],
     matches: RuleMatchSet,
-    w: int,
     y: Sequence[str] = (),
     max_len: int | None = None,
     segment_mode: str = "substituted",
@@ -100,18 +99,19 @@ def serialize_cari(
     """Context-aware serialization: one segment per (match, alternative) pair,
     in (match position, alternative order) order.
 
-    substituted mode renders each alternative inside its context window
-    (left + alternative + right); literal mode puts the alternative first
-    (alternative + left + right). Segments that would push the input past
-    max_len are dropped whole, tail first; the source itself is never
-    truncated.
+    Each segment takes its context window from the match, so the window size
+    is the one `match_rules` was called with. substituted mode renders each
+    alternative inside that window (left + alternative + right); literal mode
+    puts the alternative first (alternative + left + right). Segments that
+    would push the input past max_len are dropped whole, tail first; the
+    source itself is never truncated.
     """
     if segment_mode not in SEGMENT_MODES:
         raise DataError(f"unknown segment_mode {segment_mode!r}")
     _check_source(x, max_len)
     segments: list[tuple[str, ...]] = []
     for m in matches:
-        left, right = extract_context(x, (m.start, m.end), w)
+        left, right = m.context_left, m.context_right
         for alt in m.alternatives:
             if segment_mode == "substituted":
                 segments.append(left + alt + right)
@@ -154,7 +154,7 @@ def serialize_example(
         x_prime = apply_rules_fcfs(x, matches)
         return serialize_rcat(x, x_prime, y, max_len)
     if method == CARI:
-        return serialize_cari(x, matches, w, y, max_len, segment_mode)
+        return serialize_cari(x, matches, y, max_len, segment_mode)
     raise DataError(f"unknown serialization method {method!r}")
 
 

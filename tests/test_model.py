@@ -316,3 +316,24 @@ def test_checkpoint_rejects_garbage(tmp_path):
     np.savez(path, foo=np.zeros(3))
     with pytest.raises(DataError):
         Checkpoint.load(path)
+
+
+def _checkpoint_with_hash(vocab_hash):
+    cfg = tiny_config()
+    params = {k: v.copy() for k, v in Seq2SeqTransformer(cfg, seed=3).store.values.items()}
+    return Checkpoint(config=cfg, params=params, vocab_hash=vocab_hash, seed=3)
+
+
+def test_restore_model_rejects_other_vocabulary():
+    ck = _checkpoint_with_hash("abc123")
+    with pytest.raises(DataError, match="abc123") as err:
+        ck.restore_model(vocab_hash="def456")
+    assert "def456" in str(err.value)
+
+
+def test_restore_model_accepts_same_vocabulary():
+    ck = _checkpoint_with_hash("abc123")
+    src, tgt_in, _ = batch_from(toy_pairs(3, seed=1))
+    a = ck.restore_model(vocab_hash="abc123").forward(src, tgt_in)
+    b = ck.restore_model().forward(src, tgt_in)
+    assert np.array_equal(a, b)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -153,16 +155,23 @@ def test_match_reports_overlaps_and_repeats():
     ]
 
 
-token_strat = st.sampled_from(["a", "b", "c", "d", "aa", "bb"])
-pattern_strat = st.lists(token_strat, min_size=1, max_size=2)
+# Mixed case on both sides, so the index has to be keyed on the lower-cased
+# head token; a small alphabet makes shared heads and overlaps common.
+token_strat = st.sampled_from(["a", "b", "c", "d", "aa", "bb", "A", "Bb", "AA", "bB"])
+pattern_strat = st.lists(token_strat, min_size=1, max_size=3)
 
 
 @st.composite
 def rules_strat(draw):
-    n = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=1, max_value=20))
     rules = []
     for i in range(n):
-        pattern = tuple(draw(pattern_strat))
+        if rules and draw(st.booleans()):
+            # The same pattern again under another id, possibly re-cased.
+            pattern = draw(st.sampled_from([r.pattern for r in rules]))
+            pattern = tuple(t.upper() if draw(st.booleans()) else t for t in pattern)
+        else:
+            pattern = tuple(draw(pattern_strat))
         alts = draw(
             st.lists(
                 st.lists(token_strat, min_size=1, max_size=2).map(tuple),
@@ -176,7 +185,7 @@ def rules_strat(draw):
 
 
 @given(
-    st.lists(token_strat, max_size=12),
+    st.lists(token_strat, max_size=16),
     rules_strat(),
     st.integers(min_value=0, max_value=3),
 )
@@ -200,3 +209,45 @@ def test_match_deterministic(demo_rules_path):
     rules = load_rules(demo_rules_path)
     tokens = tokenize(AMBIG_SENTENCE)
     assert match_rules(tokens, rules, 2) == match_rules(tokens, rules, 2)
+
+
+def test_match_equals_brute_force_large_dictionary():
+    """A seeded 2,000-rule dictionary with overlapping 1-3 token patterns,
+    heads shared by several rules and repeated patterns, over sentences
+    stitched from pattern pieces so most positions start some match."""
+    rng = random.Random(7)
+    words = [f"w{i}" for i in range(150)]
+    rules, patterns = [], []
+    for i in range(2000):
+        if patterns and rng.random() < 0.05:
+            pattern = rng.choice(patterns)
+        else:
+            pattern = tuple(rng.choice(words) for _ in range(rng.randint(1, 3)))
+        patterns.append(pattern)
+        cased = tuple(t.upper() if rng.random() < 0.3 else t for t in pattern)
+        rules.append(Rule(f"r{i}", cased, ((f"alt{i}",),)))
+    rules = RuleSet(tuple(rules))
+    assert max(len(bucket) for bucket in rules.by_head.values()) > 1
+    total = 0
+    for s in range(20):
+        tokens = []
+        while len(tokens) < 25:
+            piece = rng.choice(patterns)[: rng.randint(1, 3)]
+            tokens += [t.capitalize() if rng.random() < 0.3 else t for t in piece]
+        w = s % 4
+        got = as_tuples(match_rules(tokens, rules, w))
+        assert got == brute_force_matches(tokens, rules, w)
+        total += len(got)
+    assert total > 20 * 25
+
+
+def test_ruleset_index_ignores_later_changes_to_a_list():
+    source = [Rule("r_extro", ("extro",), (("extra",),))]
+    rules = RuleSet(source)
+    source.append(Rule("r_intro", ("intro",), (("introduction",),)))
+    source[0] = Rule("r_other", ("other",), (("x",),))
+    assert isinstance(rules.rules, tuple)
+    assert [r.id for r in rules] == ["r_extro"]
+    tokens = ["an", "extro", "intro", "other"]
+    assert as_tuples(match_rules(tokens, rules, 1)) == brute_force_matches(tokens, rules, 1)
+    assert [m.rule_id for m in match_rules(tokens, rules, 1)] == ["r_extro"]

@@ -146,34 +146,34 @@ CARI_W0 = tuple(X_TOKENS + [SEP, "extra", SEP, "extrovert", SEP, "introduction",
 
 def test_cari_substituted_w2(rules):
     matches = match_rules(X_TOKENS, rules, w=2)
-    ex = serialize_cari(X_TOKENS, matches, w=2)
+    ex = serialize_cari(X_TOKENS, matches)
     assert ex.input == CARI_W2_SUBSTITUTED
     assert not ex.truncated
 
 
 def test_cari_literal_w2(rules):
     matches = match_rules(X_TOKENS, rules, w=2)
-    ex = serialize_cari(X_TOKENS, matches, w=2, segment_mode="literal")
+    ex = serialize_cari(X_TOKENS, matches, segment_mode="literal")
     assert ex.input == CARI_W2_LITERAL
 
 
 def test_cari_w0_segments_are_bare_alternatives(rules):
     matches = match_rules(X_TOKENS, rules, w=0)
     for mode in ("substituted", "literal"):
-        ex = serialize_cari(X_TOKENS, matches, w=0, segment_mode=mode)
+        ex = serialize_cari(X_TOKENS, matches, segment_mode=mode)
         assert ex.input == CARI_W0
 
 
 def test_cari_no_matches_no_sep(rules):
     tokens = ["plain", "words"]
-    ex = serialize_cari(tokens, match_rules(tokens, rules, 2), w=2)
+    ex = serialize_cari(tokens, match_rules(tokens, rules, 2))
     assert ex.input == ("plain", "words")
     assert SEP not in ex.input
 
 
 def test_cari_segment_count(rules):
     matches = match_rules(X_TOKENS, rules, w=2)
-    ex = serialize_cari(X_TOKENS, matches, w=2)
+    ex = serialize_cari(X_TOKENS, matches)
     n_segments = ex.input.count(SEP)
     assert n_segments == sum(len(m.alternatives) for m in matches)
 
@@ -181,7 +181,7 @@ def test_cari_segment_count(rules):
 def test_cari_truncation_drops_whole_tail_segments(rules):
     matches = match_rules(X_TOKENS, rules, w=2)
     # room for the source (15 tokens) plus exactly two 6-token segments
-    ex = serialize_cari(X_TOKENS, matches, w=2, max_len=15 + 12)
+    ex = serialize_cari(X_TOKENS, matches, max_len=15 + 12)
     assert ex.truncated
     assert ex.input == CARI_W2_SUBSTITUTED[: 15 + 12]
     assert ex.input.count(SEP) == 2
@@ -189,22 +189,22 @@ def test_cari_truncation_drops_whole_tail_segments(rules):
 
 def test_cari_never_truncates_source(rules):
     matches = match_rules(X_TOKENS, rules, w=2)
-    ex = serialize_cari(X_TOKENS, matches, w=2, max_len=len(X_TOKENS))
+    ex = serialize_cari(X_TOKENS, matches, max_len=len(X_TOKENS))
     assert ex.input == tuple(X_TOKENS)
     assert ex.truncated
     with pytest.raises(DataError):
-        serialize_cari(X_TOKENS, matches, w=2, max_len=len(X_TOKENS) - 1)
+        serialize_cari(X_TOKENS, matches, max_len=len(X_TOKENS) - 1)
 
 
 def test_cari_unknown_segment_mode(rules):
     with pytest.raises(DataError):
-        serialize_cari(X_TOKENS, match_rules(X_TOKENS, rules, 2), w=2, segment_mode="inline")
+        serialize_cari(X_TOKENS, match_rules(X_TOKENS, rules, 2), segment_mode="inline")
 
 
 def test_cari_prefix_preserves_source_all_windows(rules):
     for w in range(5):
         matches = match_rules(X_TOKENS, rules, w=w)
-        ex = serialize_cari(X_TOKENS, matches, w=w)
+        ex = serialize_cari(X_TOKENS, matches)
         head = ex.input[: ex.input.index(SEP)] if SEP in ex.input else ex.input
         assert head == tuple(X_TOKENS)
 
@@ -257,7 +257,7 @@ def test_serialize_example_unknown_method(rules):
 def test_tsv_round_trip(tmp_path, rules):
     matches = match_rules(X_TOKENS, rules, w=2)
     examples = [
-        serialize_cari(X_TOKENS, matches, w=2, y=["fine", "."]),
+        serialize_cari(X_TOKENS, matches, y=["fine", "."]),
         serialize_nr(["u", "ok"], ["are", "you", "ok"]),
     ]
     path = tmp_path / "data.tsv"
