@@ -4,9 +4,16 @@ All parameters live in a ParamStore keyed by dotted names, so the optimizer,
 checkpointing and finite-difference checking can treat the model as a flat
 dict of arrays. Layers cache what they need on forward and accumulate
 gradients on backward; each layer instance is used once per forward pass.
+
+Dtype contract: every activation, cache and gradient stays in the parameter
+dtype (the model's `ModelConfig.dtype`). Constants mixed into array
+arithmetic are Python floats, which NumPy 2 (NEP 50) never lets widen an
+array; a NumPy float64 scalar would promote a float32 array to float64.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -85,10 +92,10 @@ class LayerNorm:
         store.add(name + ".beta", np.zeros(d))
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        mean = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
+        xc = x - x.mean(axis=-1, keepdims=True)
+        var = np.mean(xc * xc, axis=-1, keepdims=True)
         self._inv_std = 1.0 / np.sqrt(var + self.eps)
-        self._norm = (x - mean) * self._inv_std
+        self._norm = xc * self._inv_std
         g = self.store.values[self.name + ".gamma"]
         b = self.store.values[self.name + ".beta"]
         return self._norm * g + b
@@ -108,6 +115,20 @@ class LayerNorm:
             - norm * (dnorm * norm).mean(axis=-1, keepdims=True)
         ) * self._inv_std
         return dx
+
+
+def scatter_add_rows(ids: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """(n, d) sums of rows by id: out[i] = sum of rows[j] over ids[j] == i.
+
+    The same as np.add.at on zeros, but the ids are sorted once and each run
+    of equal ids is summed by one np.add.reduceat, in the original row order.
+    """
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    starts = np.flatnonzero(np.diff(sorted_ids, prepend=-1))
+    out = np.zeros((n, rows.shape[-1]), rows.dtype)
+    out[sorted_ids[starts]] = np.add.reduceat(rows[order], starts, axis=0)
+    return out
 
 
 class Embedding:
@@ -192,6 +213,8 @@ class MultiHeadAttention:
             raise ValueError("d_model must be divisible by heads")
         self.heads = heads
         self.d_head = d_model // heads
+        # A Python float: under NEP 50 np.float64 scalars promote float32 arrays.
+        self.scale = 1.0 / math.sqrt(self.d_head)
         self.wq = Dense(store, name + ".wq", d_model, d_model, rng)
         self.wk = Dense(store, name + ".wk", d_model, d_model, rng)
         self.wv = Dense(store, name + ".wv", d_model, d_model, rng)
@@ -219,13 +242,12 @@ class MultiHeadAttention:
                     k = np.concatenate([cache.k, k], axis=2)
                     v = np.concatenate([cache.v, v], axis=2)
                 cache.k, cache.v = k, v
-        scale = 1.0 / np.sqrt(self.d_head)
-        scores = (q @ k.transpose(0, 1, 3, 2)) * scale
+        scores = (q @ k.transpose(0, 1, 3, 2)) * self.scale
         if mask is not None:
             scores = scores + mask
         attn = softmax(scores, axis=-1)
         ctx = attn @ v
-        self._q, self._k, self._v, self._attn, self._scale = q, k, v, attn, scale
+        self._q, self._k, self._v, self._attn = q, k, v, attn
         return self.wo.forward(self._merge(ctx))
 
     @property
@@ -233,7 +255,7 @@ class MultiHeadAttention:
         return self._attn
 
     def backward(self, dout: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        q, k, v, attn, scale = self._q, self._k, self._v, self._attn, self._scale
+        q, k, v, attn, scale = self._q, self._k, self._v, self._attn, self.scale
         dctx = self._split(self.wo.backward(dout))
         dattn = dctx @ v.transpose(0, 1, 3, 2)
         dv = attn.transpose(0, 1, 3, 2) @ dctx

@@ -24,12 +24,21 @@ from .layers import (
     LayerNorm,
     MultiHeadAttention,
     ParamStore,
-    softmax,
+    scatter_add_rows,
+    softmax,  # unused here, but the benchmark tracer patches seq2seq.softmax
 )
 
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """Model shape and numerics.
+
+    `dtype` is the dtype of the parameters and of every activation, cache
+    and gradient, forward and backward; only the loss scalar and the
+    (B, V) rows of `Seq2SeqTransformer.next_token_logprobs`, which beam
+    scores sum, are float64.
+    """
+
     vocab_size: int
     d_model: int = 64
     heads: int = 4
@@ -175,8 +184,7 @@ class Seq2SeqTransformer:
 
     def _embed_backward(self, ids: np.ndarray, dx: np.ndarray, drop: Dropout) -> None:
         dx = drop.backward(dx)
-        dE = np.zeros_like(self.tok.table)
-        np.add.at(dE, ids.reshape(-1), dx.reshape(-1, dx.shape[-1]))
+        dE = scatter_add_rows(ids.reshape(-1), dx.reshape(-1, dx.shape[-1]), self.config.vocab_size)
         self.store.accumulate("embed.tok.E", dE)
         dpos = np.zeros_like(self.store.values["embed.pos"])
         dpos[: ids.shape[1]] = dx.sum(axis=0)
@@ -241,7 +249,6 @@ class Seq2SeqTransformer:
     def forward(self, src_ids: np.ndarray, tgt_in_ids: np.ndarray, train: bool = False) -> np.ndarray:
         """Logits over the vocabulary at every target position, (B, T, V)."""
         enc_out, src_mask = self.encode(src_ids, train)
-        self._last_src_ids = src_ids
         return self.decode(enc_out, src_mask, tgt_in_ids, train)
 
     def loss(self, src_ids: np.ndarray, tgt_in_ids: np.ndarray, tgt_out_ids: np.ndarray, train: bool = False) -> tuple[float, int]:
@@ -253,22 +260,27 @@ class Seq2SeqTransformer:
         loss, _, n_tok = self._ce(logits, tgt_out_ids)
         return loss, n_tok
 
-    def _ce(self, logits: np.ndarray, tgt_out: np.ndarray) -> tuple[float, np.ndarray, int]:
+    @staticmethod
+    def _ce(logits: np.ndarray, tgt_out: np.ndarray) -> tuple[float, np.ndarray, int]:
+        """(mean loss, dloss/dlogits, n_tokens): a log-softmax over the non-PAD
+        rows only, in the logits' dtype; dlogits is zero on PAD rows."""
         mask = tgt_out != PAD_ID
         n_tok = int(mask.sum())
-        probs = softmax(logits.astype(np.float64), axis=-1)
+        dlogits = np.zeros_like(logits)
         if n_tok == 0:
-            return 0.0, np.zeros_like(logits), 0
-        b, t = tgt_out.shape
-        ii, jj = np.nonzero(mask)
-        gold = tgt_out[ii, jj]
-        eps = np.finfo(np.float64).tiny
-        loss = -np.log(probs[ii, jj, gold] + eps).sum() / n_tok
-        dlogits = probs
-        dlogits[ii, jj, gold] -= 1.0
-        dlogits[~mask] = 0.0
-        dlogits /= n_tok
-        return float(loss), dlogits.astype(logits.dtype), n_tok
+            return 0.0, dlogits, 0
+        rows = logits[mask]
+        shifted = rows - rows.max(axis=-1, keepdims=True)
+        e = np.exp(shifted)
+        total = e.sum(axis=-1, keepdims=True)
+        gold = tgt_out[mask]
+        at_gold = (np.arange(n_tok), gold)
+        loss = -float((shifted[at_gold] - np.log(total[:, 0])).sum(dtype=np.float64)) / n_tok
+        probs = e / total
+        probs[at_gold] -= 1.0
+        probs /= n_tok
+        dlogits[mask] = probs
+        return loss, dlogits, n_tok
 
     def loss_and_grads(
         self,
@@ -280,9 +292,7 @@ class Seq2SeqTransformer:
     ) -> tuple[float, int]:
         """Forward + backward; gradients accumulate into the param store."""
         self.store.zero_grads()
-        enc_out, src_mask = self.encode(src_ids, train)
-        logits = self.decode(enc_out, src_mask, tgt_in_ids, train)
-        loss, dlogits, n_tok = self._ce(logits, tgt_out_ids)
+        loss, dlogits, n_tok = self._ce(self.forward(src_ids, tgt_in_ids, train), tgt_out_ids)
         if loss_scale != 1.0:
             loss *= loss_scale
             dlogits = dlogits * loss_scale
@@ -293,7 +303,7 @@ class Seq2SeqTransformer:
         else:
             dh = self.out_proj.backward(dlogits)
         dx = self.dec_ln.backward(dh)
-        denc_total = np.zeros_like(enc_out)
+        denc_total = np.zeros((*src_ids.shape, self.config.d_model), self.store.dtype)
         for block in reversed(self.dec_blocks):
             dx, denc = block.backward(dx)
             denc_total += denc

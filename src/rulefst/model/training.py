@@ -77,8 +77,13 @@ class Checkpoint:
             if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
                 raise DataError(f"{path}: unsupported checkpoint version {meta.get('format_version')}")
             params = {k[len("param/"):]: data[k] for k in data.files if k.startswith("param/")}
+        config = ModelConfig(**meta["config"])
+        try:
+            Seq2SeqTransformer(config).store.load(params)
+        except ValueError as err:
+            raise DataError(f"{path}: parameters do not fit the stored config: {err}") from err
         return cls(
-            config=ModelConfig(**meta["config"]),
+            config=config,
             params=params,
             vocab_hash=meta["vocab_hash"],
             step=meta["step"],
@@ -217,6 +222,9 @@ def train(
                 loss, _ = model.loss_and_grads(src, tgt_in, tgt_out, train=True)
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite training loss at step {step + 1}", step=step + 1)
+            bad = next((k for k, g in model.store.grads.items() if not np.isfinite(g).all()), None)
+            if bad is not None:
+                raise TrainingError(f"non-finite gradient of {bad} at step {step + 1}", step=step + 1)
             adam.step()
             step += 1
             if step % spec.eval_every == 0:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,8 @@ from rulefst.model import (
     token_accuracy,
     train,
 )
+from rulefst.model.layers import LayerNorm, ParamStore, scatter_add_rows
+from rulefst.model.seq2seq import DecoderCache
 from rulefst.text import BOS_ID, EOS_ID, PAD_ID
 
 
@@ -192,6 +196,137 @@ def test_length_overflow_errors():
         model.forward(np.full((1, 13), 6), np.array([[BOS_ID]]))
 
 
+def test_layer_norm_single_centering_pass_matches_var_formula():
+    rng = np.random.default_rng(0)
+    store = ParamStore(np.float64)
+    ln = LayerNorm(store, "ln", 16)
+    store.values["ln.gamma"][:] = rng.normal(1.0, 0.5, 16)
+    store.values["ln.beta"][:] = rng.normal(0.0, 0.5, 16)
+    x = rng.normal(3.0, 2.0, size=(4, 5, 16))
+    mean = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    old = (x - mean) / np.sqrt(var + ln.eps) * store.values["ln.gamma"] + store.values["ln.beta"]
+    np.testing.assert_allclose(ln.forward(x), old, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype, atol", [(np.float32, 1e-4), (np.float64, 1e-12)])
+def test_scatter_add_rows_matches_add_at(dtype, atol):
+    rng = np.random.default_rng(1)
+    for n_rows in (1, 7, 200):
+        ids = rng.integers(0, 12, size=n_rows)
+        ids[::3] = PAD_ID  # one id repeated many times
+        ids[-1] = ids[0]
+        rows = rng.normal(size=(n_rows, 5)).astype(dtype)
+        expected = np.zeros((15, 5), dtype)
+        np.add.at(expected, ids, rows)
+        out = scatter_add_rows(ids, rows, 15)
+        assert out.dtype == dtype
+        np.testing.assert_allclose(out, expected, rtol=0, atol=atol)
+        assert not out[12:].any()  # ids never seen stay exactly zero
+
+
+# ---- dtype contract ----------------------------------------------------------
+
+
+def floating_values(obj, path, seen):
+    """(path, value) of every floating ndarray or NumPy scalar reachable from
+    obj through attributes, dicts, lists and tuples."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, (np.ndarray, np.generic)):
+        if np.issubdtype(obj.dtype, np.floating):
+            yield path, obj
+        return
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, (list, tuple)):
+        items = enumerate(obj)
+    elif hasattr(obj, "__dict__"):
+        items = vars(obj).items()
+    else:
+        return
+    for key, value in items:
+        yield from floating_values(value, f"{path}.{key}", seen)
+
+
+def assert_all_in_dtype(dtype, **roots):
+    found = [pv for name, root in roots.items() for pv in floating_values(root, name, set())]
+    wrong = [(path, value.dtype) for path, value in found if value.dtype != dtype]
+    assert not wrong, wrong
+    return {path for path, _ in found}
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_activations_caches_and_gradients_stay_in_model_dtype(dtype):
+    model = Seq2SeqTransformer(tiny_config(dtype=dtype, dropout=0.1), seed=2)
+    src, tgt_in, tgt_out = batch_from([([6, 7, 8, 9], [10, 11, 6]), ([7, 9], [8])])
+    model.loss_and_grads(src, tgt_in, tgt_out, train=True)
+    paths = assert_all_in_dtype(np.dtype(dtype), model=model)
+    assert "model.enc_blocks.0.attn._attn" in paths
+    assert "model.dec_blocks.0.drop3._mask" in paths
+    assert len(model.store.grads) == len(model.store.values)
+
+    enc_out, src_mask = model.encode(src[:1])
+    cache = DecoderCache(model.config.dec_layers)
+    logits = model.decode(enc_out, src_mask, np.array([[BOS_ID]]), cache=cache)
+    cache.reorder(np.array([0, 0]))
+    logprobs = model.next_token_logprobs(enc_out, src_mask, np.array([[6], [7]]), cache)
+    paths = assert_all_in_dtype(np.dtype(dtype), model=model, cache=cache, logits=logits, enc_out=enc_out)
+    assert "cache.self_kv.0.k" in paths and "cache.cross_kv.0.v" in paths
+    assert logprobs.dtype == np.float64 and logprobs.shape == (2, model.config.vocab_size)
+
+
+def test_float32_loss_and_gradients_agree_with_float64_twin():
+    cfg = ModelConfig(vocab_size=40, d_model=32, heads=4, enc_layers=2, dec_layers=2,
+                      ffn_dim=64, max_len=16, dropout=0.0, dtype="float32")
+    m32 = Seq2SeqTransformer(cfg, seed=4)
+    rng = np.random.default_rng(4)
+    for value in m32.store.values.values():  # move away from the near-uniform init
+        value += rng.normal(0.0, 0.3, size=value.shape).astype(value.dtype)
+    m64 = Seq2SeqTransformer(replace(cfg, dtype="float64"), seed=4)
+    m64.store.load(m32.store.values)
+    pairs = toy_pairs(6, seed=4, vocab=40)
+    src, tgt_in, tgt_out = batch_from(pairs)
+    loss32, n32 = m32.loss_and_grads(src, tgt_in, tgt_out, train=False)
+    loss64, n64 = m64.loss_and_grads(src, tgt_in, tgt_out, train=False)
+    assert n32 == n64 and isinstance(loss32, float)
+    assert loss32 == pytest.approx(loss64, rel=1e-5)
+    for name, g64 in m64.store.grads.items():
+        err = np.linalg.norm(m32.store.grads[name] - g64)
+        if name.endswith(".wk.b"):
+            # A key bias shifts all of a query's scores alike, which softmax
+            # ignores: the exact gradient is zero and only round-off is left.
+            assert err < 1e-6, (name, err)
+        else:
+            assert err < 1e-3 * np.linalg.norm(g64), (name, err / np.linalg.norm(g64))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_cross_entropy_head_matches_full_softmax_and_zeroes_pad_rows(dtype):
+    rng = np.random.default_rng(5)
+    logits = rng.normal(0.0, 4.0, size=(3, 4, 9)).astype(dtype)
+    tgt_out = rng.integers(3, 9, size=(3, 4))
+    tgt_out[0, 2:] = PAD_ID
+    tgt_out[2, 1:] = PAD_ID
+    loss, dlogits, n_tok = Seq2SeqTransformer._ce(logits, tgt_out)
+    mask = tgt_out != PAD_ID
+    probs = np.exp(logits.astype(np.float64))
+    probs /= probs.sum(axis=-1, keepdims=True)
+    ii, jj = np.nonzero(mask)
+    expected_loss = -np.log(probs[ii, jj, tgt_out[ii, jj]]).mean()
+    expected = probs.copy()
+    expected[ii, jj, tgt_out[ii, jj]] -= 1.0
+    expected[~mask] = 0.0
+    expected /= n_tok
+    tol = 1e-6 if dtype == np.float32 else 1e-12
+    assert n_tok == int(mask.sum()) and isinstance(loss, float)
+    assert loss == pytest.approx(expected_loss, rel=tol)
+    assert dlogits.dtype == dtype
+    assert not dlogits[~mask].any()
+    np.testing.assert_allclose(dlogits, expected, rtol=0, atol=tol)
+
+
 # ---- gradients ---------------------------------------------------------------
 
 
@@ -278,6 +413,27 @@ def test_training_divergence_raises_with_step():
     assert exc.value.step is not None and exc.value.step >= 1
 
 
+def test_non_finite_gradient_with_finite_loss_raises_before_adam(monkeypatch):
+    cfg = tiny_config(dtype="float32")
+    pairs = toy_pairs(16, seed=2)
+    spec = TrainSpec(learning_rate=1e-3, batch_size=8, max_steps=10, eval_every=5, seed=0)
+    original = Seq2SeqTransformer.loss_and_grads
+    seen = {}
+
+    def inf_grad(self, *args, **kwargs):
+        loss, n_tok = original(self, *args, **kwargs)
+        self.store.grads["dec0.ffn.lin1.W"][0, 0] = np.inf
+        seen["model"], seen["params"] = self, self.store.snapshot()
+        return loss, n_tok
+
+    monkeypatch.setattr(Seq2SeqTransformer, "loss_and_grads", inf_grad)
+    with pytest.raises(TrainingError, match="dec0.ffn.lin1.W") as exc:
+        train(pairs, pairs[:4], cfg, spec)
+    assert exc.value.step == 1
+    for name, value in seen["model"].store.values.items():
+        assert np.array_equal(value, seen["params"][name]), name
+
+
 def test_best_checkpoint_has_lowest_observed_val_loss():
     cfg = tiny_config(dtype="float32")
     pairs = toy_pairs(32, seed=3)
@@ -337,3 +493,20 @@ def test_restore_model_accepts_same_vocabulary():
     a = ck.restore_model(vocab_hash="abc123").forward(src, tgt_in)
     b = ck.restore_model().forward(src, tgt_in)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "edit, name",
+    [
+        (lambda p: p.__setitem__("dec0.ffn.lin9.W", p.pop("dec0.ffn.lin1.W")), "dec0.ffn.lin1.W"),
+        (lambda p: p.__setitem__("enc0.attn.wq.b", np.zeros(3)), "enc0.attn.wq.b"),
+    ],
+    ids=["renamed", "reshaped"],
+)
+def test_checkpoint_load_checks_parameters_against_config(tmp_path, edit, name):
+    ck = _checkpoint_with_hash("abc123")
+    edit(ck.params)
+    path = tmp_path / "bad.npz"
+    ck.save(path)
+    with pytest.raises(DataError, match=name.replace(".", r"\.")):
+        Checkpoint.load(path)
