@@ -28,6 +28,47 @@ from .layers import (
     softmax,  # unused here, but the benchmark tracer patches seq2seq.softmax
 )
 
+# Largest (rows, heads, L, L) attention score array of one training sub-batch:
+# 1 MiB, so that a sub-batch's scores and softmax stay within a 2 MiB per-core
+# L2 cache. Measured on such a 2-CPU host, one float32 B=32 train step
+# (sources of 10-127 tokens, targets of 10-40, default ModelConfig, V=2000):
+# 150-157 ms unsplit, 103-109 at 2 MiB, 80-98 at 1 MiB, 83-92 at 512 KiB,
+# 109-124 at one row per sub-batch.
+SUB_BATCH_BYTES = 1 << 20
+
+
+def content_lengths(ids: np.ndarray) -> np.ndarray:
+    """Per row, 1 + the index of its last non-PAD id (0 for an all-PAD row):
+    the width a row keeps when its trailing PAD is trimmed."""
+    content = ids != PAD_ID
+    return np.where(content.any(axis=1), ids.shape[1] - np.argmax(content[:, ::-1], axis=1), 0)
+
+
+def split_rows(src_len: np.ndarray, tgt_len: np.ndarray, heads: int, itemsize: int) -> list[np.ndarray]:
+    """Row indices of each training sub-batch, in order.
+
+    Rows are sorted by source length, longest first (stable), and cut
+    greedily: a row joins the current sub-batch while rows x heads x L x L x
+    itemsize stays within SUB_BATCH_BYTES, where L is the larger of the
+    sub-batch's longest source and longest target. A row that alone exceeds
+    the budget forms a sub-batch by itself.
+    """
+    src_len, tgt_len = np.asarray(src_len), np.asarray(tgt_len)
+    cell = heads * itemsize
+    out: list[np.ndarray] = []
+    rows: list[int] = []
+    side = 0
+    for r in np.argsort(-src_len, kind="stable"):
+        grown = max(side, int(src_len[r]), int(tgt_len[r]), 1)
+        if rows and (len(rows) + 1) * cell * grown * grown > SUB_BATCH_BYTES:
+            out.append(np.asarray(rows))
+            rows, grown = [], max(int(src_len[r]), int(tgt_len[r]), 1)
+        rows.append(int(r))
+        side = grown
+    if rows:
+        out.append(np.asarray(rows))
+    return out
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -251,14 +292,31 @@ class Seq2SeqTransformer:
         enc_out, src_mask = self.encode(src_ids, train)
         return self.decode(enc_out, src_mask, tgt_in_ids, train)
 
+    def _sub_batches(self, src_ids: np.ndarray, tgt_in_ids: np.ndarray, tgt_out_ids: np.ndarray):
+        """Yield the (src, tgt_in, tgt_out) sub-batches of a padded batch, cut
+        by `split_rows` and each trimmed to its own longest source and target."""
+        src_len, tgt_len = content_lengths(src_ids), content_lengths(tgt_out_ids)
+        for rows in split_rows(src_len, tgt_len, self.config.heads, self.store.dtype.itemsize):
+            ls = max(int(src_len[rows].max()), 1)
+            lt = max(int(tgt_len[rows].max()), 1)
+            yield src_ids[rows, :ls], tgt_in_ids[rows, :lt], tgt_out_ids[rows, :lt]
+
     def loss(self, src_ids: np.ndarray, tgt_in_ids: np.ndarray, tgt_out_ids: np.ndarray, train: bool = False) -> tuple[float, int]:
         """Mean token cross-entropy over non-PAD target positions.
 
-        Returns (loss, n_tokens); n_tokens == 0 yields loss 0.0.
+        Returns (loss, n_tokens); n_tokens == 0 yields loss 0.0. Runs on the
+        length-sorted sub-batches of `loss_and_grads` (rows sorted by source
+        length and cut so that no (rows, heads, L, L) attention score array
+        exceeds SUB_BATCH_BYTES, 1 MiB, for the 2 MiB L2 cache; each trimmed
+        to its own longest rows), so with dropout on, masks are drawn per
+        sub-batch.
         """
-        logits = self.forward(src_ids, tgt_in_ids, train)
-        loss, _, n_tok = self._ce(logits, tgt_out_ids)
-        return loss, n_tok
+        total, n_tok = 0.0, 0
+        for src, tgt_in, tgt_out in self._sub_batches(src_ids, tgt_in_ids, tgt_out_ids):
+            loss, _, n = self._ce(self.forward(src, tgt_in, train), tgt_out)
+            total += loss * n
+            n_tok += n
+        return total / max(n_tok, 1), n_tok
 
     @staticmethod
     def _ce(logits: np.ndarray, tgt_out: np.ndarray) -> tuple[float, np.ndarray, int]:
@@ -290,13 +348,35 @@ class Seq2SeqTransformer:
         train: bool = True,
         loss_scale: float = 1.0,
     ) -> tuple[float, int]:
-        """Forward + backward; gradients accumulate into the param store."""
-        self.store.zero_grads()
-        loss, dlogits, n_tok = self._ce(self.forward(src_ids, tgt_in_ids, train), tgt_out_ids)
-        if loss_scale != 1.0:
-            loss *= loss_scale
-            dlogits = dlogits * loss_scale
+        """Forward + backward; gradients accumulate into the param store.
 
+        Returns the mean loss of the whole padded batch and leaves its mean
+        gradient in the store, but runs it in length-sorted sub-batches
+        (`split_rows`): the rows, sorted by source length, longest first, are
+        cut greedily so that no sub-batch's largest (rows, heads, L, L)
+        attention score array exceeds SUB_BATCH_BYTES (1 MiB, which keeps it
+        in a 2 MiB per-core L2 cache), and each sub-batch is trimmed to its
+        own longest source and target, so that no attention runs over another
+        row's padding. Each sub-batch's dlogits is weighted by
+        loss_scale * its tokens / all tokens before its backward pass.
+
+        With dropout on, masks are drawn per sub-batch: training stays
+        deterministic per seed, but draws differently from one pass over
+        the whole padded batch.
+        """
+        self.store.zero_grads()
+        n_total = int((tgt_out_ids != PAD_ID).sum())
+        total = 0.0
+        for src, tgt_in, tgt_out in self._sub_batches(src_ids, tgt_in_ids, tgt_out_ids):
+            loss, dlogits, n = self._ce(self.forward(src, tgt_in, train), tgt_out)
+            total += loss * n
+            dlogits *= float(loss_scale) * n / max(n_total, 1)
+            self._backward(src, tgt_in, dlogits)
+        return float(loss_scale) * total / max(n_total, 1), n_total
+
+    def _backward(self, src_ids: np.ndarray, tgt_in_ids: np.ndarray, dlogits: np.ndarray) -> None:
+        """Backpropagate dlogits through the last forward call, adding the
+        gradients to the store."""
         self.store.accumulate("out.bias", dlogits.reshape(-1, dlogits.shape[-1]).sum(axis=0))
         if self.out_proj is None:
             dh = self.tok.project_out_backward(dlogits)
@@ -313,7 +393,6 @@ class Seq2SeqTransformer:
         for block in reversed(self.enc_blocks):
             dx = block.backward(dx)
         self._embed_backward(src_ids, dx, self.emb_drop_src)
-        return loss, n_tok
 
     def next_token_logprobs(
         self,

@@ -6,8 +6,9 @@ RCAT  : source [SEP] FCFS rewrite.
 CARI  : source [SEP] one segment per (match, alternative) pair, each
         alternative rendered inside its context window.
 
-Serialized datasets are written as UTF-8 TSV, one `input<TAB>target` pair per
-line with tokens space-joined and [SEP] rendered literally.
+Serialized datasets are written as UTF-8 TSV, one
+`input<TAB>target<TAB>method<TAB>truncated` line per example with tokens
+space-joined and [SEP] rendered literally.
 """
 
 from __future__ import annotations
@@ -159,12 +160,24 @@ def serialize_example(
 
 
 def write_examples_tsv(examples: Sequence[SerializedExample], path) -> None:
+    """One `input<TAB>target<TAB>method<TAB>truncated` line per example, with
+    truncated written as 0 or 1. A token that is empty or holds whitespace
+    would not read back as written, so it raises DataError."""
     with open(path, "w", encoding="utf-8") as f:
-        for ex in examples:
-            f.write(" ".join(ex.input) + "\t" + " ".join(ex.target) + "\n")
+        for i, ex in enumerate(examples):
+            fields = [" ".join(ex.input), " ".join(ex.target)]
+            if fields[0].split() != list(ex.input) or fields[1].split() != list(ex.target):
+                raise DataError(f"example {i}: a token is empty or holds whitespace")
+            f.write("\t".join(fields) + f"\t{ex.method}\t{int(ex.truncated)}\n")
 
 
-def read_examples_tsv(path, method: str = NR) -> list[SerializedExample]:
+def read_examples_tsv(path, method: str | None = None) -> list[SerializedExample]:
+    """Read what `write_examples_tsv` wrote, losslessly.
+
+    Old two-column `input<TAB>target` files carry no method or truncation
+    flag: their examples get `method` (NR when None) and truncated=False.
+    A given method that differs from a line's own raises DataError.
+    """
     out: list[SerializedExample] = []
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -172,7 +185,14 @@ def read_examples_tsv(path, method: str = NR) -> list[SerializedExample]:
             if not line:
                 continue
             parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataError(f"{path}:{lineno}: expected input<TAB>target")
-            out.append(SerializedExample(method, tuple(parts[0].split()), tuple(parts[1].split())))
+            if len(parts) == 2:
+                parts += [method or NR, "0"]
+            if len(parts) != 4:
+                raise DataError(f"{path}:{lineno}: expected input<TAB>target[<TAB>method<TAB>truncated]")
+            src, tgt, line_method, truncated = parts
+            if line_method not in METHODS or truncated not in ("0", "1"):
+                raise DataError(f"{path}:{lineno}: bad method {line_method!r} or truncated flag {truncated!r}")
+            if method is not None and line_method != method:
+                raise DataError(f"{path}:{lineno}: method {line_method}, expected {method}")
+            out.append(SerializedExample(line_method, tuple(src.split()), tuple(tgt.split()), truncated == "1"))
     return out

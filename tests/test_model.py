@@ -1,7 +1,11 @@
+import functools
+import os
+import tempfile
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from rulefst.errors import DataError, TrainingError
 from rulefst.model import (
@@ -9,6 +13,7 @@ from rulefst.model import (
     ModelConfig,
     Seq2SeqTransformer,
     TrainSpec,
+    beam_decode,
     grad_check,
     make_batch,
     tiny_model_for_check,
@@ -465,6 +470,34 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     a = ck.restore_model().forward(src, tgt_in)
     b = loaded.restore_model().forward(src, tgt_in)
     assert np.array_equal(a, b)
+
+
+@functools.lru_cache(maxsize=1)
+def trained_and_reloaded():
+    """A float32 model trained with dropout, and its save/load round trip."""
+    cfg = tiny_config(dtype="float32", dropout=0.1)
+    pairs = toy_pairs(16, seed=5)
+    spec = TrainSpec(learning_rate=3e-3, batch_size=8, max_steps=20, eval_every=10, seed=4)
+    ck = train(pairs, pairs[:4], cfg, spec)
+    assert ck.step > 0  # the best parameters are trained ones, not the initial ones
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.npz")
+        ck.save(path)
+        loaded = Checkpoint.load(path)
+    return ck.restore_model(), loaded.restore_model()
+
+
+@given(
+    src=st.lists(st.integers(6, 11), min_size=1, max_size=11),
+    beam=st.integers(1, 4),
+    max_len=st.integers(1, 11),
+)
+def test_checkpoint_round_trip_gives_bit_identical_beam_output(src, beam, max_len):
+    original, reloaded = trained_and_reloaded()
+    out = beam_decode(original, src, beam_size=beam, fanout=beam + 1, max_len=max_len)
+    assert beam_decode(reloaded, src, beam_size=beam, fanout=beam + 1, max_len=max_len) == out
+    ids = np.asarray([src]), np.asarray([[BOS_ID, *out]])
+    assert np.array_equal(original.forward(*ids), reloaded.forward(*ids))
 
 
 def test_checkpoint_rejects_garbage(tmp_path):

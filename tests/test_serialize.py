@@ -5,6 +5,9 @@ from rulefst.errors import DataError
 from rulefst.rules import match_rules
 from rulefst.serialize import (
     CARI,
+    NR,
+    SEGMENT_MODES,
+    SerializedExample,
     apply_rules_fcfs,
     read_examples_tsv,
     serialize_cari,
@@ -15,7 +18,7 @@ from rulefst.serialize import (
     serialize_rcat,
     write_examples_tsv,
 )
-from rulefst.rules import load_rules
+from rulefst.rules import Rule, RuleSet, load_rules
 from rulefst.text import SEP, tokenize
 
 from conftest import AMBIG_SENTENCE
@@ -258,10 +261,102 @@ def test_tsv_round_trip(tmp_path, rules):
     matches = match_rules(X_TOKENS, rules, w=2)
     examples = [
         serialize_cari(X_TOKENS, matches, y=["fine", "."]),
+        serialize_cari(X_TOKENS, matches, y=[], max_len=15 + 12),  # truncated, empty target
         serialize_nr(["u", "ok"], ["are", "you", "ok"]),
     ]
     path = tmp_path / "data.tsv"
     write_examples_tsv(examples, path)
-    loaded = read_examples_tsv(path, method=CARI)
+    loaded = read_examples_tsv(path)
     assert [e.input for e in loaded] == [e.input for e in examples]
     assert [e.target for e in loaded] == [e.target for e in examples]
+    assert loaded == examples  # method and truncated too
+    write_examples_tsv(examples[:2], path)
+    assert read_examples_tsv(path, CARI) == examples[:2]
+
+
+def test_tsv_reads_old_two_column_files(tmp_path):
+    path = tmp_path / "old.tsv"
+    path.write_text("a [SEP] b\tc d\n\ne\t\n", encoding="utf-8")
+    assert read_examples_tsv(path, CARI) == [
+        SerializedExample(CARI, ("a", SEP, "b"), ("c", "d")),
+        SerializedExample(CARI, ("e",), ()),
+    ]
+    assert [e.method for e in read_examples_tsv(path)] == ["NR", "NR"]
+
+
+def test_tsv_refuses_a_method_other_than_the_file_s(tmp_path):
+    path = tmp_path / "nr.tsv"
+    write_examples_tsv([serialize_nr(["u"], ["you"])], path)
+    with pytest.raises(DataError, match=":1: method NR, expected CARI"):
+        read_examples_tsv(path, CARI)
+
+
+@pytest.mark.parametrize("line", ["a\tb\tXYZ\t0", "a\tb\tNR\tyes", "a\tb\tNR", "a\tb\tNR\t0\tz"])
+def test_tsv_malformed_lines_raise_with_the_line_number(tmp_path, line):
+    path = tmp_path / "bad.tsv"
+    path.write_text("a\tb\tNR\t0\n" + line + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=":2"):
+        read_examples_tsv(path)
+
+
+@pytest.mark.parametrize("tokens", [("a b",), ("",), ("a\tb",), ("a\n",)])
+def test_tsv_refuses_tokens_that_would_not_read_back(tmp_path, tokens):
+    with pytest.raises(DataError, match="example 0"):
+        write_examples_tsv([SerializedExample(NR, ("x",), tokens)], tmp_path / "x.tsv")
+
+
+# ---- properties --------------------------------------------------------------
+
+WORDS = st.sampled_from(["a", "b", "c", "D"])
+PHRASES = st.lists(WORDS, min_size=1, max_size=3).map(tuple)
+
+
+@st.composite
+def sentences_and_rules(draw):
+    patterns = draw(st.lists(PHRASES, min_size=1, max_size=6))
+    rule_list = [
+        Rule(f"r{i}", p, tuple(draw(st.lists(PHRASES, min_size=1, max_size=3, unique=True))))
+        for i, p in enumerate(patterns)
+    ]
+    x = draw(st.lists(WORDS, min_size=1, max_size=12))
+    return x, RuleSet(tuple(rule_list)), draw(st.integers(0, 3))
+
+
+@given(sentences_and_rules())
+def test_fcfs_never_applies_overlapping_rewrites(case):
+    x, rule_set, w = case
+    matches = match_rules(x, rule_set, w)
+    # The reference applies a match only when it starts at or after the end
+    # of the last applied one, so equality shows FCFS never overlaps rewrites.
+    out, pos = [], 0
+    for m in matches:
+        if m.start >= pos:
+            out += list(x[pos : m.start]) + list(m.alternatives[0])
+            pos = m.end
+    out += list(x[pos:])
+    assert apply_rules_fcfs(x, matches) == out
+
+
+@given(sentences_and_rules(), st.one_of(st.none(), st.integers(12, 40)), st.sampled_from(SEGMENT_MODES))
+def test_cari_segments_appear_in_order_and_go_missing_only_when_truncated(case, max_len, mode):
+    x, rule_set, w = case
+    matches = match_rules(x, rule_set, w)
+    ex = serialize_cari(x, matches, max_len=max_len, segment_mode=mode)
+    expected = [
+        (m.context_left + alt + m.context_right) if mode == "substituted" else (alt + m.context_left + m.context_right)
+        for m in matches
+        for alt in m.alternatives
+    ]
+    assert ex.input[: len(x)] == tuple(x)
+    segments, rest = [], ex.input[len(x) :]
+    while rest:
+        assert rest[0] == SEP
+        nxt = rest.index(SEP, 1) if SEP in rest[1:] else len(rest)
+        segments.append(rest[1:nxt])
+        rest = rest[nxt:]
+    assert segments == expected[: len(segments)]
+    assert (len(segments) < len(expected)) == ex.truncated
+    if max_len is not None:
+        assert len(ex.input) <= max_len
+        if ex.truncated:  # the first missing segment would not have fitted
+            assert len(ex.input) + 1 + len(expected[len(segments)]) > max_len
