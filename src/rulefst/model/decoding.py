@@ -4,13 +4,22 @@ The beam keeps `beam_size` live hypotheses; each step expands every live
 hypothesis with its top-`fanout` next tokens, then reselects the best
 `beam_size` by score. Hypotheses end at [EOS] or max_len and the best
 finished hypothesis wins. Scores are sum log-probability, divided by the
-generated length when length_normalize is on.
+generated length when length_normalize is on. Ties go to the shorter, then
+the lexicographically smaller hypothesis.
 
 Decoding is incremental: the step callback receives only the token that each
 live hypothesis has just added, plus a back-pointer to the row of the
 previous step's state that the hypothesis extends, so a model step feeds one
 position per hypothesis through the decoder (fairseq's incremental_state and
 reorder_incremental_state, Ott et al. 2019).
+
+The bookkeeping is array-backed: each step keeps only the (token, parent)
+arrays of its live hypotheses, and token lists are rebuilt from them for the
+winner and for exact score ties. Live hypotheses all have the same length
+and are kept in lexicographic order, so with each row's top tokens in
+ascending id order, a candidate's index in the flattened (live, fanout) grid
+is its lexicographic rank, and a stable sort by score alone gives the exact
+(score, tokens) order.
 """
 
 from __future__ import annotations
@@ -25,20 +34,19 @@ from .seq2seq import DecoderCache, Seq2SeqTransformer
 
 # step_fn(parents, tokens) -> (n, V) next-token log-probs. Hypothesis i is the
 # prefix that row parents[i] of the previous call scored, extended by
-# tokens[i]; the first call gets parents [0] and tokens [BOS].
-StepFn = Callable[[np.ndarray, list[int]], np.ndarray]
+# tokens[i]; the first call gets parents [0] and tokens [BOS]. Both are
+# (n,) int arrays.
+StepFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def _score(logp_sum: float, length: int, length_normalize: bool) -> float:
-    if not length_normalize:
-        return logp_sum
-    return logp_sum / max(length, 1)
-
-
-def _hyp_key(hyp: tuple[list[int], float], length_normalize: bool) -> tuple:
-    tokens, logp = hyp
-    # Deterministic ordering: score, then shorter, then lexicographic.
-    return (-_score(logp, len(tokens), length_normalize), len(tokens), tokens)
+def _tokens(history: list[tuple[np.ndarray, np.ndarray]], length: int, row: int) -> list[int]:
+    """Tokens of row `row` of the live hypotheses of `length` tokens,
+    followed back through the parents."""
+    out = []
+    for tokens, parents in reversed(history[:length]):
+        out.append(int(tokens[row]))
+        row = parents[row]
+    return out[::-1]
 
 
 def beam_search(
@@ -58,44 +66,62 @@ def beam_search(
         raise DataError("fanout must be >= 1")
     if max_len < 1:
         raise DataError("max_len must be >= 1")
-    live: list[tuple[list[int], float]] = [([], 0.0)]
-    parents = [0]
-    finished: list[tuple[list[int], float]] = []
-    for _ in range(max_len):
-        last = [tokens[-1] if tokens else BOS_ID for tokens, _ in live]
-        logprobs = step_fn(np.asarray(parents), last)
-        candidates: list[tuple[list[int], float, int]] = []
-        for parent, ((tokens, logp), row) in enumerate(zip(live, logprobs)):
-            k = min(fanout, row.shape[-1])
-            top = np.argpartition(-row, k - 1)[:k]
-            for tok in sorted(top.tolist(), key=lambda t: (-row[t], t)):
-                candidates.append((tokens + [tok], logp + float(row[tok]), parent))
-        candidates.sort(key=lambda h: _hyp_key(h[:2], length_normalize))
-        live, parents = [], []
-        for tokens, logp, parent in candidates:
-            if tokens[-1] == EOS_ID:
-                finished.append((tokens, logp))
-            elif len(live) < beam_size:
-                live.append((tokens, logp))
-                parents.append(parent)
-        if not live:
+    history: list[tuple[np.ndarray, np.ndarray]] = []  # [n - 1]: (tokens, parents) of the live of n tokens
+    # Finished hypotheses, one entry per step that ends some: (scores,
+    # length, rows, eos); the hypotheses are the live of `length - eos`
+    # tokens at `rows`, followed by EOS if eos.
+    ended: list[tuple[np.ndarray, int, np.ndarray, bool]] = []
+    parents, last, logp = np.zeros(1, np.int64), np.full(1, BOS_ID, np.int64), np.zeros(1)
+    for step in range(max_len):
+        logprobs = step_fn(parents, last)
+        k = min(fanout, logprobs.shape[-1])
+        top = np.sort(np.argpartition(-logprobs, k - 1, axis=-1)[:, :k], axis=-1).ravel()
+        rows = np.arange(len(top)) // k
+        cand_logp = logp[rows] + logprobs[rows, top]
+        score = cand_logp / (step + 1) if length_normalize else cand_logp
+        order = np.argsort(-score, kind="stable")
+        eos = top[order] == EOS_ID
+        if eos.any():
+            done = order[eos]
+            ended.append((score[done], step + 1, rows[done], True))
+        keep = np.sort(order[~eos][:beam_size])
+        if not keep.size:
             break
-    finished.extend(live)  # ran into max_len
-    finished.sort(key=lambda h: _hyp_key(h, length_normalize))
-    best = finished[0][0]
-    if best and best[-1] == EOS_ID:
-        best = best[:-1]
-    return best
+        parents, last, logp = rows[keep], top[keep], cand_logp[keep]
+        history.append((last, parents))
+    else:  # the live hypotheses ran into max_len
+        ended.append((score[keep], max_len, np.arange(len(keep)), False))
+    best = max(float(scores.max()) for scores, *_ in ended)
+    shortest = min(length for scores, length, *_ in ended if (scores == best).any())
+    ties = [
+        _tokens(history, length - eos, int(row)) + [EOS_ID] * eos
+        for scores, length, rows, eos in ended
+        if length == shortest
+        for row in rows[scores == best]
+    ]
+    tokens = min(ties)
+    return tokens[:-1] if tokens[-1] == EOS_ID else tokens
 
 
 def model_step_fn(model: Seq2SeqTransformer, src_ids: Sequence[int]) -> StepFn:
     """Encode once; each step reorders the decoder cache by the back-pointers
-    and feeds one new position per hypothesis through the decoder."""
-    src = np.asarray([src_ids], dtype=np.int64)
-    enc_out, src_mask = model.encode(src, train=False)
-    cache = DecoderCache(model.config.dec_layers)
+    and feeds one new position per hypothesis through the decoder.
 
-    def step(parents: np.ndarray, tokens: list[int]) -> np.ndarray:
+    An empty source, or one holding an id outside the vocabulary, raises
+    DataError before anything is encoded.
+    """
+    src = np.asarray([src_ids], dtype=np.int64)
+    vocab_size = model.config.vocab_size
+    if not src.size:
+        raise DataError("empty source")
+    bad = np.flatnonzero((src[0] < 0) | (src[0] >= vocab_size))
+    if bad.size:
+        i = int(bad[0])
+        raise DataError(f"source id {int(src[0, i])} at position {i} is outside the vocabulary 0..{vocab_size - 1}")
+    enc_out, src_mask = model.encode(src, train=False)
+    cache = DecoderCache(model.config)
+
+    def step(parents: np.ndarray, tokens: np.ndarray) -> np.ndarray:
         cache.reorder(parents)
         new_ids = np.asarray(tokens, dtype=np.int64)[:, None]
         return model.next_token_logprobs(enc_out, src_mask, new_ids, cache)

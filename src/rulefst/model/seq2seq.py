@@ -1,9 +1,8 @@
 """A small transformer encoder-decoder trained from scratch.
 
 Pre-norm blocks, learned positional embeddings, a token embedding shared by
-encoder and decoder, and (by default) an output projection tied to the token
-embedding. No token-type embeddings: [SEP] tokens alone carry segment
-structure.
+encoder and decoder, and an output projection tied to the token embedding.
+No token-type embeddings: [SEP] tokens alone carry segment structure.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from ..errors import DataError
 from ..text import PAD_ID
 from .layers import (
     NEG_INF,
-    Dense,
     Dropout,
     Embedding,
     FeedForward,
@@ -24,6 +22,7 @@ from .layers import (
     LayerNorm,
     MultiHeadAttention,
     ParamStore,
+    PrefixBuffer,
     scatter_add_rows,
     softmax,  # unused here, but the benchmark tracer patches seq2seq.softmax
 )
@@ -88,15 +87,11 @@ class ModelConfig:
     ffn_dim: int = 256
     max_len: int = 128
     dropout: float = 0.1
-    positional: str = "learned"
-    tie_embeddings: bool = True
     dtype: str = "float32"
 
     def __post_init__(self):
         if self.d_model % self.heads:
             raise DataError("d_model must be divisible by heads")
-        if self.positional != "learned":
-            raise DataError(f"unsupported positional mode {self.positional!r}")
         if self.vocab_size < 7:
             raise DataError("vocab_size must cover the reserved tokens")
 
@@ -115,15 +110,14 @@ class _EncoderBlock:
 
     def forward(self, x, mask, train, rng):
         h = self.ln1.forward(x)
-        x = x + self.drop1.forward(self.attn.forward(h, h, mask), train, rng)
+        x = x + self.drop1.forward(self.attn.forward(h, mask), train, rng)
         x = x + self.drop2.forward(self.ffn.forward(self.ln2.forward(x)), train, rng)
         return x
 
     def backward(self, dx):
         dffn = self.ln2.backward(self.ffn.backward(self.drop2.backward(dx)))
         dx = dx + dffn
-        dq, dkv = self.attn.backward(self.drop1.backward(dx))
-        dx = dx + self.ln1.backward(dq + dkv)
+        dx = dx + self.ln1.backward(self.attn.backward(self.drop1.backward(dx)))
         return dx
 
 
@@ -133,7 +127,7 @@ class _DecoderBlock:
         self.self_attn = MultiHeadAttention(store, prefix + ".self", cfg.d_model, cfg.heads, rng)
         self.drop1 = Dropout(cfg.dropout)
         self.ln2 = LayerNorm(store, prefix + ".ln2", cfg.d_model)
-        self.cross_attn = MultiHeadAttention(store, prefix + ".cross", cfg.d_model, cfg.heads, rng)
+        self.cross_attn = MultiHeadAttention(store, prefix + ".cross", cfg.d_model, cfg.heads, rng, cross=True)
         self.drop2 = Dropout(cfg.dropout)
         self.ln3 = LayerNorm(store, prefix + ".ln3", cfg.d_model)
         self.ffn = FeedForward(store, prefix + ".ffn", cfg.d_model, cfg.ffn_dim, rng)
@@ -141,9 +135,9 @@ class _DecoderBlock:
 
     def forward(self, x, enc_out, self_mask, cross_mask, train, rng, self_kv=None, cross_kv=None):
         h = self.ln1.forward(x)
-        x = x + self.drop1.forward(self.self_attn.forward(h, h, self_mask, self_kv), train, rng)
+        x = x + self.drop1.forward(self.self_attn.forward(h, self_mask, self_kv), train, rng)
         x = x + self.drop2.forward(
-            self.cross_attn.forward(self.ln2.forward(x), enc_out, cross_mask, cross_kv), train, rng
+            self.cross_attn.forward(self.ln2.forward(x), cross_mask, cross_kv, memory=enc_out), train, rng
         )
         x = x + self.drop3.forward(self.ffn.forward(self.ln3.forward(x)), train, rng)
         return x
@@ -153,8 +147,7 @@ class _DecoderBlock:
         dx = dx + dffn
         dq, denc = self.cross_attn.backward(self.drop2.backward(dx))
         dx = dx + self.ln2.backward(dq)
-        dq, dkv = self.self_attn.backward(self.drop1.backward(dx))
-        dx = dx + self.ln1.backward(dq + dkv)
+        dx = dx + self.ln1.backward(self.self_attn.backward(self.drop1.backward(dx)))
         return dx, denc
 
 
@@ -163,26 +156,39 @@ class DecoderCache:
     incremental_state: per decoder layer, the self-attention keys and values
     of every decoded position (one row per live hypothesis) and the
     cross-attention keys and values of the source (batch 1, shared by all
-    rows), plus the additive mask that hides decoded [PAD] keys.
+    rows), plus `pad_mask`, the additive mask that hides decoded [PAD] keys,
+    (rows, 1, 1, length). Decoded positions are written in place into
+    buffers sized once for config.max_len positions.
     """
 
-    def __init__(self, layers: int):
-        self.self_kv = [KVCache() for _ in range(layers)]
-        self.cross_kv = [KVCache(static=True) for _ in range(layers)]
-        self.pad_mask: np.ndarray | None = None  # (rows, 1, 1, length)
+    def __init__(self, config: ModelConfig):
+        self.self_kv = [KVCache(capacity=config.max_len) for _ in range(config.dec_layers)]
+        self.cross_kv = [KVCache() for _ in range(config.dec_layers)]
+        self._pad = PrefixBuffer(config.max_len, axis=3)
+
+    @property
+    def pad_mask(self) -> np.ndarray | None:
+        return self._pad.value
 
     @property
     def length(self) -> int:
         """Target positions decoded so far."""
         return 0 if self.pad_mask is None else self.pad_mask.shape[-1]
 
+    def append_pad_mask(self, pad: np.ndarray) -> np.ndarray:
+        """Add the (rows, 1, 1, t) mask of the next t positions; returns the
+        mask of every decoded position."""
+        return self._pad.append(pad)
+
     def reorder(self, rows: np.ndarray) -> None:
         """Keep row rows[i] of the state as row i (beam back-pointers)."""
         if self.pad_mask is None:
             return
-        self.pad_mask = self.pad_mask[rows]
+        rows = np.asarray(rows)
+        identity = bool(np.array_equal(rows, np.arange(len(rows))))
+        self._pad.reorder(rows, identity)
         for kv in self.self_kv:
-            kv.reorder(rows)
+            kv.reorder(rows, identity)
 
 
 class Seq2SeqTransformer:
@@ -206,10 +212,6 @@ class Seq2SeqTransformer:
             _DecoderBlock(self.store, f"dec{i}", cfg, init_rng) for i in range(cfg.dec_layers)
         ]
         self.dec_ln = LayerNorm(self.store, "dec.ln_f", cfg.d_model)
-        if cfg.tie_embeddings:
-            self.out_proj = None
-        else:
-            self.out_proj = Dense(self.store, "out", cfg.d_model, cfg.vocab_size, init_rng)
         self.store.add("out.bias", np.zeros(cfg.vocab_size))
 
     # ---- helpers -------------------------------------------------------
@@ -272,20 +274,14 @@ class Seq2SeqTransformer:
         self._check_len(start + t, "target")
         pad = self.pad_mask(tgt_in_ids, self.store.dtype)
         if cache is not None:
-            if cache.pad_mask is not None:
-                pad = np.concatenate([cache.pad_mask, pad], axis=-1)
-            cache.pad_mask = pad
-        self_mask = self.causal_mask(t, self.store.dtype, start) + pad
+            pad = cache.append_pad_mask(pad)
+        # causal_mask(1, ...) is all zeros: one new position sees every key.
+        self_mask = pad if t == 1 else self.causal_mask(t, self.store.dtype, start) + pad
         x = self._embed(tgt_in_ids, self.emb_drop_tgt, train, start)
         for i, block in enumerate(self.dec_blocks):
             kv = (None, None) if cache is None else (cache.self_kv[i], cache.cross_kv[i])
             x = block.forward(x, enc_out, self_mask, src_mask, train, self._dropout_rng, *kv)
-        h = self.dec_ln.forward(x)
-        if self.out_proj is None:
-            logits = self.tok.project_out(h)
-        else:
-            logits = self.out_proj.forward(h)
-        return logits + self.store.values["out.bias"]
+        return self.tok.project_out(self.dec_ln.forward(x)) + self.store.values["out.bias"]
 
     def forward(self, src_ids: np.ndarray, tgt_in_ids: np.ndarray, train: bool = False) -> np.ndarray:
         """Logits over the vocabulary at every target position, (B, T, V)."""
@@ -378,11 +374,7 @@ class Seq2SeqTransformer:
         """Backpropagate dlogits through the last forward call, adding the
         gradients to the store."""
         self.store.accumulate("out.bias", dlogits.reshape(-1, dlogits.shape[-1]).sum(axis=0))
-        if self.out_proj is None:
-            dh = self.tok.project_out_backward(dlogits)
-        else:
-            dh = self.out_proj.backward(dlogits)
-        dx = self.dec_ln.backward(dh)
+        dx = self.dec_ln.backward(self.tok.project_out_backward(dlogits))
         denc_total = np.zeros((*src_ids.shape, self.config.d_model), self.store.dtype)
         for block in reversed(self.dec_blocks):
             dx, denc = block.backward(dx)

@@ -14,7 +14,9 @@ from .seq2seq import ModelConfig, Seq2SeqTransformer
 
 log = logging.getLogger(__name__)
 
-CHECKPOINT_FORMAT_VERSION = 1
+# 2: attention projections fused into .wqkv and .wkv; ModelConfig without
+# `positional` and `tie_embeddings`.
+CHECKPOINT_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)

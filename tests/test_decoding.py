@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rulefst.errors import DataError
 from rulefst.model import ModelConfig, Seq2SeqTransformer, beam_decode, beam_search, greedy_decode, model_step_fn
 from rulefst.text import BOS_ID, EOS_ID, PAD_ID
 
 
-def tiny_model(vocab_size=12, seed=0):
+def tiny_model(vocab_size=12, seed=0, max_len=12):
     config = ModelConfig(
         vocab_size=vocab_size,
         d_model=16,
@@ -14,7 +15,7 @@ def tiny_model(vocab_size=12, seed=0):
         enc_layers=1,
         dec_layers=2,
         ffn_dim=32,
-        max_len=12,
+        max_len=max_len,
         dropout=0.0,
         dtype="float64",
     )
@@ -189,6 +190,22 @@ def test_length_normalisation_breaks_ties_by_shorter_then_lexicographic():
     assert beam_search(PrefixStep(table_scores(table)), beam_size=3, fanout=3, max_len=2) == [6]
 
 
+def test_beam_cut_breaks_score_ties_lexicographically_across_parents():
+    # Step 1 ranks [7] above [6]; at step 2, [6, 5] and [7, 3] tie at -2.0
+    # for the one slot that [7, 4] leaves, and the smaller tokens win it.
+    table = {
+        (BOS_ID,): {6: -1.0, 7: -0.5},
+        (BOS_ID, 6): {5: -1.0, 4: -3.0},
+        (BOS_ID, 7): {3: -1.5, 4: -0.1},
+        (BOS_ID, 6, 5): {EOS_ID: 0.0},
+        (BOS_ID, 7, 3): {EOS_ID: 0.0},
+        (BOS_ID, 7, 4): {EOS_ID: -5.0},
+    }
+    args = dict(beam_size=2, fanout=2, max_len=3, length_normalize=False)
+    assert beam_search(PrefixStep(table_scores(table)), **args) == [6, 5]
+    assert reference_beam_search(PrefixStep(table_scores(table)), **args) == [6, 5]
+
+
 def test_max_len_outside_the_output_range_raises_before_encoding(monkeypatch):
     model = tiny_model()
     limit = model.config.max_len - 1
@@ -213,3 +230,140 @@ def test_decoder_cache_keeps_the_target_length_guard():
         step(np.asarray([0]), [7])
     with pytest.raises(DataError, match="target length"):
         step(np.asarray([0]), [7])
+
+
+def test_cached_steps_match_full_prefix_out_to_max_len():
+    """The in-place cache over every position the model has, through
+    reorders that repeat, drop, grow, shrink and keep rows."""
+    model = tiny_model(seed=5, max_len=40)
+    src = [7, 8, PAD_ID, 9, 10, 11]
+    cached = model_step_fn(model, src)
+    reference = PrefixStep(full_prefix_scores(model, src))
+    rng = np.random.default_rng(5)
+    rows, seen = 1, set()
+    for position in range(model.config.max_len):
+        if position == 0:
+            parents, tokens = np.asarray([0]), [BOS_ID]
+        else:
+            kind = ["random", "random", "identity", "random", "prefix", "one"][position % 6]
+            if kind == "random":
+                parents = rng.integers(0, rows, size=int(rng.integers(1, 6)))
+            elif kind == "identity":
+                parents = np.arange(rows)
+            elif kind == "prefix":
+                parents = np.arange(max(rows - 1, 1))
+            else:
+                parents = np.asarray([rows - 1])
+            kept = set(parents.tolist())
+            seen |= {("repeat", len(kept) < len(parents)), ("drop", len(kept) < rows), ("grow", len(parents) > rows)}
+            tokens = rng.integers(0, model.config.vocab_size, size=len(parents)).tolist()
+        rows = len(parents)
+        np.testing.assert_allclose(cached(parents, tokens), reference(parents, tokens), rtol=0, atol=1e-6)
+    assert {("repeat", True), ("drop", True), ("grow", True)} <= seen
+    assert any(PAD_ID in p for p in reference.seen)
+    assert len(reference.prefixes[0]) == model.config.max_len
+    with pytest.raises(DataError, match="target length"):
+        cached(np.asarray([0]), [7])
+
+
+@pytest.mark.parametrize(
+    "src, message",
+    [
+        ([7, -1, 5], r"source id -1 at position 1\b"),
+        ([25, 3], r"source id 25 at position 0\b"),
+        ([7, 8, 12], r"source id 12 at position 2\b"),
+        ([], "empty source"),
+    ],
+    ids=["negative", "far-above-vocab", "vocab-size", "empty"],
+)
+def test_bad_source_raises_before_encoding(monkeypatch, src, message):
+    model = tiny_model()  # vocab_size 12
+
+    def no_encode(*args, **kwargs):
+        raise AssertionError("encoded a bad source")
+
+    monkeypatch.setattr(model, "encode", no_encode)
+    for decode in (beam_decode, greedy_decode):
+        with pytest.raises(DataError, match=message):
+            decode(model, src)
+
+
+# ---- reference: the list-based beam search ----------------------------------
+
+
+def _reference_score(logp_sum, length, length_normalize):
+    if not length_normalize:
+        return logp_sum
+    return logp_sum / max(length, 1)
+
+
+def _reference_key(hyp, length_normalize):
+    tokens, logp = hyp
+    return (-_reference_score(logp, len(tokens), length_normalize), len(tokens), tokens)
+
+
+def reference_beam_search(step_fn, beam_size=4, fanout=6, max_len=32, length_normalize=True):
+    """Beam search that keeps every hypothesis as a token list: each step
+    sorts the (tokens + [tok], logp) candidates by (-score, length, tokens)."""
+    live = [([], 0.0)]
+    parents = [0]
+    finished = []
+    for _ in range(max_len):
+        last = [tokens[-1] if tokens else BOS_ID for tokens, _ in live]
+        logprobs = step_fn(np.asarray(parents), last)
+        candidates = []
+        for parent, ((tokens, logp), row) in enumerate(zip(live, logprobs)):
+            k = min(fanout, row.shape[-1])
+            top = np.argpartition(-row, k - 1)[:k]
+            for tok in sorted(top.tolist(), key=lambda t: (-row[t], t)):
+                candidates.append((tokens + [tok], logp + float(row[tok]), parent))
+        candidates.sort(key=lambda h: _reference_key(h[:2], length_normalize))
+        live, parents = [], []
+        for tokens, logp, parent in candidates:
+            if tokens[-1] == EOS_ID:
+                finished.append((tokens, logp))
+            elif len(live) < beam_size:
+                live.append((tokens, logp))
+                parents.append(parent)
+        if not live:
+            break
+    finished.extend(live)
+    finished.sort(key=lambda h: _reference_key(h, length_normalize))
+    best = finished[0][0]
+    if best and best[-1] == EOS_ID:
+        best = best[:-1]
+    return best
+
+
+def grid_scores(vocab_size, seed, grid, eos_penalty):
+    """Scorer whose seeded, prefix-dependent log-probs are rounded to a
+    coarse grid, so that scores tie often, within a step and across lengths;
+    an EOS penalty keeps hypotheses alive to the beam's cut."""
+
+    def score(prefixes):
+        rows = np.stack([np.random.default_rng([seed, *p]).normal(-2.0, 1.5, vocab_size) for p in prefixes])
+        rows = np.minimum(np.round(rows / grid) * grid, 0.0)
+        rows[:, EOS_ID] -= eos_penalty
+        return rows
+
+    return score
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    vocab_size=st.integers(3, 8),
+    max_len=st.integers(1, 4),
+    data=st.data(),
+    length_normalize=st.booleans(),
+    seed=st.integers(0, 2**16),
+    grid=st.sampled_from([0.5, 1.0, 2.0]),
+    eos_penalty=st.sampled_from([0.0, 1.0, 4.0]),
+)
+def test_beam_search_equals_the_list_based_reference(
+    vocab_size, max_len, data, length_normalize, seed, grid, eos_penalty
+):
+    beam_size = data.draw(st.one_of(st.integers(1, 4), st.integers(1, vocab_size**max_len)), label="beam_size")
+    fanout = data.draw(st.integers(1, vocab_size), label="fanout")
+    args = dict(beam_size=beam_size, fanout=fanout, max_len=max_len, length_normalize=length_normalize)
+    score = grid_scores(vocab_size, seed, grid, eos_penalty)
+    assert beam_search(PrefixStep(score), **args) == reference_beam_search(PrefixStep(score), **args)

@@ -20,7 +20,8 @@ from rulefst.model import (
     token_accuracy,
     train,
 )
-from rulefst.model.layers import LayerNorm, ParamStore, scatter_add_rows
+from rulefst.model import training
+from rulefst.model.layers import Dense, LayerNorm, MultiHeadAttention, ParamStore, scatter_add_rows, softmax
 from rulefst.model.seq2seq import DecoderCache
 from rulefst.text import BOS_ID, EOS_ID, PAD_ID
 
@@ -61,14 +62,26 @@ def scalar_forward_loss(model, src, tgt_in, tgt_out):
         var = vec.var()
         return (vec - mean) / np.sqrt(var + 1e-5) * g + b
 
-    def dense(vec, prefix):
-        return vec @ P[prefix + ".W"] + P[prefix + ".b"]
+    def dense(vec, prefix, block=None):
+        """vec @ W + b, or with a block index, through that (d, d) column
+        block of a fused projection."""
+        W, b = P[prefix + ".W"], P[prefix + ".b"]
+        if block is not None:
+            cols = slice(block * cfg.d_model, (block + 1) * cfg.d_model)
+            W, b = W[:, cols], b[cols]
+        return vec @ W + b
 
-    def attention(q_rows, kv_rows, prefix, mask_fn):
+    def attention(q_rows, kv_rows, prefix, mask_fn, cross=False):
         lq, lk = len(q_rows), len(kv_rows)
-        q = np.stack([dense(r, prefix + ".wq") for r in q_rows])
-        k = np.stack([dense(r, prefix + ".wk") for r in kv_rows])
-        v = np.stack([dense(r, prefix + ".wv") for r in kv_rows])
+        # Self-attention: wqkv holds the q, k, v blocks; cross: wq, and wkv the k, v blocks.
+        if cross:
+            q_name, kv_name, k_block = prefix + ".wq", prefix + ".wkv", 0
+        else:
+            q_name = kv_name = prefix + ".wqkv"
+            k_block = 1
+        q = np.stack([dense(r, q_name, 0) for r in q_rows])
+        k = np.stack([dense(r, kv_name, k_block) for r in kv_rows])
+        v = np.stack([dense(r, kv_name, k_block + 1) for r in kv_rows])
         out = np.zeros((lq, cfg.d_model))
         for h in range(cfg.heads):
             sl = slice(h * dh, (h + 1) * dh)
@@ -113,7 +126,7 @@ def scalar_forward_loss(model, src, tgt_in, tgt_out):
             pre = np.stack([layer_norm(y[i], f"dec{li}.ln1") for i in range(lt)])
             y = y + attention(pre, pre, f"dec{li}.self", tgt_mask)
             pre = np.stack([layer_norm(y[i], f"dec{li}.ln2") for i in range(lt)])
-            y = y + attention(pre, enc_out, f"dec{li}.cross", src_mask)
+            y = y + attention(pre, enc_out, f"dec{li}.cross", src_mask, cross=True)
             for i in range(lt):
                 h2 = layer_norm(y[i], f"dec{li}.ln3")
                 hid = np.maximum(dense(h2, f"dec{li}.ffn.lin1"), 0.0)
@@ -214,6 +227,77 @@ def test_layer_norm_single_centering_pass_matches_var_formula():
     np.testing.assert_allclose(ln.forward(x), old, rtol=0, atol=1e-12)
 
 
+class UnfusedAttention:
+    """Reference attention with separate wq, wk, wv and wo Dense layers."""
+
+    def __init__(self, store, d_model, heads, rng):
+        self.heads, self.d_head = heads, d_model // heads
+        self.wq, self.wk, self.wv, self.wo = (Dense(store, n, d_model, d_model, rng) for n in ("wq", "wk", "wv", "wo"))
+
+    def _split(self, x):
+        b, l, _ = x.shape
+        return x.reshape(b, l, self.heads, self.d_head).transpose(0, 2, 1, 3)
+
+    def _merge(self, x):
+        b, h, l, dh = x.shape
+        return x.transpose(0, 2, 1, 3).reshape(b, l, h * dh)
+
+    def forward(self, q_in, kv_in, mask):
+        q = self._split(self.wq.forward(q_in))
+        k, v = self._split(self.wk.forward(kv_in)), self._split(self.wv.forward(kv_in))
+        attn = softmax(q @ k.transpose(0, 1, 3, 2) / np.sqrt(self.d_head) + mask)
+        self._q, self._k, self._v, self._attn = q, k, v, attn
+        return self.wo.forward(self._merge(attn @ v))
+
+    def backward(self, dout):
+        q, k, v, attn = self._q, self._k, self._v, self._attn
+        dctx = self._split(self.wo.backward(dout))
+        dattn = dctx @ v.transpose(0, 1, 3, 2)
+        dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True)) / np.sqrt(self.d_head)
+        dq_in = self.wq.backward(self._merge(dscores @ k))
+        dk_in = self.wk.backward(self._merge(dscores.transpose(0, 1, 3, 2) @ q))
+        return dq_in, dk_in + self.wv.backward(self._merge(attn.transpose(0, 1, 3, 2) @ dctx))
+
+
+@pytest.mark.parametrize("cross", [False, True])
+def test_fused_attention_equals_the_unfused_composition(cross):
+    d, heads = 16, 4
+    fused_store, ref_store = ParamStore(np.float64), ParamStore(np.float64)
+    fused = MultiHeadAttention(fused_store, "a", d, heads, np.random.default_rng(3), cross=cross)
+    ref = UnfusedAttention(ref_store, d, heads, np.random.default_rng(3))
+    # The fused weights start as the unfused ones, drawn in the same order.
+    blocks = {"wq": ("a.wq", 0), "wk": ("a.wkv", 0), "wv": ("a.wkv", 1)} if cross else {
+        "wq": ("a.wqkv", 0), "wk": ("a.wqkv", 1), "wv": ("a.wqkv", 2)}
+    blocks["wo"] = ("a.wo", 0)
+    rng = np.random.default_rng(4)
+    for name, (fused_name, i) in blocks.items():
+        cols = slice(i * d, (i + 1) * d)
+        for part in (".W", ".b"):
+            assert np.array_equal(fused_store.values[fused_name + part][..., cols], ref_store.values[name + part])
+            noise = rng.normal(0.0, 0.3, ref_store.values[name + part].shape)  # nonzero biases too
+            ref_store.values[name + part] += noise
+            fused_store.values[fused_name + part][..., cols] += noise
+    x, memory = rng.normal(size=(3, 5, d)), rng.normal(size=(3, 7, d))
+    kv_in = memory if cross else x
+    mask = np.where(rng.random((3, 1, 1, kv_in.shape[1])) < 0.3, -1e9, 0.0)
+    dout = rng.normal(size=(3, 5, d))
+
+    out = fused.forward(x, mask, memory=memory if cross else None)
+    np.testing.assert_allclose(out, ref.forward(x, kv_in, mask), rtol=0, atol=1e-6)
+    dq_ref, dkv_ref = ref.backward(dout)
+    if cross:
+        dx, dmemory = fused.backward(dout)
+        np.testing.assert_allclose(dx, dq_ref, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(dmemory, dkv_ref, rtol=0, atol=1e-6)
+    else:
+        np.testing.assert_allclose(fused.backward(dout), dq_ref + dkv_ref, rtol=0, atol=1e-6)
+    for name, (fused_name, i) in blocks.items():
+        cols = slice(i * d, (i + 1) * d)
+        for part in (".W", ".b"):
+            got = fused_store.grads[fused_name + part][..., cols]
+            np.testing.assert_allclose(got, ref_store.grads[name + part], rtol=0, atol=1e-6)
+
+
 @pytest.mark.parametrize("dtype, atol", [(np.float32, 1e-4), (np.float64, 1e-12)])
 def test_scatter_add_rows_matches_add_at(dtype, atol):
     rng = np.random.default_rng(1)
@@ -273,7 +357,7 @@ def test_activations_caches_and_gradients_stay_in_model_dtype(dtype):
     assert len(model.store.grads) == len(model.store.values)
 
     enc_out, src_mask = model.encode(src[:1])
-    cache = DecoderCache(model.config.dec_layers)
+    cache = DecoderCache(model.config)
     logits = model.decode(enc_out, src_mask, np.array([[BOS_ID]]), cache=cache)
     cache.reorder(np.array([0, 0]))
     logprobs = model.next_token_logprobs(enc_out, src_mask, np.array([[6], [7]]), cache)
@@ -297,14 +381,26 @@ def test_float32_loss_and_gradients_agree_with_float64_twin():
     loss64, n64 = m64.loss_and_grads(src, tgt_in, tgt_out, train=False)
     assert n32 == n64 and isinstance(loss32, float)
     assert loss32 == pytest.approx(loss64, rel=1e-5)
+    d = cfg.d_model
+    grads = {}
     for name, g64 in m64.store.grads.items():
-        err = np.linalg.norm(m32.store.grads[name] - g64)
-        if name.endswith(".wk.b"):
+        g32 = m32.store.grads[name]
+        key_block = slice(d, 2 * d) if name.endswith(".wqkv.b") else slice(0, d) if name.endswith(".wkv.b") else None
+        if key_block is not None:
             # A key bias shifts all of a query's scores alike, which softmax
-            # ignores: the exact gradient is zero and only round-off is left.
+            # ignores: the exact gradient of the fused bias's K block is zero
+            # and only round-off is left.
+            err = np.linalg.norm(g32[key_block] - g64[key_block])
             assert err < 1e-6, (name, err)
-        else:
-            assert err < 1e-3 * np.linalg.norm(g64), (name, err / np.linalg.norm(g64))
+            assert np.linalg.norm(g64[key_block]) < 1e-12, name
+            keep = np.ones(g64.shape, bool)
+            keep[key_block] = False
+            g32, g64 = g32[keep], g64[keep]
+        grads[name] = g32, g64
+    assert sum(name.endswith((".wqkv.b", ".wkv.b")) for name in grads) == 6
+    for name, (g32, g64) in grads.items():
+        err = np.linalg.norm(g32 - g64)
+        assert err < 1e-3 * np.linalg.norm(g64), (name, err / np.linalg.norm(g64))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -500,6 +596,17 @@ def test_checkpoint_round_trip_gives_bit_identical_beam_output(src, beam, max_le
     assert np.array_equal(original.forward(*ids), reloaded.forward(*ids))
 
 
+def test_checkpoint_of_an_older_format_is_refused(tmp_path, monkeypatch):
+    ck = _checkpoint_with_hash("abc123")
+    path = tmp_path / "old.npz"
+    monkeypatch.setattr(training, "CHECKPOINT_FORMAT_VERSION", 1)
+    ck.save(path)
+    monkeypatch.undo()
+    assert training.CHECKPOINT_FORMAT_VERSION == 2
+    with pytest.raises(DataError, match="unsupported checkpoint version 1"):
+        Checkpoint.load(path)
+
+
 def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "junk.npz"
     np.savez(path, foo=np.zeros(3))
@@ -532,7 +639,7 @@ def test_restore_model_accepts_same_vocabulary():
     "edit, name",
     [
         (lambda p: p.__setitem__("dec0.ffn.lin9.W", p.pop("dec0.ffn.lin1.W")), "dec0.ffn.lin1.W"),
-        (lambda p: p.__setitem__("enc0.attn.wq.b", np.zeros(3)), "enc0.attn.wq.b"),
+        (lambda p: p.__setitem__("enc0.attn.wqkv.b", np.zeros(3)), "enc0.attn.wqkv.b"),
     ],
     ids=["renamed", "reshaped"],
 )
