@@ -75,22 +75,31 @@ def beam_search(
     for step in range(max_len):
         logprobs = step_fn(parents, last)
         k = min(fanout, logprobs.shape[-1])
-        top = np.sort(np.argpartition(-logprobs, k - 1, axis=-1)[:, :k], axis=-1).ravel()
-        rows = np.arange(len(top)) // k
-        cand_logp = logp[rows] + logprobs[rows, top]
+        top = np.argpartition(-logprobs, k - 1, axis=-1)[:, :k]
+        if k == 1:  # row i's one candidate is candidate i
+            top, rows = top[:, 0], np.arange(len(top))
+            cand_logp = logp + logprobs[rows, top]
+        else:
+            top = np.sort(top, axis=-1).ravel()
+            rows = np.arange(len(top)) // k
+            cand_logp = logp[rows] + logprobs[rows, top]
         score = cand_logp / (step + 1) if length_normalize else cand_logp
-        order = np.argsort(-score, kind="stable")
-        eos = top[order] == EOS_ID
-        if eos.any():
-            done = order[eos]
-            ended.append((score[done], step + 1, rows[done], True))
-        keep = np.sort(order[~eos][:beam_size])
-        if not keep.size:
-            break
-        parents, last, logp = rows[keep], top[keep], cand_logp[keep]
+        ends = top == EOS_ID
+        if len(top) > beam_size or np.count_nonzero(ends):
+            order = np.argsort(-score, kind="stable")
+            eos = ends[order]
+            if eos.any():
+                done = order[eos]
+                ended.append((score[done], step + 1, rows[done], True))
+            keep = np.sort(order[~eos][:beam_size])
+            if not keep.size:
+                break
+            parents, last, logp, score = rows[keep], top[keep], cand_logp[keep], score[keep]
+        else:  # every candidate stays live
+            parents, last, logp = rows, top, cand_logp
         history.append((last, parents))
     else:  # the live hypotheses ran into max_len
-        ended.append((score[keep], max_len, np.arange(len(keep)), False))
+        ended.append((score, max_len, np.arange(len(score)), False))
     best = max(float(scores.max()) for scores, *_ in ended)
     shortest = min(length for scores, length, *_ in ended if (scores == best).any())
     ties = [

@@ -16,10 +16,25 @@ Incremental decoding keeps per-layer keys and values in a KVCache, whose
 PrefixBuffers are allocated once for the model's max_len positions and
 written in place as positions are decoded.
 
+Attention scores are kept key-major, (B, heads, Lk, Lq): the softmax's max
+over the keys is then a reduction over axis -2, which NumPy runs about three
+times faster than one over a short contiguous last axis. Its sum, like
+LayerNorm's means and the sums over rows of the bias and LayerNorm
+gradients, is a matmul with a constant vector, which BLAS runs several times
+faster than np.add.reduce sums short rows.
+
 Dtype contract: every activation, cache and gradient stays in the parameter
 dtype (the model's `ModelConfig.dtype`). Constants mixed into array
 arithmetic are Python floats, which NumPy 2 (NEP 50) never lets widen an
 array; a NumPy float64 scalar would promote a float32 array to float64.
+
+In-place rule: to save the temporaries and the passes over memory that
+fresh arrays cost, a layer overwrites arrays that it allocated itself (a
+matmul result, a buffer from np.empty) while it builds its output or
+gradient. It never writes an input, an upstream gradient, anything saved
+for backward once saved, a KVCache or PrefixBuffer (other than through
+their own append and reorder), or a parameter. `softmax` normalises its
+argument in place, so callers pass it an array they own.
 """
 
 from __future__ import annotations
@@ -66,10 +81,26 @@ class ParamStore:
             self.values[k] = np.asarray(v, dtype=self.dtype).copy()
 
 
+def axis_sum(x: np.ndarray, axis: int) -> np.ndarray:
+    """x summed over `axis`, keeping it as size 1. Over either of the last
+    two axes the sum is a matmul with a ones vector: BLAS sums rows of a few
+    dozen elements several times faster than np.add.reduce does."""
+    axis %= x.ndim
+    if axis == x.ndim - 1:
+        return x @ np.ones((x.shape[-1], 1), x.dtype)
+    if axis == x.ndim - 2:
+        return np.ones((1, x.shape[-2]), x.dtype) @ x
+    return np.add.reduce(x, axis=axis, keepdims=True)
+
+
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    """Softmax of x along `axis`, computed in place: x is overwritten with
+    the result, which is returned. Any axis works; attention passes
+    key-major scores and axis=-2."""
+    x -= np.maximum.reduce(x, axis=axis, keepdims=True)
+    np.exp(x, out=x)
+    x /= axis_sum(x, axis)
+    return x
 
 
 class Dense:
@@ -91,20 +122,22 @@ class Dense:
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._shape = x.shape
         self._x2d = x.reshape(-1, x.shape[-1])
-        out = self._x2d @ self.store.values[self._w] + self.store.values[self._b]
+        out = self._x2d @ self.store.values[self._w]
+        out += self.store.values[self._b]
         return out.reshape(*x.shape[:-1], -1)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         d2d = dout.reshape(-1, dout.shape[-1])
         W = self.store.values[self._w]
         self.store.accumulate(self._w, self._x2d.T @ d2d)
-        self.store.accumulate(self._b, d2d.sum(axis=0))
+        self.store.accumulate(self._b, axis_sum(d2d, 0)[0])
         return (d2d @ W.T).reshape(self._shape)
 
 
 class LayerNorm:
-    """Normalisation over the last axis. Means are np.add.reduce(...) / d,
-    which is what x.mean computes, without its Python-level wrapper."""
+    """Normalisation over the last axis. Means over it are a matmul with a
+    constant (d, 1) column of 1 / d, which BLAS runs several times faster
+    than x.mean runs on short rows."""
 
     def __init__(self, store: ParamStore, name: str, d: int, eps: float = 1e-5):
         self.store = store
@@ -113,29 +146,32 @@ class LayerNorm:
         self._gamma, self._beta = name + ".gamma", name + ".beta"
         store.add(self._gamma, np.ones(d))
         store.add(self._beta, np.zeros(d))
+        self._mean = np.full((d, 1), 1.0 / d, store.dtype)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        d = x.shape[-1]
-        xc = x - np.add.reduce(x, axis=-1, keepdims=True) / d
-        var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
-        self._inv_std = 1.0 / np.sqrt(var + self.eps)
-        self._norm = xc * self._inv_std
-        return self._norm * self.store.values[self._gamma] + self.store.values[self._beta]
+        xc = x - x @ self._mean
+        out = np.square(xc)  # the output's buffer, first used for the variance
+        self._inv_std = 1.0 / np.sqrt(out @ self._mean + self.eps)
+        xc *= self._inv_std
+        self._norm = xc
+        np.multiply(xc, self.store.values[self._gamma], out=out)
+        out += self.store.values[self._beta]
+        return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        g = self.store.values[self._gamma]
         norm = self._norm
-        d = norm.shape[-1]
-        flat = (-1, d)
-        self.store.accumulate(self._gamma, (dout * norm).reshape(flat).sum(axis=0))
-        self.store.accumulate(self._beta, dout.reshape(flat).sum(axis=0))
-        dnorm = dout * g
-        # d/dx of (x - mean) / std, all along the last axis
-        dx = (
-            dnorm
-            - np.add.reduce(dnorm, axis=-1, keepdims=True) / d
-            - norm * (np.add.reduce(dnorm * norm, axis=-1, keepdims=True) / d)
-        ) * self._inv_std
+        flat = (-1, norm.shape[-1])
+        t = dout * norm
+        self.store.accumulate(self._gamma, axis_sum(t.reshape(flat), 0)[0])
+        self.store.accumulate(self._beta, axis_sum(dout.reshape(flat), 0)[0])
+        dx = dout * self.store.values[self._gamma]  # dnorm, turned into dx in place
+        # d/dx of (x - mean) / std, all along the last axis:
+        # (dnorm - mean(dnorm) - norm * mean(dnorm * norm)) / std
+        np.multiply(dx, norm, out=t)
+        np.multiply(norm, t @ self._mean, out=t)
+        dx -= dx @ self._mean
+        dx -= t
+        dx *= self._inv_std
         return dx
 
 
@@ -183,6 +219,10 @@ class Embedding:
 
 
 class Dropout:
+    """Inverted dropout. The uniforms are drawn in the input's dtype, and
+    `_mask`, in that dtype too, is 1 / (1 - rate) where kept and 0 where
+    dropped."""
+
     def __init__(self, rate: float):
         self.rate = rate
         self._mask = None
@@ -192,7 +232,8 @@ class Dropout:
             self._mask = None
             return x
         keep = 1.0 - self.rate
-        self._mask = (rng.random(x.shape) < keep).astype(x.dtype) / keep
+        u = rng.random(x.shape, dtype=x.dtype)
+        self._mask = np.divide(u < keep, keep, out=u, dtype=x.dtype)
         return x * self._mask
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
@@ -283,10 +324,17 @@ class MultiHeadAttention:
 
     Self-attention (the default) projects its input through one fused
     `.wqkv` (d, 3d); cross-attention projects the queries through `.wq` and
-    the memory through one fused `.wkv` (d, 2d). The mask is additive,
-    broadcastable to (B, 1, Lq, Lk). With a KVCache, forward is inference
-    only: backward needs the full sequence in one call. Backward returns the
-    input gradient, and for cross-attention also the memory's.
+    the memory through one fused `.wkv` (d, 2d). The mask is additive, 4-D
+    and broadcastable to (B, 1, Lq, Lk). With a KVCache, forward is
+    inference only: backward needs the full sequence in one call. Backward
+    returns the input gradient, and for cross-attention also the memory's.
+
+    The scores are key-major, `k @ (q * scale)^T` of shape (B, heads, Lk,
+    Lq): the transposed mask is added and the softmax normalises over axis
+    -2, both in place. The context is written straight into the (B, Lq,
+    heads, d_head) layout that `.wo` reads, and backward writes dq, dk and dv
+    straight into the (B, L, parts, heads, d_head) layout that the fused
+    projection's backward reads.
     """
 
     def __init__(
@@ -311,11 +359,6 @@ class MultiHeadAttention:
         b, l, _ = x.shape
         return x.reshape(b, l, parts, self.heads, self.d_head).transpose(2, 0, 3, 1, 4)
 
-    def _merge(self, x: np.ndarray) -> np.ndarray:
-        """(parts, B, heads, L, d_head) -> (B, L, parts * d)."""
-        p, b, h, l, dh = x.shape
-        return x.transpose(1, 3, 0, 2, 4).reshape(b, l, p * h * dh)
-
     def forward(
         self, x: np.ndarray, mask: np.ndarray | None, cache: KVCache | None = None, memory: np.ndarray | None = None
     ) -> np.ndarray:
@@ -334,30 +377,48 @@ class MultiHeadAttention:
                 k, v = self._split(self.wkv.forward(memory), 2)
                 if cache is not None:
                     cache.append(k, v)
-        scores = (q @ k.transpose(0, 1, 3, 2)) * self.scale
+        q = q * self.scale
+        attn = k @ q.swapaxes(-1, -2)
         if mask is not None:
-            scores = scores + mask
-        attn = softmax(scores, axis=-1)
-        ctx = attn @ v
-        self._q, self._k, self._v, self._attn = q, k, v, attn
-        return self.wo.forward(self._merge(ctx[None]))
+            attn += mask.swapaxes(-1, -2)
+        softmax(attn, axis=-2)  # normalises attn in place
+        b, _, _, lq = attn.shape
+        ctx = np.empty((b, lq, self.heads, self.d_head), attn.dtype)
+        np.matmul(attn.swapaxes(-1, -2), v, out=ctx.transpose(0, 2, 1, 3))
+        self._q, self._k, self._v, self._attn, self._ctx = q, k, v, attn, ctx
+        return self.wo.forward(ctx.reshape(b, lq, -1))
 
     @property
     def last_attention(self) -> np.ndarray:
-        return self._attn
+        """Attention weights of the last forward, (B, heads, Lq, Lk): a
+        transposed view of the key-major weights."""
+        return self._attn.swapaxes(-1, -2)
 
     def backward(self, dout: np.ndarray) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-        q, k, v, attn, scale = self._q, self._k, self._v, self._attn, self.scale
-        dctx = self._split(self.wo.backward(dout), 1)[0]
-        dattn = dctx @ v.transpose(0, 1, 3, 2)
-        dv = attn.transpose(0, 1, 3, 2) @ dctx
-        # softmax backward along the key axis
-        dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
-        dq = (dscores @ k) * scale
-        dk = (dscores.transpose(0, 1, 3, 2) @ q) * scale
+        q, k, v, attn, ctx = self._q, self._k, self._v, self._attn, self._ctx
+        b, lq, heads, dh = ctx.shape
+        lk = k.shape[2]
+        dctx = self.wo.backward(dout).reshape(b, lq, heads, dh)
+        # Softmax backward along the key axis: dscores = attn * (dattn - D),
+        # where D = sum over keys of dattn * attn = dctx . ctx per query.
+        delta = np.einsum("bqhd,bqhd->bhq", dctx, ctx)[:, :, None, :]
+        dctx = dctx.transpose(0, 2, 1, 3)
+        dscores = v @ dctx.swapaxes(-1, -2)  # dattn, key-major; made dscores in place
+        dscores -= delta
+        dscores *= attn
+        if self.cross:
+            dq = np.empty((b, lq, 1, heads, dh), attn.dtype)
+            dkv = np.empty((b, lk, 2, heads, dh), attn.dtype)
+        else:  # one buffer, the layout of wqkv's output, holds dq, dk and dv
+            dq = dkv = np.empty((b, lq, 3, heads, dh), attn.dtype)
+        dq_h = dq[:, :, 0].transpose(0, 2, 1, 3)
+        np.matmul(dscores.swapaxes(-1, -2), k, out=dq_h)
+        dq_h *= self.scale
+        np.matmul(dscores, q, out=dkv[:, :, -2].transpose(0, 2, 1, 3))  # q is pre-scaled
+        np.matmul(attn, dctx, out=dkv[:, :, -1].transpose(0, 2, 1, 3))
         if not self.cross:
-            return self.wqkv.backward(self._merge(np.stack([dq, dk, dv])))
-        return self.wq.backward(self._merge(dq[None])), self.wkv.backward(self._merge(np.stack([dk, dv])))
+            return self.wqkv.backward(dkv.reshape(b, lq, -1))
+        return self.wq.backward(dq.reshape(b, lq, -1)), self.wkv.backward(dkv.reshape(b, lk, -1))
 
 
 class FeedForward:
@@ -367,9 +428,10 @@ class FeedForward:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         h = self.lin1.forward(x)
-        self._pos = h > 0
-        return self.lin2.forward(h * self._pos)
+        self._h = np.maximum(h, 0, out=h)  # ReLU in place; h > 0 where the input was
+        return self.lin2.forward(h)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        dh = self.lin2.backward(dout) * self._pos
+        dh = self.lin2.backward(dout)
+        dh *= self._h > 0
         return self.lin1.backward(dh)

@@ -32,7 +32,10 @@ from .layers import (
 # L2 cache. Measured on such a 2-CPU host, one float32 B=32 train step
 # (sources of 10-127 tokens, targets of 10-40, default ModelConfig, V=2000):
 # 150-157 ms unsplit, 103-109 at 2 MiB, 80-98 at 1 MiB, 83-92 at 512 KiB,
-# 109-124 at one row per sub-batch.
+# 109-124 at one row per sub-batch. With the in-place, key-major attention,
+# the median step over pipeline-cari's four B=32 CARI batches (sources up to
+# 128 tokens, V=335; two runs of 8 and 12 rounds) is 98-106 ms at 512 KiB,
+# 101-107 at 1 MiB, 103-106 at 2 MiB and 123-132 at 4 MiB.
 SUB_BATCH_BYTES = 1 << 20
 
 
@@ -90,6 +93,11 @@ class ModelConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
+        for name in ("d_model", "heads", "enc_layers", "dec_layers", "ffn_dim", "max_len"):
+            if getattr(self, name) < 1:
+                raise DataError(f"{name}={getattr(self, name)} must be at least 1")
+        if not 0.0 <= self.dropout < 1.0:
+            raise DataError(f"dropout={self.dropout} must be in [0, 1)")
         if self.d_model % self.heads:
             raise DataError("d_model must be divisible by heads")
         if self.vocab_size < 7:

@@ -79,7 +79,10 @@ class Checkpoint:
             if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
                 raise DataError(f"{path}: unsupported checkpoint version {meta.get('format_version')}")
             params = {k[len("param/"):]: data[k] for k in data.files if k.startswith("param/")}
-        config = ModelConfig(**meta["config"])
+        try:
+            config = ModelConfig(**meta["config"])
+        except DataError as err:
+            raise DataError(f"{path}: {err}") from err
         try:
             Seq2SeqTransformer(config).store.load(params)
         except ValueError as err:
@@ -186,7 +189,9 @@ def train(
 ) -> Checkpoint:
     """Train until max_steps or until validation loss rises in two successive
     epochs (early_stop_patience); returns the checkpoint with the best
-    validation loss seen at any eval point. Deterministic given spec.seed."""
+    validation loss seen at any eval point. Deterministic given spec.seed.
+    A non-finite training loss, gradient or validation loss raises
+    TrainingError naming the step; the overflow behind it does not warn."""
     _validate_pairs(train_set, config, "train")
     _validate_pairs(valid_set, config, "valid")
 
@@ -205,7 +210,10 @@ def train(
 
     def eval_point(tag: str) -> float:
         nonlocal best_loss, best_params, best_step
-        val = evaluate_loss(model, valid_set)
+        with np.errstate(over="ignore", invalid="ignore"):
+            val = evaluate_loss(model, valid_set)
+        if not np.isfinite(val):
+            raise TrainingError(f"non-finite validation loss at step {step}", step=step)
         history.append({"step": step, "epoch": epoch, "event": tag, "val_loss": val})
         if val < best_loss:
             best_loss = val

@@ -21,7 +21,7 @@ from rulefst.model import (
     train,
 )
 from rulefst.model import training
-from rulefst.model.layers import Dense, LayerNorm, MultiHeadAttention, ParamStore, scatter_add_rows, softmax
+from rulefst.model.layers import Dense, Dropout, LayerNorm, MultiHeadAttention, ParamStore, scatter_add_rows, softmax
 from rulefst.model.seq2seq import DecoderCache
 from rulefst.text import BOS_ID, EOS_ID, PAD_ID
 
@@ -227,6 +227,36 @@ def test_layer_norm_single_centering_pass_matches_var_formula():
     np.testing.assert_allclose(ln.forward(x), old, rtol=0, atol=1e-12)
 
 
+def row_softmax(x):
+    """Softmax over the last axis, kept apart from the layers' in-place, key-major one."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("dtype, atol", [(np.float32, 1e-6), (np.float64, 1e-15)])
+@pytest.mark.parametrize("axis", [-1, -2, 0, 1])
+def test_softmax_normalises_in_place_over_any_axis(axis, dtype, atol):
+    x = np.random.default_rng(6).normal(0.0, 5.0, size=(3, 4, 5, 6)).astype(dtype)
+    x[1, 2] = -1e9  # a masked slice, in every orientation
+    expected = np.moveaxis(row_softmax(np.moveaxis(x.astype(np.float64), axis, -1)), -1, axis)
+    out = softmax(x, axis=axis)
+    assert out is x and x.dtype == dtype
+    np.testing.assert_allclose(x, expected, rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dropout_draws_in_the_model_dtype_and_scales_what_it_keeps(dtype):
+    x = np.full((40, 50), 2.0, dtype)
+    out = Dropout(0.25).forward(x, True, np.random.default_rng(9))
+    kept = out != 0
+    assert out.dtype == dtype
+    assert np.all(out[kept] == dtype(2.0) * (dtype(1.0) / dtype(0.75)))
+    assert abs(kept.mean() - 0.75) < 0.03
+    assert np.array_equal(out, Dropout(0.25).forward(x, True, np.random.default_rng(9)))
+    uniforms = np.random.default_rng(9).random(x.shape, dtype=dtype)
+    assert np.array_equal(kept, uniforms < 0.75)  # for float64 the stream of rng.random(shape)
+
+
 class UnfusedAttention:
     """Reference attention with separate wq, wk, wv and wo Dense layers."""
 
@@ -245,7 +275,7 @@ class UnfusedAttention:
     def forward(self, q_in, kv_in, mask):
         q = self._split(self.wq.forward(q_in))
         k, v = self._split(self.wk.forward(kv_in)), self._split(self.wv.forward(kv_in))
-        attn = softmax(q @ k.transpose(0, 1, 3, 2) / np.sqrt(self.d_head) + mask)
+        attn = row_softmax(q @ k.transpose(0, 1, 3, 2) / np.sqrt(self.d_head) + mask)
         self._q, self._k, self._v, self._attn = q, k, v, attn
         return self.wo.forward(self._merge(attn @ v))
 
@@ -514,6 +544,16 @@ def test_training_divergence_raises_with_step():
     assert exc.value.step is not None and exc.value.step >= 1
 
 
+def test_non_finite_validation_loss_raises_with_step(monkeypatch):
+    cfg = tiny_config(dtype="float32")
+    pairs = toy_pairs(16, seed=2)
+    spec = TrainSpec(learning_rate=1e-3, batch_size=8, max_steps=10, eval_every=100, seed=0)
+    monkeypatch.setattr(training, "evaluate_loss", lambda model, pairs: float("nan"))
+    with pytest.raises(TrainingError, match="non-finite validation loss at step 2") as exc:
+        train(pairs, pairs[:4], cfg, spec)  # 2 steps per epoch, then the epoch-end eval
+    assert exc.value.step == 2
+
+
 def test_non_finite_gradient_with_finite_loss_raises_before_adam(monkeypatch):
     cfg = tiny_config(dtype="float32")
     pairs = toy_pairs(16, seed=2)
@@ -604,6 +644,22 @@ def test_checkpoint_of_an_older_format_is_refused(tmp_path, monkeypatch):
     monkeypatch.undo()
     assert training.CHECKPOINT_FORMAT_VERSION == 2
     with pytest.raises(DataError, match="unsupported checkpoint version 1"):
+        Checkpoint.load(path)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("dropout", -0.5), ("dropout", 1.0), ("heads", 0), ("ffn_dim", 0), ("enc_layers", -1), ("dec_layers", 0),
+     ("d_model", 0), ("max_len", 0)],
+)
+def test_config_with_a_bad_value_is_refused_also_from_a_checkpoint(tmp_path, field, value):
+    with pytest.raises(DataError, match=rf"\b{field}={value}"):
+        tiny_config(**{field: value})
+    ck = _checkpoint_with_hash("abc123")
+    object.__setattr__(ck.config, field, value)  # as if written by a version that did not check
+    path = tmp_path / "bad_config.npz"
+    ck.save(path)
+    with pytest.raises(DataError, match=rf"bad_config\.npz: {field}={value}"):
         Checkpoint.load(path)
 
 
