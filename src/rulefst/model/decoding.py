@@ -49,6 +49,20 @@ def _tokens(history: list[tuple[np.ndarray, np.ndarray]], length: int, row: int)
     return out[::-1]
 
 
+def _top_k(logprobs: np.ndarray, k: int) -> np.ndarray:
+    """Each row's k best ids by (log-prob descending, id ascending), in any
+    order. argpartition may cut through a tie at the k-th value; only the
+    rows where one does, which then hold more than k values at or above it,
+    are ranked again by a stable sort."""
+    v = logprobs.shape[-1]
+    top = np.argpartition(logprobs, v - k, axis=-1)[:, v - k :]  # column 0 holds the k-th best
+    at_or_above = logprobs >= logprobs[np.arange(len(top)), top[:, 0]][:, None]
+    if np.count_nonzero(at_or_above) > top.size:
+        tied = np.count_nonzero(at_or_above, axis=-1) > k
+        top[tied] = np.argsort(-logprobs[tied], axis=-1, kind="stable")[:, :k]
+    return top
+
+
 def beam_search(
     step_fn: StepFn,
     beam_size: int = 4,
@@ -75,12 +89,12 @@ def beam_search(
     for step in range(max_len):
         logprobs = step_fn(parents, last)
         k = min(fanout, logprobs.shape[-1])
-        top = np.argpartition(-logprobs, k - 1, axis=-1)[:, :k]
-        if k == 1:  # row i's one candidate is candidate i
-            top, rows = top[:, 0], np.arange(len(top))
+        if k == 1:  # row i's one candidate is candidate i; argmax takes the first maximum
+            top = np.argmax(logprobs, axis=-1)
+            rows = np.arange(len(top))
             cand_logp = logp + logprobs[rows, top]
         else:
-            top = np.sort(top, axis=-1).ravel()
+            top = np.sort(_top_k(logprobs, k), axis=-1).ravel()
             rows = np.arange(len(top)) // k
             cand_logp = logp[rows] + logprobs[rows, top]
         score = cand_logp / (step + 1) if length_normalize else cand_logp

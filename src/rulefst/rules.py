@@ -12,7 +12,7 @@ significant: it defines first-come-first-served priority downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import DataError
 
@@ -44,10 +44,17 @@ class RuleSet:
     """Rules in file order, indexed by the first token of their pattern.
 
     `rules` is stored as a tuple, so the index cannot go stale when the
-    caller later changes the sequence it was built from."""
+    caller later changes the sequence it was built from.
+
+    `_last` is `match_rules`'s one-entry memo: ((w, tokens), RuleMatchSet) of
+    the last call on this rule set, with the tokens as given, casing kept.
+    It cannot go stale either: the rules are a tuple of frozen `Rule`s and
+    the stored result and its matches are immutable. Key and result are
+    set as one tuple, so concurrent callers can at worst miss it."""
 
     rules: tuple[Rule, ...] = ()
     by_head: dict[str, tuple[Rule, ...]] = field(init=False, repr=False, compare=False)
+    _last: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rules", tuple(self.rules))
@@ -70,9 +77,11 @@ class RuleSet:
         return self.rules[i]
 
 
-@dataclass(frozen=True)
-class RuleMatch:
-    """One occurrence of a rule in a sentence, with its context window."""
+class RuleMatch(NamedTuple):
+    """One occurrence of a rule in a sentence, with its context window.
+
+    A named tuple, so it is immutable and cheap to build; it compares equal
+    to a plain tuple of the same fields."""
 
     rule_id: str
     start: int
@@ -170,29 +179,26 @@ def match_rules(tokens: Sequence[str], rules: RuleSet, w: int = DEFAULT_WINDOW) 
 
     Only the rules whose pattern starts with the token at a position are
     compared there, so a sentence costs O(tokens x rules sharing the head
-    token), not O(tokens x rules)."""
+    token), not O(tokens x rules).
+
+    A call with the same w and the same tokens (casing included, since
+    matched_text and the context windows keep it) as the last call on this
+    rule set returns that call's result object again; see `RuleSet`."""
     if w < 0:
         raise ValueError("window size must be >= 0")
-    lowered = [t.lower() for t in tokens]
-    n = len(tokens)
+    key = (w, tuple(tokens))
+    last = rules._last
+    if last is not None and last[0] == key:
+        return last[1]
+    tokens = key[1]
+    lowered = tuple([t.lower() for t in tokens])
     matches: list[RuleMatch] = []
-    for start in range(n):
+    for start in range(len(tokens)):
         for rule in rules.by_head.get(lowered[start], ()):
             end = start + len(rule.pattern)
-            if end > n:
-                continue
-            if tuple(lowered[start:end]) != rule.pattern:
-                continue
-            left, right = extract_context(tokens, (start, end), w)
-            matches.append(
-                RuleMatch(
-                    rule_id=rule.id,
-                    start=start,
-                    end=end,
-                    matched_text=tuple(tokens[start:end]),
-                    context_left=left,
-                    context_right=right,
-                    alternatives=rule.alternatives,
-                )
-            )
-    return RuleMatchSet(tuple(matches))
+            if lowered[start:end] == rule.pattern:  # a slice cut short by the end differs too
+                left, right = extract_context(tokens, (start, end), w)
+                matches.append(RuleMatch(rule.id, start, end, tokens[start:end], left, right, rule.alternatives))
+    result = RuleMatchSet(tuple(matches))
+    object.__setattr__(rules, "_last", (key, result))
+    return result

@@ -50,18 +50,18 @@ def serialize_nr(x: Sequence[str], y: Sequence[str], max_len: int | None = None)
 def apply_rules_fcfs(x: Sequence[str], matches: RuleMatchSet) -> list[str]:
     """Greedy left-to-right application: earliest match wins, overlapping
     later matches are skipped, and the first listed alternative is always
-    substituted."""
-    applied: list[tuple[int, int, tuple[str, ...]]] = []
-    for m in matches:
-        if any(m.start < end and start < m.end for start, end, _ in applied):
-            continue
-        applied.append((m.start, m.end, m.alternatives[0]))
+    substituted.
+
+    The matches are sorted by start, as `match_rules` returns them, so a
+    match overlaps an applied rewrite exactly when it starts before the end
+    of the last one applied."""
     out: list[str] = []
     pos = 0
-    for start, end, replacement in applied:
-        out.extend(x[pos:start])
-        out.extend(replacement)
-        pos = end
+    for m in matches:
+        if m.start >= pos:
+            out.extend(x[pos : m.start])
+            out.extend(m.alternatives[0])
+            pos = m.end
     out.extend(x[pos:])
     return out
 
@@ -145,7 +145,10 @@ def serialize_example(
     max_len: int | None = None,
     segment_mode: str = "substituted",
 ) -> SerializedExample:
-    """Dispatch to the chosen method, running rule matching as needed."""
+    """Dispatch to the chosen method, running rule matching as needed. An
+    unknown method raises DataError before any matching."""
+    if method not in METHODS:
+        raise DataError(f"unknown serialization method {method!r}")
     if method == NR:
         return serialize_nr(x, y, max_len)
     matches = match_rules(x, rules, w)
@@ -154,9 +157,7 @@ def serialize_example(
     if method == RCAT:
         x_prime = apply_rules_fcfs(x, matches)
         return serialize_rcat(x, x_prime, y, max_len)
-    if method == CARI:
-        return serialize_cari(x, matches, y, max_len, segment_mode)
-    raise DataError(f"unknown serialization method {method!r}")
+    return serialize_cari(x, matches, y, max_len, segment_mode)
 
 
 def write_examples_tsv(examples: Sequence[SerializedExample], path) -> None:

@@ -153,6 +153,34 @@ def test_greedy_is_the_argmax_loop_and_equals_beam_1_fanout_1():
     assert stopped_early
 
 
+def tied_rows(n, vocab_size, seed):
+    """Log-prob-like rows on a coarse grid, so that most rows hold ties, with
+    EOS far below the rest."""
+    rows = np.round(np.random.default_rng(seed).normal(-3.0, 1.0, (n, vocab_size)))
+    rows[:, EOS_ID] = -50.0
+    return rows
+
+
+def test_greedy_takes_the_first_maximum_on_tied_rows():
+    rows = tied_rows(200, 12, seed=0)
+    assert sum(np.count_nonzero(r == r.max()) > 1 for r in rows) > 20
+    calls = iter(rows)
+    got = beam_search(lambda parents, tokens: next(calls)[None], beam_size=1, fanout=1, max_len=len(rows))
+    assert got == [int(np.argmax(r)) for r in rows]
+
+
+def test_fanout_cut_keeps_the_smaller_ids_of_tied_tokens():
+    k, cut_ties = 4, 0
+    for row in tied_rows(200, 12, seed=1):
+        ranked = sorted(range(len(row)), key=lambda t: (-row[t], t))
+        cut_ties += row[ranked[k - 1]] == row[ranked[k]]
+        step = PrefixStep(lambda prefixes: np.tile(row, (len(prefixes), 1)))
+        beam_search(step, beam_size=k, fanout=k, max_len=2)
+        # the second call scores the k live hypotheses, one per selected token
+        assert sorted(prefix[-1] for prefix in step.seen[1:]) == sorted(ranked[:k])
+    assert cut_ties > 20
+
+
 def table_scores(table, vocab_size=8):
     """Scorer from {prefix: {token: log-prob}}; every other token gets -20."""
 
@@ -303,8 +331,9 @@ def _reference_key(hyp, length_normalize):
 
 
 def reference_beam_search(step_fn, beam_size=4, fanout=6, max_len=32, length_normalize=True):
-    """Beam search that keeps every hypothesis as a token list: each step
-    sorts the (tokens + [tok], logp) candidates by (-score, length, tokens)."""
+    """Beam search that keeps every hypothesis as a token list: each row's
+    `fanout` best tokens by (-log-prob, id) become (tokens + [tok], logp)
+    candidates, sorted by (-score, length, tokens)."""
     live = [([], 0.0)]
     parents = [0]
     finished = []
@@ -313,9 +342,7 @@ def reference_beam_search(step_fn, beam_size=4, fanout=6, max_len=32, length_nor
         logprobs = step_fn(np.asarray(parents), last)
         candidates = []
         for parent, ((tokens, logp), row) in enumerate(zip(live, logprobs)):
-            k = min(fanout, row.shape[-1])
-            top = np.argpartition(-row, k - 1)[:k]
-            for tok in sorted(top.tolist(), key=lambda t: (-row[t], t)):
+            for tok in sorted(range(row.shape[-1]), key=lambda t: (-row[t], t))[:fanout]:
                 candidates.append((tokens + [tok], logp + float(row[tok]), parent))
         candidates.sort(key=lambda h: _reference_key(h[:2], length_normalize))
         live, parents = [], []

@@ -205,6 +205,37 @@ def test_match_window_monotonicity(tokens, rules, w):
         assert b.context_right[: len(a.context_right)] == a.context_right
 
 
+@given(
+    st.lists(st.lists(token_strat, max_size=10), min_size=1, max_size=3),
+    st.lists(rules_strat(), min_size=2, max_size=2),
+    st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, 2), st.booleans()),
+        min_size=1,
+        max_size=20,
+    ),
+)
+def test_interleaved_calls_equal_brute_force_and_a_repeat_returns_the_same_object(sentences, rule_sets, calls):
+    """Several sentences, their case-swapped variants, windows and two rule
+    sets, called in any order: each result is the oracle's, and calling again
+    with the same arguments returns that very object."""
+    for sentence, which, w, swapped in calls:
+        tokens = sentences[sentence % len(sentences)]
+        if swapped:
+            tokens = [t.swapcase() for t in tokens]
+        rules = rule_sets[which]
+        got = match_rules(tuple(tokens), rules, w)
+        assert as_tuples(got) == brute_force_matches(tokens, rules, w)
+        assert [m.matched_text for m in got] == [tuple(tokens[m.start : m.end]) for m in got]
+        assert match_rules(tokens, rules, w) is got
+
+
+def test_rule_match_fields_cannot_be_assigned():
+    m = match_rules(["an", "extro"], RuleSet((Rule("r", ("extro",), (("extra",),)),)), 1)[0]
+    with pytest.raises(AttributeError):
+        m.start = 0
+    assert m == ("r", 1, 2, ("extro",), ("an",), (), (("extra",),))
+
+
 def test_match_deterministic(demo_rules_path):
     rules = load_rules(demo_rules_path)
     tokens = tokenize(AMBIG_SENTENCE)

@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from rulefst import serialize
 from rulefst.errors import DataError
-from rulefst.rules import match_rules
+from rulefst.rules import RuleMatch, RuleMatchSet, match_rules
 from rulefst.serialize import (
     CARI,
     NR,
@@ -252,8 +253,12 @@ def test_serialize_example_dispatch(rules):
         assert ex.target == tuple(y)
 
 
-def test_serialize_example_unknown_method(rules):
-    with pytest.raises(DataError):
+def test_serialize_example_unknown_method(rules, monkeypatch):
+    def no_match(*args, **kwargs):
+        raise AssertionError("matched for a method that does not exist")
+
+    monkeypatch.setattr(serialize, "match_rules", no_match)
+    with pytest.raises(DataError, match="'XYZ'"):
         serialize_example("XYZ", X_TOKENS, [], rules, w=2)
 
 
@@ -322,19 +327,49 @@ def sentences_and_rules(draw):
     return x, RuleSet(tuple(rule_list)), draw(st.integers(0, 3))
 
 
+def quadratic_fcfs(x, matches):
+    """Reference FCFS: a match is skipped when it overlaps any rewrite
+    applied so far, so equality also shows that no two rewrites overlap."""
+    applied = []
+    for m in matches:
+        if any(m.start < end and start < m.end for start, end, _ in applied):
+            continue
+        applied.append((m.start, m.end, m.alternatives[0]))
+    out, pos = [], 0
+    for start, end, replacement in applied:
+        out.extend(x[pos:start])
+        out.extend(replacement)
+        pos = end
+    out.extend(x[pos:])
+    return out
+
+
 @given(sentences_and_rules())
 def test_fcfs_never_applies_overlapping_rewrites(case):
     x, rule_set, w = case
     matches = match_rules(x, rule_set, w)
-    # The reference applies a match only when it starts at or after the end
-    # of the last applied one, so equality shows FCFS never overlaps rewrites.
-    out, pos = [], 0
-    for m in matches:
-        if m.start >= pos:
-            out += list(x[pos : m.start]) + list(m.alternatives[0])
-            pos = m.end
-    out += list(x[pos:])
-    assert apply_rules_fcfs(x, matches) == out
+    assert apply_rules_fcfs(x, matches) == quadratic_fcfs(x, matches)
+
+
+@st.composite
+def overlapping_match_sets(draw):
+    """A sentence and matches of 1-4 tokens at random starts, sorted by start
+    as match_rules sorts them, so that they nest, overlap and repeat."""
+    n = draw(st.integers(1, 14))
+    x = [f"t{i}" for i in range(n)]
+    spans = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, 4)), max_size=10))
+    spans = sorted(((start, min(start + length, n)) for start, length in spans), key=lambda span: span[0])
+    matches = [
+        RuleMatch(f"r{i}", start, end, tuple(x[start:end]), (), (), ((f"alt{i}",), ("other",)))
+        for i, (start, end) in enumerate(spans)
+    ]
+    return x, RuleMatchSet(tuple(matches))
+
+
+@given(overlapping_match_sets())
+def test_fcfs_equals_the_quadratic_reference_on_overlapping_match_sets(case):
+    x, matches = case
+    assert apply_rules_fcfs(x, matches) == quadratic_fcfs(x, matches)
 
 
 @given(sentences_and_rules(), st.one_of(st.none(), st.integers(12, 40)), st.sampled_from(SEGMENT_MODES))
