@@ -11,7 +11,11 @@ Decoding is incremental: the step callback receives only the token that each
 live hypothesis has just added, plus a back-pointer to the row of the
 previous step's state that the hypothesis extends, so a model step feeds one
 position per hypothesis through the decoder (fairseq's incremental_state and
-reorder_incremental_state, Ott et al. 2019).
+reorder_incremental_state, Ott et al. 2019). The model's step runs on a
+DecoderCache, which folds what depends only on the source and the
+parameters into its products once per source, and raises DataError on a
+back-pointer outside the previous step's rows or a token outside the
+vocabulary, naming the value and its row.
 
 The bookkeeping is array-backed: each step keeps only the (token, parent)
 arrays of its live hypotheses, and token lists are rebuilt from them for the
@@ -131,7 +135,10 @@ def model_step_fn(model: Seq2SeqTransformer, src_ids: Sequence[int]) -> StepFn:
     and feeds one new position per hypothesis through the decoder.
 
     An empty source, or one holding an id outside the vocabulary, raises
-    DataError before anything is encoded.
+    DataError before anything is encoded. A step raises DataError on a
+    back-pointer outside 0..n-1, n the previous step's rows (the first
+    step's back-pointers are not read), on a token outside the vocabulary,
+    and past the model's max_len positions.
     """
     src = np.asarray([src_ids], dtype=np.int64)
     vocab_size = model.config.vocab_size

@@ -10,11 +10,12 @@ Dense of shape (d, 3d) whose column blocks are the query, key and value
 projections, and a cross-attention layer has `.wq` plus one `.wkv` of shape
 (d, 2d), keys then values. Each block is drawn from the rng in that order, as
 separate (d, d) projections would be. One Dense call per fused projection
-keeps NumPy's per-call overhead, which dominates one-row decode steps, low.
+keeps NumPy's per-call overhead low.
 
-Incremental decoding keeps per-layer keys and values in a KVCache, whose
-PrefixBuffers are allocated once for the model's max_len positions and
-written in place as positions are decoded.
+These layers run the full-prefix path that training and teacher-forced
+scoring use; cached decode steps run on products folded from their
+parameters (`seq2seq.DecoderCache`), which read them through `Dense.weight`,
+`Dense.bias`, `LayerNorm.gamma`, `LayerNorm.beta` and `Embedding.table`.
 
 Attention scores are kept key-major, (B, heads, Lk, Lq): the softmax's max
 over the keys is then a reduction over axis -2, which NumPy runs about three
@@ -32,8 +33,7 @@ In-place rule: to save the temporaries and the passes over memory that
 fresh arrays cost, a layer overwrites arrays that it allocated itself (a
 matmul result, a buffer from np.empty) while it builds its output or
 gradient. It never writes an input, an upstream gradient, anything saved
-for backward once saved, a KVCache or PrefixBuffer (other than through
-their own append and reorder), or a parameter. `softmax` normalises its
+for backward once saved, or a parameter. `softmax` normalises its
 argument in place, so callers pass it an array they own.
 """
 
@@ -119,6 +119,14 @@ class Dense:
         store.add(self._b, np.zeros(d_out))
         self._x2d: np.ndarray | None = None
 
+    @property
+    def weight(self) -> np.ndarray:
+        return self.store.values[self._w]
+
+    @property
+    def bias(self) -> np.ndarray:
+        return self.store.values[self._b]
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._shape = x.shape
         self._x2d = x.reshape(-1, x.shape[-1])
@@ -147,6 +155,14 @@ class LayerNorm:
         store.add(self._gamma, np.ones(d))
         store.add(self._beta, np.zeros(d))
         self._mean = np.full((d, 1), 1.0 / d, store.dtype)
+
+    @property
+    def gamma(self) -> np.ndarray:
+        return self.store.values[self._gamma]
+
+    @property
+    def beta(self) -> np.ndarray:
+        return self.store.values[self._beta]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         xc = x - x @ self._mean
@@ -242,92 +258,14 @@ class Dropout:
         return dout * self._mask
 
 
-class PrefixBuffer:
-    """Per-row sequences that grow along `axis`, one row per live hypothesis.
-
-    Positions are written in place into a buffer allocated once for
-    `capacity` positions (it grows only in rows); `value` is the view of the
-    filled part, (rows, ..., length, ...), or None before the first append.
-    """
-
-    def __init__(self, capacity: int, axis: int):
-        self.capacity = capacity
-        self._lead = (slice(None),) * (axis - 1)  # the axes between rows and positions
-        self._buf: np.ndarray | None = None
-        self.value: np.ndarray | None = None
-
-    def _view(self, rows: int, length: int) -> np.ndarray:
-        return self._buf[(slice(0, rows), *self._lead, slice(0, length))]
-
-    def append(self, x: np.ndarray) -> np.ndarray:
-        """Add x's positions after the filled ones; x has one row per current row."""
-        axis = len(self._lead) + 1
-        if self._buf is None:
-            shape = list(x.shape)
-            shape[axis] = self.capacity
-            self._buf = np.empty(shape, x.dtype)
-            length = 0
-        else:
-            length = self.value.shape[axis]
-        end = length + x.shape[axis]
-        self._buf[(slice(0, x.shape[0]), *self._lead, slice(length, end))] = x
-        self.value = self._view(x.shape[0], end)
-        return self.value
-
-    def reorder(self, rows: np.ndarray, identity: bool) -> None:
-        """Keep row rows[i] as row i. When rows is 0..n-1 (identity), nothing
-        moves; otherwise only the filled positions are copied."""
-        length = self.value.shape[len(self._lead) + 1]
-        if not identity:
-            taken = self.value[rows]
-            if len(rows) > self._buf.shape[0]:
-                self._buf = np.empty((len(rows), *self._buf.shape[1:]), self._buf.dtype)
-            self._buf[(slice(0, len(rows)), *self._lead, slice(0, length))] = taken
-        self.value = self._view(len(rows), length)
-
-
-class KVCache:
-    """Projected keys and values of one attention layer, kept across decode
-    steps; `k` and `v` are (rows, heads, length, d_head).
-
-    Without a capacity the cache is static (cross-attention): it is filled
-    from the first call's memory and reused as is, and may keep batch size 1
-    to broadcast against any number of queries. With one (self-attention),
-    each call appends the keys and values of its new positions in place,
-    into PrefixBuffers sized once for `capacity` positions, and `reorder`
-    selects the rows that the next step extends; `k` and `v` then view the
-    buffers' filled part.
-    """
-
-    def __init__(self, capacity: int | None = None):
-        self.k: np.ndarray | None = None
-        self.v: np.ndarray | None = None
-        self._k = self._v = None
-        if capacity is not None:
-            self._k, self._v = PrefixBuffer(capacity, axis=2), PrefixBuffer(capacity, axis=2)
-
-    def append(self, k: np.ndarray, v: np.ndarray) -> None:
-        if self._k is None:
-            self.k, self.v = k, v
-        else:
-            self.k, self.v = self._k.append(k), self._v.append(v)
-
-    def reorder(self, rows: np.ndarray, identity: bool) -> None:
-        if self._k is not None and self.k is not None:
-            self._k.reorder(rows, identity)
-            self._v.reorder(rows, identity)
-            self.k, self.v = self._k.value, self._v.value
-
-
 class MultiHeadAttention:
     """Scaled dot-product attention over `heads` heads.
 
     Self-attention (the default) projects its input through one fused
     `.wqkv` (d, 3d); cross-attention projects the queries through `.wq` and
     the memory through one fused `.wkv` (d, 2d). The mask is additive, 4-D
-    and broadcastable to (B, 1, Lq, Lk). With a KVCache, forward is
-    inference only: backward needs the full sequence in one call. Backward
-    returns the input gradient, and for cross-attention also the memory's.
+    and broadcastable to (B, 1, Lq, Lk). Backward returns the input
+    gradient, and for cross-attention also the memory's.
 
     The scores are key-major, `k @ (q * scale)^T` of shape (B, heads, Lk,
     Lq): the transposed mask is added and the softmax normalises over axis
@@ -359,24 +297,13 @@ class MultiHeadAttention:
         b, l, _ = x.shape
         return x.reshape(b, l, parts, self.heads, self.d_head).transpose(2, 0, 3, 1, 4)
 
-    def forward(
-        self, x: np.ndarray, mask: np.ndarray | None, cache: KVCache | None = None, memory: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Attend from x to itself, or for cross-attention to `memory`
-        (which a filled static cache replaces)."""
-        if not self.cross:
-            q, k, v = self._split(self.wqkv.forward(x), 3)
-            if cache is not None:
-                cache.append(k, v)
-                k, v = cache.k, cache.v
-        else:
+    def forward(self, x: np.ndarray, mask: np.ndarray | None, memory: np.ndarray | None = None) -> np.ndarray:
+        """Attend from x to itself, or for cross-attention to `memory`."""
+        if self.cross:
             q = self._split(self.wq.forward(x), 1)[0]
-            if cache is not None and cache.k is not None:
-                k, v = cache.k, cache.v
-            else:
-                k, v = self._split(self.wkv.forward(memory), 2)
-                if cache is not None:
-                    cache.append(k, v)
+            k, v = self._split(self.wkv.forward(memory), 2)
+        else:
+            q, k, v = self._split(self.wqkv.forward(x), 3)
         q = q * self.scale
         attn = k @ q.swapaxes(-1, -2)
         if mask is not None:

@@ -7,6 +7,7 @@ No token-type embeddings: [SEP] tokens alone carry segment structure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -18,11 +19,9 @@ from .layers import (
     Dropout,
     Embedding,
     FeedForward,
-    KVCache,
     LayerNorm,
     MultiHeadAttention,
     ParamStore,
-    PrefixBuffer,
     scatter_add_rows,
     softmax,  # unused here, but the benchmark tracer patches seq2seq.softmax
 )
@@ -141,12 +140,10 @@ class _DecoderBlock:
         self.ffn = FeedForward(store, prefix + ".ffn", cfg.d_model, cfg.ffn_dim, rng)
         self.drop3 = Dropout(cfg.dropout)
 
-    def forward(self, x, enc_out, self_mask, cross_mask, train, rng, self_kv=None, cross_kv=None):
+    def forward(self, x, enc_out, self_mask, cross_mask, train, rng):
         h = self.ln1.forward(x)
-        x = x + self.drop1.forward(self.self_attn.forward(h, self_mask, self_kv), train, rng)
-        x = x + self.drop2.forward(
-            self.cross_attn.forward(self.ln2.forward(x), cross_mask, cross_kv, memory=enc_out), train, rng
-        )
+        x = x + self.drop1.forward(self.self_attn.forward(h, self_mask), train, rng)
+        x = x + self.drop2.forward(self.cross_attn.forward(self.ln2.forward(x), cross_mask, enc_out), train, rng)
         x = x + self.drop3.forward(self.ffn.forward(self.ln3.forward(x)), train, rng)
         return x
 
@@ -159,44 +156,214 @@ class _DecoderBlock:
         return dx, denc
 
 
+def _normalized(x: np.ndarray, eps: float, mean: np.ndarray) -> np.ndarray:
+    """LayerNorm without its affine, (x - mean) / sqrt(var + eps) over the
+    last axis; `mean` is a (d, 1) column of 1 / d."""
+    xc = x - x @ mean
+    var = np.square(xc) @ mean
+    var += eps
+    xc /= np.sqrt(var, out=var)
+    return xc
+
+
+def _fold_norm(ln: LayerNorm, dense) -> tuple[np.ndarray, np.ndarray]:
+    """(W, b) such that dense(ln(x)) = x_hat @ W + b, where x_hat is x
+    normalised without ln's affine: W = gamma[:, None] * W_dense and
+    b = beta @ W_dense + b_dense."""
+    return ln.gamma[:, None] * dense.weight, ln.beta @ dense.weight + dense.bias
+
+
+@dataclass
+class _FoldedLayer:
+    """One decoder block, folded for one source: each LayerNorm's affine is
+    in the weights after it, the query blocks carry 1 / sqrt(d_head), and the
+    cross-attention is `m`, `c` and `vw` over heads x source keys, laid out
+    head-major (heads, S), so that the softmax reduces over a contiguous last
+    axis of S keys."""
+
+    eps1: float
+    wqkv: np.ndarray  # (d, 3d)
+    bqkv: np.ndarray
+    wo: np.ndarray
+    bo: np.ndarray
+    eps2: float
+    m: np.ndarray  # (d, heads * S): cross-attention scores are x_hat @ m + c
+    c: np.ndarray  # (heads * S,): query bias times keys, plus the source's [PAD] mask
+    vw: np.ndarray  # (heads * S, d): each head's values times its rows of wo
+    cross_bo: np.ndarray
+    eps3: float
+    w1: np.ndarray
+    b1: np.ndarray
+    w2: np.ndarray
+    b2: np.ndarray
+
+
 class DecoderCache:
     """Incremental decoding state for one source sentence, after fairseq's
-    incremental_state: per decoder layer, the self-attention keys and values
-    of every decoded position (one row per live hypothesis) and the
-    cross-attention keys and values of the source (batch 1, shared by all
-    rows), plus `pad_mask`, the additive mask that hides decoded [PAD] keys,
-    (rows, 1, 1, length). Decoded positions are written in place into
-    buffers sized once for config.max_len positions.
+    incremental_state, with everything that depends only on the source and
+    the parameters computed once, at the first cached `decode` call.
+
+    Folded then, from the decoder blocks' layers and the encoder output (see
+    `_FoldedLayer`): each LayerNorm's gamma and beta into the Dense after it
+    (ln1 into the self-attention's `.wqkv`, ln2 into the cross-attention's
+    `.wq`, ln3 into the FFN's `.lin1`, the final `dec.ln_f` into the tied
+    output projection with `out.bias`); the attention scale into both query
+    projections; the cross-attention query projection into the source's
+    keys, and its values into `.wo`, so that a step's cross-attention is two
+    matmuls. Each step then runs on 2-D (rows, d_model) arrays, one new
+    position per row.
+
+    The self-attention keys and values of every decoder layer share one
+    buffer, (rows, dec_layers, 2, heads, max_len, d_head), and the additive
+    mask that hides decoded [PAD] keys one (rows, max_len) buffer; both are
+    allocated for config.max_len positions and written in place. `reorder`
+    takes the rows that the next step extends.
+
+    A cache is bound to the model, `enc_out` and `src_mask` of its first
+    call, by identity: another source raises DataError. It is also bound to
+    the parameter values of that call: after a parameter update, start a new
+    cache. Every folded product and buffer is in the model's dtype; the
+    constants mixed in are Python floats, which never widen it.
     """
 
     def __init__(self, config: ModelConfig):
-        self.self_kv = [KVCache(capacity=config.max_len) for _ in range(config.dec_layers)]
-        self.cross_kv = [KVCache() for _ in range(config.dec_layers)]
-        self._pad = PrefixBuffer(config.max_len, axis=3)
-
-    @property
-    def pad_mask(self) -> np.ndarray | None:
-        return self._pad.value
-
-    @property
-    def length(self) -> int:
-        """Target positions decoded so far."""
-        return 0 if self.pad_mask is None else self.pad_mask.shape[-1]
-
-    def append_pad_mask(self, pad: np.ndarray) -> np.ndarray:
-        """Add the (rows, 1, 1, t) mask of the next t positions; returns the
-        mask of every decoded position."""
-        return self._pad.append(pad)
+        self.config = config
+        self.length = 0  # target positions decoded so far
+        self.layers: list[_FoldedLayer] = []
+        self._source: tuple | None = None  # (model, enc_out, src_mask) of the first call
+        self._rows = 0  # rows of the last step, or of the next one after a reorder
 
     def reorder(self, rows: np.ndarray) -> None:
-        """Keep row rows[i] of the state as row i (beam back-pointers)."""
-        if self.pad_mask is None:
+        """Keep row rows[i] of the state as row i (beam back-pointers).
+
+        Nothing moves when rows is 0..n-1; otherwise the decoded positions
+        of the chosen rows are gathered once. Before the first step there is
+        nothing to reorder. A back-pointer outside the previous step's rows
+        raises DataError."""
+        if not self.length:
             return
         rows = np.asarray(rows)
-        identity = bool(np.array_equal(rows, np.arange(len(rows))))
-        self._pad.reorder(rows, identity)
-        for kv in self.self_kv:
-            kv.reorder(rows, identity)
+        n = len(rows)
+        if n <= self._rows and np.array_equal(rows, np.arange(n)):
+            self._rows = n
+            return
+        if rows.min() < 0 or rows.max() >= self._rows:
+            i = int(np.flatnonzero((rows < 0) | (rows >= self._rows))[0])
+            raise DataError(f"back-pointer {int(rows[i])} at row {i} is outside the previous step's {self._rows} rows")
+        t = self.length
+        kv, pad = self._kv[rows, :, :, :, :t], self._pad[rows, :t]
+        if n > len(self._kv):
+            self._kv = np.empty((n, *self._kv.shape[1:]), self._kv.dtype)
+            self._pad = np.empty((n, *self._pad.shape[1:]), self._pad.dtype)
+        self._kv[:n, :, :, :, :t] = kv
+        self._pad[:n, :t] = pad
+        self._rows = n
+
+    def _fold(self, model: "Seq2SeqTransformer", enc_out: np.ndarray, src_mask: np.ndarray, rows: int) -> None:
+        """Compute the folded products of the source and allocate the buffers."""
+        cfg = self.config
+        d, heads = cfg.d_model, cfg.heads
+        dh = d // heads
+        dtype = model.store.dtype
+        scale = 1.0 / math.sqrt(dh)  # a Python float, which keeps float32 products float32
+        memory = enc_out[0]
+        src_len = len(memory)
+        key_mask = src_mask.reshape(src_len)
+        for block in model.dec_blocks:
+            wqkv, bqkv = _fold_norm(block.ln1, block.self_attn.wqkv)
+            wqkv[:, :d] *= scale
+            bqkv[:d] *= scale
+            cross = block.cross_attn
+            wq, bq = _fold_norm(block.ln2, cross.wq)
+            wq *= scale
+            bq *= scale
+            kv = memory @ cross.wkv.weight
+            kv += cross.wkv.bias
+            k, v = kv.reshape(src_len, 2, heads, dh).transpose(1, 2, 3, 0)  # (heads, d_head, S) each
+            m = wq.reshape(d, heads, dh).transpose(1, 0, 2) @ k  # (heads, d, S)
+            c = (bq.reshape(heads, 1, dh) @ k)[:, 0] + key_mask  # (heads, S)
+            vw = v.swapaxes(-1, -2) @ cross.wo.weight.reshape(heads, dh, d)  # (heads, S, d)
+            w1, b1 = _fold_norm(block.ln3, block.ffn.lin1)
+            self.layers.append(_FoldedLayer(
+                eps1=block.ln1.eps, wqkv=wqkv, bqkv=bqkv, wo=block.self_attn.wo.weight, bo=block.self_attn.wo.bias,
+                eps2=block.ln2.eps, m=m.transpose(1, 0, 2).reshape(d, -1), c=c.reshape(-1), vw=vw.reshape(-1, d),
+                cross_bo=cross.wo.bias,
+                eps3=block.ln3.eps, w1=w1, b1=b1, w2=block.ffn.lin2.weight, b2=block.ffn.lin2.bias,
+            ))
+        table = model.tok.table
+        self._out_w = model.dec_ln.gamma[:, None] * table.T  # (d, V)
+        self._out_b = model.dec_ln.beta @ table.T + model.store.values["out.bias"]
+        self._out_eps = model.dec_ln.eps
+        self._mean = np.full((d, 1), 1.0 / d, dtype)
+        self._src_ones = np.ones((src_len, 1), dtype)
+        self._ones = np.ones((1, cfg.max_len), dtype)
+        self._kv = np.empty((rows, cfg.dec_layers, 2, heads, cfg.max_len, dh), dtype)
+        self._pad = np.empty((rows, cfg.max_len), dtype)
+        self._rows = rows
+        self._source = (model, enc_out, src_mask)
+
+    def decode(
+        self, model: "Seq2SeqTransformer", enc_out: np.ndarray, src_mask: np.ndarray, tgt_in_ids: np.ndarray
+    ) -> np.ndarray:
+        """Logits (rows, 1, V) of one new position per row, after the cached ones."""
+        rows, t = tgt_in_ids.shape
+        if t != 1:
+            raise DataError(f"cached decoding takes one new position per row, not {t}")
+        ids = tgt_in_ids[:, 0]
+        vocab = self.config.vocab_size
+        if rows and (ids.min() < 0 or ids.max() >= vocab):
+            i = int(np.flatnonzero((ids < 0) | (ids >= vocab))[0])
+            raise DataError(f"token {int(ids[i])} at row {i} is outside the vocabulary 0..{vocab - 1}")
+        pos = self.length
+        model._check_len(pos + 1, "target")
+        if self._source is None:
+            if enc_out.shape[0] != 1:
+                raise DataError(f"a DecoderCache decodes one source, not a batch of {enc_out.shape[0]}")
+            self._fold(model, enc_out, src_mask, rows)
+        elif self._source[0] is not model or self._source[1] is not enc_out or self._source[2] is not src_mask:
+            raise DataError("this DecoderCache is bound to the model and source of its first decode call")
+        elif rows != self._rows:
+            raise DataError(f"cached decode got {rows} rows; the cache holds {self._rows}")
+        kv = self._kv[:rows]
+        self._pad[:rows, pos] = np.where(ids == PAD_ID, NEG_INF, 0.0)
+        pad = self._pad[:rows, None, : pos + 1, None]  # key-major: (rows, 1, keys, 1)
+        ones = self._ones[:, : pos + 1]
+        mean, heads = self._mean, self.config.heads
+        x = model.tok.table[ids] + model.store.values["embed.pos"][pos]
+        for i, f in enumerate(self.layers):
+            qkv = _normalized(x, f.eps1, mean) @ f.wqkv
+            qkv += f.bqkv
+            qkv = qkv.reshape(rows, 3, heads, -1)
+            kv[:, i, :, :, pos] = qkv[:, 1:]
+            k, v = kv[:, i, 0, :, : pos + 1], kv[:, i, 1, :, : pos + 1]  # (rows, heads, keys, d_head)
+            s = k @ qkv[:, 0, :, :, None]
+            s += pad
+            s -= np.maximum.reduce(s, axis=-2, keepdims=True)
+            np.exp(s, out=s)
+            s /= ones @ s
+            out = (s.swapaxes(-1, -2) @ v).reshape(rows, -1) @ f.wo
+            out += f.bo
+            x += out
+
+            s = _normalized(x, f.eps2, mean) @ f.m
+            s += f.c
+            s3 = s.reshape(rows, heads, -1)  # (rows, heads, S)
+            s3 -= np.maximum.reduce(s3, axis=-1, keepdims=True)
+            np.exp(s, out=s)
+            s3 /= s3 @ self._src_ones
+            out = s @ f.vw
+            out += f.cross_bo
+            x += out
+
+            h = _normalized(x, f.eps3, mean) @ f.w1
+            h += f.b1
+            out = np.maximum(h, 0, out=h) @ f.w2
+            out += f.b2
+            x += out
+        self.length = pos + 1
+        logits = _normalized(x, self._out_eps, mean) @ self._out_w
+        logits += self._out_b
+        return logits[:, None, :]
 
 
 class Seq2SeqTransformer:
@@ -228,8 +395,8 @@ class Seq2SeqTransformer:
         if length > self.config.max_len:
             raise DataError(f"{what} length {length} exceeds max_len={self.config.max_len}")
 
-    def _embed(self, ids: np.ndarray, drop: Dropout, train: bool, start: int = 0) -> np.ndarray:
-        pos = self.store.values["embed.pos"][start : start + ids.shape[1]]
+    def _embed(self, ids: np.ndarray, drop: Dropout, train: bool) -> np.ndarray:
+        pos = self.store.values["embed.pos"][: ids.shape[1]]
         x = self.tok.table[ids] + pos
         return drop.forward(x, train, self._dropout_rng)
 
@@ -247,10 +414,9 @@ class Seq2SeqTransformer:
         return np.where(ids[:, None, None, :] == PAD_ID, NEG_INF, 0.0).astype(dtype)
 
     @staticmethod
-    def causal_mask(length: int, dtype, start: int = 0) -> np.ndarray:
-        """(1, 1, length, start + length) additive mask: query i sits at
-        position start + i and sees keys up to that position."""
-        m = np.triu(np.full((length, start + length), NEG_INF), k=start + 1)
+    def causal_mask(length: int, dtype) -> np.ndarray:
+        """(1, 1, length, length) additive mask: query i sees keys 0..i."""
+        m = np.triu(np.full((length, length), NEG_INF), k=1)
         return m[None, None].astype(dtype)
 
     # ---- forward / backward -------------------------------------------
@@ -273,22 +439,20 @@ class Seq2SeqTransformer:
     ) -> np.ndarray:
         """Logits at each position of tgt_in_ids, (B, T, V).
 
-        With a cache, tgt_in_ids are the next T positions after the cache's
-        length (inference only); the cache then holds them too, and enc_out
-        and src_mask may keep batch size 1 for any B.
+        With a cache (inference only), tgt_in_ids hold one new position per
+        row, after the cache's length; enc_out and src_mask are those of one
+        source (batch 1) and the cache's first call, and the cache then holds
+        the new position too (see DecoderCache, which raises DataError on any
+        other use).
         """
-        start = 0 if cache is None else cache.length
-        t = tgt_in_ids.shape[1]
-        self._check_len(start + t, "target")
-        pad = self.pad_mask(tgt_in_ids, self.store.dtype)
         if cache is not None:
-            pad = cache.append_pad_mask(pad)
-        # causal_mask(1, ...) is all zeros: one new position sees every key.
-        self_mask = pad if t == 1 else self.causal_mask(t, self.store.dtype, start) + pad
-        x = self._embed(tgt_in_ids, self.emb_drop_tgt, train, start)
-        for i, block in enumerate(self.dec_blocks):
-            kv = (None, None) if cache is None else (cache.self_kv[i], cache.cross_kv[i])
-            x = block.forward(x, enc_out, self_mask, src_mask, train, self._dropout_rng, *kv)
+            return cache.decode(self, enc_out, src_mask, tgt_in_ids)
+        t = tgt_in_ids.shape[1]
+        self._check_len(t, "target")
+        self_mask = self.causal_mask(t, self.store.dtype) + self.pad_mask(tgt_in_ids, self.store.dtype)
+        x = self._embed(tgt_in_ids, self.emb_drop_tgt, train)
+        for block in self.dec_blocks:
+            x = block.forward(x, enc_out, self_mask, src_mask, train, self._dropout_rng)
         return self.tok.project_out(self.dec_ln.forward(x)) + self.store.values["out.bias"]
 
     def forward(self, src_ids: np.ndarray, tgt_in_ids: np.ndarray, train: bool = False) -> np.ndarray:
@@ -407,5 +571,6 @@ class Seq2SeqTransformer:
         """
         logits = self.decode(enc_out, src_mask, prefix_ids, train=False, cache=cache)
         last = logits[:, -1, :].astype(np.float64)
-        shifted = last - last.max(axis=-1, keepdims=True)
-        return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        last -= np.maximum.reduce(last, axis=-1, keepdims=True)
+        last -= np.log(np.add.reduce(np.exp(last), axis=-1, keepdims=True))
+        return last

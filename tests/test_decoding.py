@@ -4,10 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 from rulefst.errors import DataError
 from rulefst.model import ModelConfig, Seq2SeqTransformer, beam_decode, beam_search, greedy_decode, model_step_fn
+from rulefst.model.seq2seq import DecoderCache
 from rulefst.text import BOS_ID, EOS_ID, PAD_ID
 
 
-def tiny_model(vocab_size=12, seed=0, max_len=12):
+def tiny_model(vocab_size=12, seed=0, max_len=12, dtype="float64"):
     config = ModelConfig(
         vocab_size=vocab_size,
         d_model=16,
@@ -17,9 +18,19 @@ def tiny_model(vocab_size=12, seed=0, max_len=12):
         ffn_dim=32,
         max_len=max_len,
         dropout=0.0,
-        dtype="float64",
+        dtype=dtype,
     )
     return Seq2SeqTransformer(config, seed=seed)
+
+
+def perturbed(model, seed):
+    """The model with every parameter moved by seeded N(0, 0.3) noise. At
+    initialisation every LayerNorm gamma is 1 and every beta and bias 0, so a
+    decode path that dropped one of them would still match."""
+    rng = np.random.default_rng(seed)
+    for value in model.store.values.values():
+        value += rng.normal(0.0, 0.3, size=value.shape).astype(value.dtype)
+    return model
 
 
 class PrefixStep:
@@ -260,14 +271,13 @@ def test_decoder_cache_keeps_the_target_length_guard():
         step(np.asarray([0]), [7])
 
 
-def test_cached_steps_match_full_prefix_out_to_max_len():
-    """The in-place cache over every position the model has, through
-    reorders that repeat, drop, grow, shrink and keep rows."""
-    model = tiny_model(seed=5, max_len=40)
-    src = [7, 8, PAD_ID, 9, 10, 11]
+def assert_cached_matches_full_prefix_out_to_max_len(model, src, atol, seed):
+    """Cached against full-prefix log-probs at every position to max_len - 1,
+    then the length guard, through reorders that repeat, drop, grow, shrink
+    and keep rows."""
     cached = model_step_fn(model, src)
     reference = PrefixStep(full_prefix_scores(model, src))
-    rng = np.random.default_rng(5)
+    rng = np.random.default_rng(seed)
     rows, seen = 1, set()
     for position in range(model.config.max_len):
         if position == 0:
@@ -286,12 +296,69 @@ def test_cached_steps_match_full_prefix_out_to_max_len():
             seen |= {("repeat", len(kept) < len(parents)), ("drop", len(kept) < rows), ("grow", len(parents) > rows)}
             tokens = rng.integers(0, model.config.vocab_size, size=len(parents)).tolist()
         rows = len(parents)
-        np.testing.assert_allclose(cached(parents, tokens), reference(parents, tokens), rtol=0, atol=1e-6)
+        np.testing.assert_allclose(cached(parents, tokens), reference(parents, tokens), rtol=0, atol=atol)
     assert {("repeat", True), ("drop", True), ("grow", True)} <= seen
     assert any(PAD_ID in p for p in reference.seen)
     assert len(reference.prefixes[0]) == model.config.max_len
     with pytest.raises(DataError, match="target length"):
         cached(np.asarray([0]), [7])
+
+
+def test_cached_steps_match_full_prefix_out_to_max_len():
+    """The in-place cache over every position the model has."""
+    model = tiny_model(seed=5, max_len=40)
+    assert_cached_matches_full_prefix_out_to_max_len(model, [7, 8, PAD_ID, 9, 10, 11], atol=1e-6, seed=5)
+
+
+@pytest.mark.parametrize("dtype, atol", [("float64", 1e-9), ("float32", 1e-5)])
+def test_cached_steps_match_full_prefix_with_every_parameter_perturbed(dtype, atol):
+    """The folded products against the layers, with no gamma at 1 and no
+    beta or bias at 0; float32 within the benchmark's decode tolerance."""
+    model = perturbed(tiny_model(seed=6, max_len=40, dtype=dtype), seed=6)
+    assert_cached_matches_full_prefix_out_to_max_len(model, [7, PAD_ID, 8, 9, 10, 11, 6], atol=atol, seed=6)
+
+
+@pytest.mark.parametrize(
+    "parents, tokens, message",
+    [
+        ([-1], [9], r"back-pointer -1 at row 0\b"),
+        ([0, 2], [9, 9], r"back-pointer 2 at row 1\b"),
+        ([0, 1, 2], [9, 9, 9], r"back-pointer 2 at row 2\b"),
+        ([0], [-1], r"token -1 at row 0\b"),
+        ([1, 0], [9, 12], r"token 12 at row 1\b"),
+    ],
+    ids=["negative-parent", "parent-past-the-rows", "identity-past-the-rows", "negative-token", "vocab-size-token"],
+)
+def test_step_rejects_back_pointers_and_tokens_out_of_range(parents, tokens, message):
+    model = tiny_model()  # vocab_size 12
+    step = model_step_fn(model, [7, 8])
+    step(np.asarray([0]), [BOS_ID])
+    step(np.asarray([0, 0]), [7, 8])  # two rows
+    with pytest.raises(DataError, match=message):
+        step(np.asarray(parents), tokens)
+
+
+def test_decoder_cache_is_bound_to_the_source_of_its_first_call():
+    model = tiny_model()
+    enc_a, mask_a = model.encode(np.array([[7, 8, 9]]))
+    enc_b, mask_b = model.encode(np.array([[10, 11, 6]]))
+    two = DecoderCache(model.config)
+    with pytest.raises(DataError, match="one source"):
+        model.decode(np.repeat(enc_a, 2, 0), np.repeat(mask_a, 2, 0), np.array([[BOS_ID]] * 2), cache=two)
+    cache = DecoderCache(model.config)
+    first = model.next_token_logprobs(enc_a, mask_a, np.array([[BOS_ID]]), cache)
+    for enc, mask in ((enc_b, mask_b), (enc_a.copy(), mask_a), (enc_a, mask_a.copy())):
+        with pytest.raises(DataError, match="bound"):
+            model.next_token_logprobs(enc, mask, np.array([[7]]), cache)
+    with pytest.raises(DataError, match="one new position"):
+        model.decode(enc_a, mask_a, np.array([[7, 8]]), cache=cache)
+    with pytest.raises(DataError, match="2 rows"):
+        model.decode(enc_a, mask_a, np.array([[7], [8]]), cache=cache)
+    assert cache.length == 1
+    second = model.next_token_logprobs(enc_a, mask_a, np.array([[7]]), cache)
+    reference = model.next_token_logprobs(enc_a, mask_a, np.array([[BOS_ID, 7]]))
+    np.testing.assert_allclose(second, reference, rtol=0, atol=1e-9)
+    assert not np.allclose(first, second)
 
 
 @pytest.mark.parametrize(

@@ -1,13 +1,14 @@
 """The layers' in-place rule: a layer overwrites only arrays it allocated
-itself, never an input, a memory, an upstream gradient, a cache's filled
-positions or a parameter. Each of those is made read-only here, so that a
-write raises, and is compared bit for bit with a copy afterwards."""
+itself, never an input, a memory, an upstream gradient or a parameter; nor
+does a cached decode step write a filled position or the cache's folded
+products. Each of those is made read-only here, so that a write raises, and
+is compared bit for bit with a copy afterwards."""
 
 import numpy as np
 import pytest
 
 from rulefst.model import ModelConfig, Seq2SeqTransformer, make_batch
-from rulefst.model.layers import Dense, Dropout, FeedForward, KVCache, LayerNorm, MultiHeadAttention, ParamStore
+from rulefst.model.layers import Dense, Dropout, FeedForward, LayerNorm, MultiHeadAttention, ParamStore
 from rulefst.model.seq2seq import DecoderCache
 from rulefst.text import BOS_ID, PAD_ID
 
@@ -87,29 +88,6 @@ def test_attention_writes_neither_inputs_nor_gradient(store, rng, cross):
     unchanged()
 
 
-def test_attention_with_filled_caches_writes_neither_inputs_nor_filled_positions(store, rng):
-    self_attn = MultiHeadAttention(store, "self", D, HEADS, rng)
-    cross_attn = MultiHeadAttention(store, "cross", D, HEADS, rng, cross=True)
-    params_unchanged = freeze(*store.values.values())
-    memory, src_mask = normal(rng, 1, 7, D), pad_mask(rng, 1, 7)
-    self_kv, cross_kv = KVCache(capacity=8), KVCache()
-    x = normal(rng, 2, 1, D)
-    self_attn.forward(x, None, self_kv)
-    cross_attn.forward(x, src_mask, cross_kv, memory=memory)
-    first_k, first_v = self_kv.k.copy(), self_kv.v.copy()  # its buffers take appends: compare copies
-    static_unchanged = freeze(cross_kv.k, cross_kv.v, memory, src_mask)
-    for _ in range(2):
-        x = normal(rng, 2, 1, D)
-        x_unchanged = freeze(x)
-        self_attn.forward(x, None, self_kv)
-        cross_attn.forward(x, src_mask, cross_kv)
-        x_unchanged()
-    assert self_kv.k.shape[2] == 3
-    assert np.array_equal(self_kv.k[:, :, :1], first_k) and np.array_equal(self_kv.v[:, :, :1], first_v)
-    static_unchanged()
-    params_unchanged()
-
-
 def small_model():
     cfg = ModelConfig(vocab_size=12, d_model=D, heads=HEADS, enc_layers=1, dec_layers=2, ffn_dim=2 * D,
                       max_len=12, dropout=0.2, dtype="float32")
@@ -126,15 +104,28 @@ def test_training_step_with_dropout_writes_neither_batch_nor_parameters():
     unchanged()
 
 
-def test_cached_decode_steps_write_neither_encoder_output_nor_parameters():
+def test_cached_decode_steps_write_neither_encoder_output_nor_parameters(rng):
+    """Each step writes only its own position: the keys, values and [PAD]
+    mask of the positions before it are those the reorder left, and the
+    step's ids, the source, the parameters and the folded products stay as
+    they were."""
     model = small_model()
-    enc_out, src_mask = model.encode(np.array([[6, 7, PAD_ID, 8]]))
+    enc_out, src_mask = model.encode(np.array([[6, 7, PAD_ID, 8, 9]]))
     unchanged = freeze(enc_out, src_mask, *model.store.values.values())
     cache = DecoderCache(model.config)
     model.next_token_logprobs(enc_out, src_mask, np.array([[BOS_ID]]), cache)
-    cross_unchanged = freeze(*(a for kv in cache.cross_kv for a in (kv.k, kv.v)))
-    cache.reorder(np.array([0, 0]))
-    model.next_token_logprobs(enc_out, src_mask, np.array([[6], [7]]), cache)
-    assert cache.length == 2
+    folded = [a for layer in cache.layers for a in vars(layer).values() if isinstance(a, np.ndarray)]
+    folded_unchanged = freeze(*folded)
+    for parents in ([0, 0, 0], [2, 0, 1], [0, 1, 2], [1, 1]):
+        cache.reorder(np.array(parents))
+        t, rows = cache.length, len(parents)
+        filled = cache._kv[:rows, :, :, :, :t].copy(), cache._pad[:rows, :t].copy()
+        ids = rng.integers(PAD_ID, 12, size=(rows, 1))
+        ids_unchanged = freeze(ids)
+        model.next_token_logprobs(enc_out, src_mask, ids, cache)
+        ids_unchanged()
+        assert np.array_equal(cache._kv[:rows, :, :, :, :t], filled[0])
+        assert np.array_equal(cache._pad[:rows, :t], filled[1])
+    assert cache.length == 5
     unchanged()
-    cross_unchanged()
+    folded_unchanged()

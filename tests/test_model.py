@@ -392,7 +392,8 @@ def test_activations_caches_and_gradients_stay_in_model_dtype(dtype):
     cache.reorder(np.array([0, 0]))
     logprobs = model.next_token_logprobs(enc_out, src_mask, np.array([[6], [7]]), cache)
     paths = assert_all_in_dtype(np.dtype(dtype), model=model, cache=cache, logits=logits, enc_out=enc_out)
-    assert "cache.self_kv.0.k" in paths and "cache.cross_kv.0.v" in paths
+    folded = {f"cache.layers.0.{name}" for name in ("wqkv", "bqkv", "m", "c", "vw", "w1", "b1")}
+    assert folded | {"cache._kv", "cache._pad", "cache._out_w", "cache._out_b"} <= paths
     assert logprobs.dtype == np.float64 and logprobs.shape == (2, model.config.vocab_size)
 
 
