@@ -104,6 +104,31 @@ def test_training_step_with_dropout_writes_neither_batch_nor_parameters():
     unchanged()
 
 
+def test_attention_with_filled_caches_writes_neither_inputs_nor_filled_positions(rng):
+    """The cached attention of `DecoderCache.decode`, with no reorder between
+    steps: each step appends its own keys and values and leaves the filled
+    positions, its ids, the source, the folded cross-attention products and
+    the parameters as they were."""
+    model = small_model()
+    enc_out, src_mask = model.encode(np.array([[6, 7, PAD_ID, 8, 9]]))
+    unchanged = freeze(enc_out, src_mask, *model.store.values.values())
+    cache = DecoderCache(model.config)
+    cache.decode(model, enc_out, src_mask, np.array([[BOS_ID], [BOS_ID]]))
+    static_unchanged = freeze(*[layer.m for layer in cache.layers], *[layer.c for layer in cache.layers],
+                              *[layer.vw for layer in cache.layers])
+    first = cache._kv[:2, :, :, :, :1].copy(), cache._pad[:2, :1].copy()  # its buffers take appends: compare copies
+    for _ in range(2):
+        ids = rng.integers(PAD_ID, 12, size=(2, 1))
+        ids_unchanged = freeze(ids)
+        logits = cache.decode(model, enc_out, src_mask, ids)
+        ids_unchanged()
+        assert logits.shape == (2, 1, 12) and np.all(np.isfinite(logits))
+    assert cache.length == 3
+    assert np.array_equal(cache._kv[:2, :, :, :, :1], first[0]) and np.array_equal(cache._pad[:2, :1], first[1])
+    static_unchanged()
+    unchanged()
+
+
 def test_cached_decode_steps_write_neither_encoder_output_nor_parameters(rng):
     """Each step writes only its own position: the keys, values and [PAD]
     mask of the positions before it are those the reorder left, and the
