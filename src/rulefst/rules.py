@@ -152,11 +152,33 @@ def load_rules(path) -> RuleSet:
         raise DataError(f"{path}: {e}") from None
 
 
+def _check_savable(rule: Rule) -> None:
+    """Raise DataError unless `load_rules` reads `rule`'s line back as it."""
+    i = rule.id
+    if not i or i != i.strip() or i.startswith("#") or any(c in i for c in "\t\n\r"):
+        raise DataError(f"rule {i!r}: id is empty, starts with '#', has surrounding whitespace "
+                        "or holds a tab or line break")
+    for t in rule.pattern:
+        if t.split() != [t]:
+            raise DataError(f"rule {i!r}: pattern token {t!r} is empty or holds whitespace")
+    for alt in rule.alternatives:
+        for t in alt:
+            if t.split() != [t] or "|" in t:
+                raise DataError(f"rule {i!r}: alternative token {t!r} is empty or holds whitespace or '|'")
+
+
 def save_rules(rules: RuleSet, path) -> None:
+    """Write `rules` in the rule file format, in order.
+
+    A rule that would not read back as written raises DataError naming it and
+    the field, before anything is written."""
+    lines = []
+    for r in rules:
+        _check_savable(r)
+        alts = "|".join(" ".join(alt) for alt in r.alternatives)
+        lines.append(f"{r.id}\t{' '.join(r.pattern)}\t{alts}\n")
     with open(path, "w", encoding="utf-8") as f:
-        for r in rules:
-            alts = "|".join(" ".join(alt) for alt in r.alternatives)
-            f.write(f"{r.id}\t{' '.join(r.pattern)}\t{alts}\n")
+        f.writelines(lines)
 
 
 def extract_context(tokens: Sequence[str], span: tuple[int, int], w: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -197,8 +219,9 @@ def match_rules(tokens: Sequence[str], rules: RuleSet, w: int = DEFAULT_WINDOW) 
         for rule in rules.by_head.get(lowered[start], ()):
             end = start + len(rule.pattern)
             if lowered[start:end] == rule.pattern:  # a slice cut short by the end differs too
-                left, right = extract_context(tokens, (start, end), w)
-                matches.append(RuleMatch(rule.id, start, end, tokens[start:end], left, right, rule.alternatives))
+                # The window as `extract_context` cuts it; w and the span are valid here.
+                matches.append(RuleMatch(rule.id, start, end, tokens[start:end], tokens[max(0, start - w) : start],
+                                         tokens[end : end + w], rule.alternatives))
     result = RuleMatchSet(tuple(matches))
     object.__setattr__(rules, "_last", (key, result))
     return result

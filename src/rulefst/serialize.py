@@ -67,9 +67,12 @@ def apply_rules_fcfs(x: Sequence[str], matches: RuleMatchSet) -> list[str]:
 
 
 def serialize_rb(x: Sequence[str], matches: RuleMatchSet, y: Sequence[str], max_len: int | None = None) -> SerializedExample:
-    """Rule-base method: train on the FCFS rewrite alone."""
+    """Rule-base method: train on the FCFS rewrite alone. max_len bounds the
+    rewrite, the model's input, not the source."""
+    _check_source(x, None)
     x_prime = apply_rules_fcfs(x, matches)
-    _check_source(x_prime, max_len)
+    if max_len is not None and len(x_prime) > max_len:
+        raise DataError(f"RB rewrite of {len(x_prime)} tokens (source of {len(x)}) exceeds max_len={max_len}")
     return SerializedExample(RB, tuple(x_prime), tuple(y))
 
 
@@ -110,23 +113,17 @@ def serialize_cari(
     if segment_mode not in SEGMENT_MODES:
         raise DataError(f"unknown segment_mode {segment_mode!r}")
     _check_source(x, max_len)
-    segments: list[tuple[str, ...]] = []
+    substituted = segment_mode == "substituted"
+    input_tokens = list(x)
     for m in matches:
         left, right = m.context_left, m.context_right
         for alt in m.alternatives:
-            if segment_mode == "substituted":
-                segments.append(left + alt + right)
-            else:
-                segments.append(alt + left + right)
-    input_tokens = list(x)
-    truncated = False
-    for seg in segments:
-        if max_len is not None and len(input_tokens) + 1 + len(seg) > max_len:
-            truncated = True
-            break
-        input_tokens.append(SEP)
-        input_tokens.extend(seg)
-    return SerializedExample(CARI, tuple(input_tokens), tuple(y), truncated)
+            seg = left + alt + right if substituted else alt + left + right
+            if max_len is not None and len(input_tokens) + 1 + len(seg) > max_len:
+                return SerializedExample(CARI, tuple(input_tokens), tuple(y), True)
+            input_tokens.append(SEP)
+            input_tokens.extend(seg)
+    return SerializedExample(CARI, tuple(input_tokens), tuple(y), False)
 
 
 def serialize_downstream(d_ori: Sequence[str], d_fst: Sequence[str]) -> tuple[str, ...]:

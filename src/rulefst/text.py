@@ -77,18 +77,34 @@ EMOJI_NAMES = {
     "\U0001f525": "fire",
     "\U0001f389": "party_popper",
 }
+# Longest first, so that a key with U+FE0F is replaced before its bare form.
+_EMOJI_LONGEST_FIRST = tuple(sorted(EMOJI_NAMES, key=len, reverse=True))
 
 
 def tokenize(s: str) -> list[str]:
-    """Lowercase and split on whitespace, with punctuation chars as their own
-    tokens. @USER / HTTPURL placeholders and reserved tokens pass through
-    verbatim."""
+    """Lowercase and segment `s` into tokens.
+
+    Each whitespace-separated chunk that equals a placeholder (`@USER`,
+    `HTTPURL` or a reserved token such as `[SEP]`) passes through verbatim;
+    the comparison is case-sensitive, so `@user` is not one. Every other
+    chunk is lowercased and split so that each maximal run of `\\w`
+    characters (letters, digits and `_`) is one token and each other
+    non-space character is a token of its own.
+
+    The fast path is exact. Lowercasing neither creates nor removes
+    whitespace, and its one context rule (final sigma) stops at whitespace,
+    so the chunks of `s.lower()` are the lowered chunks of `s`. And `re`'s
+    `\\w` is `str.isalnum` plus `_`, so a lowered chunk for which
+    `isalnum()` holds is exactly one `\\w+` match; only chunks that hold
+    punctuation, `_` or symbols go through the regex."""
     out: list[str] = []
-    for chunk in s.split():
+    for chunk, lowered in zip(s.split(), s.lower().split()):
         if chunk in PLACEHOLDERS:
             out.append(chunk)
+        elif lowered.isalnum():
+            out.append(lowered)
         else:
-            out.extend(_WORD_OR_PUNCT.findall(chunk.lower()))
+            out.extend(_WORD_OR_PUNCT.findall(lowered))
     return out
 
 
@@ -98,12 +114,19 @@ def detokenize(tokens: Sequence[str]) -> str:
 
 def normalize_tweet(s: str) -> str:
     """Map user mentions to @USER, URLs to HTTPURL and known emoji to their
-    name strings."""
-    s = _URL_RE.sub("HTTPURL", s)
-    s = _MENTION_RE.sub("@USER", s)
-    for emoji in sorted(EMOJI_NAMES, key=len, reverse=True):
-        if emoji in s:
-            s = s.replace(emoji, " " + EMOJI_NAMES[emoji] + " ")
+    name strings, then collapse whitespace to single spaces.
+
+    Each step is skipped when it cannot match, which leaves the output
+    unchanged: every URL match holds `http` or `www.`, every mention holds
+    `@`, and every emoji key is non-ASCII."""
+    if "http" in s or "www." in s:
+        s = _URL_RE.sub("HTTPURL", s)
+    if "@" in s:
+        s = _MENTION_RE.sub("@USER", s)
+    if not s.isascii():
+        for emoji in _EMOJI_LONGEST_FIRST:
+            if emoji in s:
+                s = s.replace(emoji, " " + EMOJI_NAMES[emoji] + " ")
     return " ".join(s.split())
 
 

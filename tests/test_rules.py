@@ -1,7 +1,9 @@
 import random
+import re
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rulefst.errors import DataError
 from rulefst.rules import Rule, RuleSet, extract_context, load_rules, match_rules, save_rules
@@ -84,6 +86,85 @@ def test_save_load_round_trip(tmp_path, demo_rules_path):
 
 def as_rules_tuple(rules):
     return [(r.id, r.pattern, r.alternatives) for r in rules]
+
+
+@pytest.mark.parametrize(
+    "rule, field",
+    [
+        (Rule("r1", ("ya know",), (("you", "know"),)), "pattern token 'ya know'"),
+        (Rule("r2", ("x",), (("a|b",),)), "alternative token 'a|b'"),
+        (Rule("r3", ("x",), (("a b",), ("c",))), "alternative token 'a b'"),
+        (Rule("#r5", ("x",), (("y",),)), "id"),
+        (Rule("", ("x",), (("y",),)), "id"),
+        (Rule(" r6", ("x",), (("y",),)), "id"),
+        (Rule("r\t7", ("x",), (("y",),)), "id"),
+        (Rule("r\n8", ("x",), (("y",),)), "id"),
+        (Rule("r\r10", ("x",), (("y",),)), "id"),
+        (Rule("r9", ("x\u3000y",), (("y",),)), "pattern token"),
+    ],
+    ids=["space-in-pattern", "bar-in-alternative", "space-in-alternative", "comment-id", "empty-id",
+         "padded-id", "tab-in-id", "newline-in-id", "carriage-return-in-id", "unicode-space-in-pattern"],
+)
+def test_save_rules_refuses_a_rule_that_would_not_read_back(tmp_path, rule, field):
+    path = tmp_path / "saved.tsv"
+    rules = RuleSet((Rule("ok", ("a",), (("b",),)), rule))
+    with pytest.raises(DataError, match=f"rule {re.escape(repr(rule.id))}: {re.escape(field)}"):
+        save_rules(rules, path)
+    assert not path.exists()  # nothing is written before every rule is checked
+
+
+# A rule is drawn either from plain names, where it is valid (`|` and `#`
+# inside a pattern token or an id are), or from names that mix in the
+# characters the rule file format gives a meaning: field and line separators,
+# comment and alternative markers, whitespace that str.split and str.strip see.
+_plain = st.text(alphabet="abΣ", min_size=1, max_size=3)
+_hostile = st.text(alphabet="abΣ#| \t\n\r\xa0\x0c\x1c\u2028\u3000", max_size=3)
+
+
+def _rule(ids, pattern_tokens, alt_tokens):
+    return st.builds(
+        lambda i, pattern, alts: Rule(i, tuple(pattern), tuple(dict.fromkeys(tuple(a) for a in alts))),
+        ids,
+        st.lists(pattern_tokens, min_size=1, max_size=2),
+        st.lists(st.lists(alt_tokens, min_size=1, max_size=2), min_size=1, max_size=2),
+    )
+
+
+_rules = st.lists(
+    st.one_of(
+        _rule(st.one_of(_plain, st.just("r#")), st.one_of(_plain, st.just("a|b")), _plain),
+        _rule(_hostile, _hostile.filter(bool), _hostile.filter(bool)),
+    ),
+    max_size=3,
+    unique_by=lambda r: r.id,
+)
+
+
+def _read_back_unchecked(rules, path):
+    """The file as written without checks, read back; None if unreadable."""
+    with open(path, "w", encoding="utf-8") as f:
+        for r in rules:
+            f.write(f"{r.id}\t{' '.join(r.pattern)}\t{'|'.join(' '.join(alt) for alt in r.alternatives)}\n")
+    try:
+        return load_rules(path)
+    except DataError:
+        return None
+
+
+@settings(max_examples=500)
+@given(_rules)
+def test_save_rules_refuses_exactly_the_rule_sets_that_would_not_read_back(tmp_path_factory, rules):
+    rules = RuleSet(tuple(rules))
+    path = tmp_path_factory.mktemp("rules") / "saved.tsv"
+    would_read_back = as_rules_tuple(_read_back_unchecked(rules, path) or ()) == as_rules_tuple(rules)
+    path.unlink()
+    try:
+        save_rules(rules, path)
+    except DataError:
+        assert not would_read_back
+        return
+    loaded = load_rules(path)
+    assert RuleSet(tuple(replace(r, source="") for r in loaded)) == rules
 
 
 # ---- context extraction ----------------------------------------------------

@@ -116,6 +116,18 @@ def test_rcat_ambiguous_sentence(rules):
     assert ex.input == tuple(X_TOKENS) + (SEP,) + tuple(FCFS_WRONG)
 
 
+def test_rb_rewrite_past_max_len_is_named_with_both_lengths():
+    x = ["a"] * 125 + ["idk"]
+    rules = RuleSet((Rule("r_idk", ("idk",), (("i", "do", "not", "know"),)),))
+    with pytest.raises(DataError, match=r"RB rewrite of 129 tokens \(source of 126\) exceeds max_len=128"):
+        serialize_rb(x, match_rules(x, rules), [], max_len=128)
+    # max_len bounds the rewrite, the model's input, so a source that only
+    # fits once rewritten is kept.
+    shortening = RuleSet((Rule("r_idk", ("i", "do", "not", "know"), (("idk",),)),))
+    y = ["a"] * 125 + ["i", "do", "not", "know"]
+    assert len(serialize_rb(y, match_rules(y, shortening), [], max_len=128).input) == 126
+
+
 def test_rcat_truncates_supplement_tail():
     ex = serialize_rcat(["a", "b"], ["c", "d", "e"], [], max_len=5)
     assert ex.input == ("a", "b", SEP, "c", "d")

@@ -1,9 +1,20 @@
+import re
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rulefst import text
 from rulefst.errors import DataError
-from rulefst.text import SPECIAL_TOKENS, Vocabulary, build_vocab, detokenize, normalize_tweet, tokenize
+from rulefst.text import (
+    EMOJI_NAMES,
+    PLACEHOLDERS,
+    SPECIAL_TOKENS,
+    Vocabulary,
+    build_vocab,
+    detokenize,
+    normalize_tweet,
+    tokenize,
+)
 
 
 def test_tokenize_lowercases_and_splits():
@@ -45,6 +56,77 @@ def test_detokenize_round_trip_up_to_whitespace_and_case(s):
     # Placeholders keep their casing; everything else lowercases.
     expected = "".join(tokenize(s)) if tokens else ""
     assert stripped == expected
+
+
+# ---- oracles for the fast paths --------------------------------------------
+#
+# The plain one-regex-call-per-chunk tokenizer and the always-scan normalizer
+# that `tokenize` and `normalize_tweet` must equal, with their own regexes.
+
+_REF_MENTION_RE = re.compile(r"@\w+")
+_REF_URL_RE = re.compile(r"(?:https?://\S+|www\.\S+)")
+_REF_WORD_OR_PUNCT = re.compile(r"\w+|[^\w\s]")
+
+
+def reference_tokenize(s):
+    out = []
+    for chunk in s.split():
+        if chunk in PLACEHOLDERS:
+            out.append(chunk)
+        else:
+            out.extend(_REF_WORD_OR_PUNCT.findall(chunk.lower()))
+    return out
+
+
+def reference_normalize_tweet(s):
+    s = _REF_URL_RE.sub("HTTPURL", s)
+    s = _REF_MENTION_RE.sub("@USER", s)
+    for emoji in sorted(EMOJI_NAMES, key=len, reverse=True):
+        if emoji in s:
+            s = s.replace(emoji, " " + EMOJI_NAMES[emoji] + " ")
+    return " ".join(s.split())
+
+
+SKIN_TONE = "\U0001f3fd"  # medium skin tone modifier
+PIECES = (
+    # placeholders alone and glued to punctuation, and look-alikes
+    *sorted(PLACEHOLDERS), "@USER!", "([SEP])", "@user", "httpurl", "[sep]",
+    # what the URL and mention steps look for
+    "@bob", "@", "http://a.b/c", "https://", "http", "www.", "www.x", "WWW.X",
+    # `_`, digits and numerals that are \w but not letters
+    "_", "a_b", "x2", "½", "٣", "2day",
+    # whitespace that str.split sees
+    " ", "\t", "\n", "\xa0", "\x1c", "\u2028", "\u3000",
+    # casing with context or length changes
+    "İstanbul", "ΟΔΟΣ", "aΣ", "Σ", "ß", "ǅ", "\u212a", "ﬃ", "e\u0301", "\u0301", "Σ\u0301",
+    # punctuation and symbols
+    "!", "?", ".", "'", ":", "-", "$", SKIN_TONE,
+    # every emoji key bare, with U+FE0F and with a skin-tone modifier
+    *EMOJI_NAMES, *(e + "\ufe0f" for e in EMOJI_NAMES), *(e + SKIN_TONE for e in EMOJI_NAMES),
+)
+TWEETS = st.one_of(
+    st.text(alphabet=st.characters(codec="utf-8"), max_size=80),
+    st.lists(st.one_of(st.sampled_from(PIECES), st.text(alphabet=st.characters(codec="utf-8"), max_size=3)),
+             max_size=16).map("".join),
+)
+
+
+@pytest.mark.parametrize("f, reference", [(tokenize, reference_tokenize),
+                                          (normalize_tweet, reference_normalize_tweet)])
+def test_fast_paths_equal_the_reference_on_every_pair_of_pieces(f, reference):
+    for a in PIECES:
+        for b in PIECES:
+            assert f(a + b) == reference(a + b), (a, b)
+
+
+@settings(max_examples=2000)
+@given(TWEETS)
+def test_tokenize_and_normalize_tweet_equal_the_reference_and_normalizing_is_idempotent(s):
+    assert tokenize(s) == reference_tokenize(s)
+    once = normalize_tweet(s)
+    assert once == reference_normalize_tweet(s)
+    assert normalize_tweet(once) == once
+    assert tokenize(once) == reference_tokenize(once)
 
 
 def test_build_vocab_min_freq():
