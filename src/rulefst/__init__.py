@@ -13,7 +13,6 @@ from .rules import (
     RuleMatch,
     RuleMatchSet,
     RuleSet,
-    extract_context,
     load_rules,
     match_rules,
     save_rules,

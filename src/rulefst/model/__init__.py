@@ -1,7 +1,6 @@
 from .seq2seq import ModelConfig, Seq2SeqTransformer
-from .training import Adam, Checkpoint, TrainSpec, evaluate_loss, make_batch, token_accuracy, train
+from .training import Adam, Checkpoint, TrainSpec, evaluate_loss, make_batch, train
 from .decoding import beam_decode, beam_search, greedy_decode, model_step_fn
-from .gradcheck import grad_check, tiny_model_for_check
 
 __all__ = [
     "Adam",
@@ -12,11 +11,8 @@ __all__ = [
     "beam_decode",
     "beam_search",
     "evaluate_loss",
-    "grad_check",
     "greedy_decode",
     "make_batch",
     "model_step_fn",
-    "tiny_model_for_check",
-    "token_accuracy",
     "train",
 ]

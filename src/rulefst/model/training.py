@@ -1,18 +1,16 @@
-"""Adam training loop with periodic validation and epoch-level early stopping."""
+"""Adam training over a fixed budget of steps, with the validation loss
+evaluated on one schedule and the best checkpoint by validation loss kept."""
 
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from ..errors import DataError, TrainingError
-from ..text import BOS_ID, EOS_ID, PAD_ID
+from ..text import BOS_ID, EOS_ID, PAD_ID, SPECIAL_TOKENS
 from .seq2seq import ModelConfig, Seq2SeqTransformer
-
-log = logging.getLogger(__name__)
 
 # 2: attention projections fused into .wqkv and .wkv; ModelConfig without
 # `positional` and `tie_embeddings`.
@@ -21,15 +19,19 @@ CHECKPOINT_FORMAT_VERSION = 2
 
 @dataclass(frozen=True)
 class TrainSpec:
+    """How `train` runs: exactly max_steps Adam steps of batch_size pairs at
+    learning_rate, with the validation loss evaluated every eval_every steps
+    and after the last one. seed fixes the initialisation, the dropout and
+    the per-epoch shuffle."""
+
     learning_rate: float = 1e-3
     batch_size: int = 32
     max_steps: int = 20000
     eval_every: int = 1000
-    early_stop_patience: int = 2
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.learning_rate, self.batch_size, self.max_steps, self.eval_every, self.early_stop_patience) <= 0:
+        if min(self.learning_rate, self.batch_size, self.max_steps, self.eval_every) <= 0:
             raise DataError("all TrainSpec fields must be positive")
 
     def to_dict(self) -> dict:
@@ -144,6 +146,9 @@ def make_batch(pairs: list[Pair], dtype=np.int64) -> tuple[np.ndarray, np.ndarra
 
 
 def _validate_pairs(pairs: list[Pair], config: ModelConfig, what: str) -> None:
+    """Refuse an empty set, an empty source, a pair too long for the model,
+    and an id outside the vocabulary or of [PAD], [BOS] or [EOS], the tokens
+    that give batches their structure (ids 0..EOS_ID)."""
     if not pairs:
         raise DataError(f"{what} set is empty")
     for i, (s, t) in enumerate(pairs):
@@ -151,10 +156,12 @@ def _validate_pairs(pairs: list[Pair], config: ModelConfig, what: str) -> None:
             raise DataError(f"{what}[{i}]: empty source")
         if len(s) > config.max_len or len(t) + 1 > config.max_len:
             raise DataError(f"{what}[{i}]: sequence exceeds max_len={config.max_len}")
-        for seq in (s, t):
-            for tok_id in seq:
+        for side, seq in (("source", s), ("target", t)):
+            for j, tok_id in enumerate(seq):
                 if not 0 <= tok_id < config.vocab_size:
                     raise DataError(f"{what}[{i}]: token id {tok_id} outside vocabulary")
+                if tok_id <= EOS_ID:
+                    raise DataError(f"{what}[{i}]: {side} position {j} holds the reserved token {SPECIAL_TOKENS[tok_id]}")
 
 
 def evaluate_loss(model: Seq2SeqTransformer, pairs: list[Pair], batch_size: int = 64) -> float:
@@ -168,18 +175,6 @@ def evaluate_loss(model: Seq2SeqTransformer, pairs: list[Pair], batch_size: int 
     return total / max(n, 1)
 
 
-def token_accuracy(model: Seq2SeqTransformer, pairs: list[Pair], batch_size: int = 64) -> float:
-    """Teacher-forced argmax accuracy over non-PAD target positions."""
-    hit, n = 0, 0
-    for i in range(0, len(pairs), batch_size):
-        src, tgt_in, tgt_out = make_batch(pairs[i : i + batch_size])
-        logits = model.forward(src, tgt_in, train=False)
-        mask = tgt_out != PAD_ID
-        hit += int((np.argmax(logits, axis=-1)[mask] == tgt_out[mask]).sum())
-        n += int(mask.sum())
-    return hit / max(n, 1)
-
-
 def train(
     train_set: list[Pair],
     valid_set: list[Pair],
@@ -187,11 +182,15 @@ def train(
     spec: TrainSpec,
     vocab_hash: str = "",
 ) -> Checkpoint:
-    """Train until max_steps or until validation loss rises in two successive
-    epochs (early_stop_patience); returns the checkpoint with the best
-    validation loss seen at any eval point. Deterministic given spec.seed.
-    A non-finite training loss, gradient or validation loss raises
-    TrainingError naming the step; the overflow behind it does not warn."""
+    """Run exactly spec.max_steps Adam steps; return the checkpoint with the
+    lowest validation loss seen.
+
+    The training set is reshuffled at the start of each epoch. The validation
+    loss is evaluated every spec.eval_every steps and after the last step,
+    once at each such step; `history` holds one {"step", "val_loss"} record
+    per evaluation. Deterministic given spec.seed. A non-finite training
+    loss, gradient or validation loss raises TrainingError naming the step;
+    the overflow behind it does not warn."""
     _validate_pairs(train_set, config, "train")
     _validate_pairs(valid_set, config, "valid")
 
@@ -203,56 +202,30 @@ def train(
     best_params = model.store.snapshot()
     best_step = 0
     history: list = []
-    step = 0
-    epoch = 0
-    epoch_val: list[float] = []
-    rises = 0
-
-    def eval_point(tag: str) -> float:
-        nonlocal best_loss, best_params, best_step
+    per_epoch = -(-len(train_set) // spec.batch_size)  # batches; the last may be short
+    for step in range(1, spec.max_steps + 1):
+        start = (step - 1) % per_epoch * spec.batch_size
+        if start == 0:
+            order = shuffle_rng.permutation(len(train_set))
+        src, tgt_in, tgt_out = make_batch([train_set[i] for i in order[start : start + spec.batch_size]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss, _ = model.loss_and_grads(src, tgt_in, tgt_out, train=True)
+        if not np.isfinite(loss):
+            raise TrainingError(f"non-finite training loss at step {step}", step=step)
+        bad = next((k for k, g in model.store.grads.items() if not np.isfinite(g).all()), None)
+        if bad is not None:
+            raise TrainingError(f"non-finite gradient of {bad} at step {step}", step=step)
+        adam.step()
+        if step % spec.eval_every and step < spec.max_steps:
+            continue
         with np.errstate(over="ignore", invalid="ignore"):
             val = evaluate_loss(model, valid_set)
         if not np.isfinite(val):
             raise TrainingError(f"non-finite validation loss at step {step}", step=step)
-        history.append({"step": step, "epoch": epoch, "event": tag, "val_loss": val})
+        history.append({"step": step, "val_loss": val})
         if val < best_loss:
-            best_loss = val
-            best_params = model.store.snapshot()
-            best_step = step
-        return val
+            best_loss, best_params, best_step = val, model.store.snapshot(), step
 
-    stop = False
-    while not stop and step < spec.max_steps:
-        epoch += 1
-        order = shuffle_rng.permutation(len(train_set))
-        for start in range(0, len(order), spec.batch_size):
-            batch = [train_set[i] for i in order[start : start + spec.batch_size]]
-            src, tgt_in, tgt_out = make_batch(batch)
-            with np.errstate(over="ignore", invalid="ignore"):
-                loss, _ = model.loss_and_grads(src, tgt_in, tgt_out, train=True)
-            if not np.isfinite(loss):
-                raise TrainingError(f"non-finite training loss at step {step + 1}", step=step + 1)
-            bad = next((k for k, g in model.store.grads.items() if not np.isfinite(g).all()), None)
-            if bad is not None:
-                raise TrainingError(f"non-finite gradient of {bad} at step {step + 1}", step=step + 1)
-            adam.step()
-            step += 1
-            if step % spec.eval_every == 0:
-                eval_point("eval_every")
-            if step >= spec.max_steps:
-                stop = True
-                break
-        val = eval_point("epoch_end")
-        if epoch_val and val > epoch_val[-1]:
-            rises += 1
-            if rises >= spec.early_stop_patience:
-                history.append({"step": step, "epoch": epoch, "event": "early_stop", "val_loss": val})
-                stop = True
-        else:
-            rises = 0
-        epoch_val.append(val)
-
-    model.store.load(best_params)
     return Checkpoint(
         config=config,
         params=best_params,

@@ -1,4 +1,4 @@
-"""Declarative rewrite rules, exhaustive matching and context extraction.
+"""Declarative rewrite rules and exhaustive matching with context windows.
 
 Rule file format (UTF-8, one rule per line):
 
@@ -16,7 +16,8 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .errors import DataError
 
-# Context window default: the empirical peak of the window-size sweep.
+# Context window default: up to 3 tokens on each side of a match, chosen by
+# hand rather than by a window-size sweep.
 DEFAULT_WINDOW = 3
 
 
@@ -181,19 +182,6 @@ def save_rules(rules: RuleSet, path) -> None:
         f.writelines(lines)
 
 
-def extract_context(tokens: Sequence[str], span: tuple[int, int], w: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Up to w tokens on each side of a half-open span, clipped at sentence
-    boundaries."""
-    start, end = span
-    if w < 0:
-        raise ValueError("window size must be >= 0")
-    if not (0 <= start <= end <= len(tokens)):
-        raise ValueError(f"span {span} out of bounds for {len(tokens)} tokens")
-    left = tuple(tokens[max(0, start - w) : start])
-    right = tuple(tokens[end : end + w])
-    return left, right
-
-
 def match_rules(tokens: Sequence[str], rules: RuleSet, w: int = DEFAULT_WINDOW) -> RuleMatchSet:
     """Every (position, rule) occurrence, including overlaps, sorted by
     (start, rule file order). Matching is case-insensitive; matched_text
@@ -207,7 +195,7 @@ def match_rules(tokens: Sequence[str], rules: RuleSet, w: int = DEFAULT_WINDOW) 
     matched_text and the context windows keep it) as the last call on this
     rule set returns that call's result object again; see `RuleSet`."""
     if w < 0:
-        raise ValueError("window size must be >= 0")
+        raise DataError(f"window size must be >= 0, not {w}")
     key = (w, tuple(tokens))
     last = rules._last
     if last is not None and last[0] == key:
@@ -219,7 +207,7 @@ def match_rules(tokens: Sequence[str], rules: RuleSet, w: int = DEFAULT_WINDOW) 
         for rule in rules.by_head.get(lowered[start], ()):
             end = start + len(rule.pattern)
             if lowered[start:end] == rule.pattern:  # a slice cut short by the end differs too
-                # The window as `extract_context` cuts it; w and the span are valid here.
+                # Up to w tokens on each side of the span, clipped at the sentence ends.
                 matches.append(RuleMatch(rule.id, start, end, tokens[start:end], tokens[max(0, start - w) : start],
                                          tokens[end : end + w], rule.alternatives))
     result = RuleMatchSet(tuple(matches))

@@ -22,8 +22,14 @@ PAD_ID, BOS_ID, EOS_ID, SEP_ID, UNK_ID, CLS_ID = range(6)
 # Tokens that survive tokenization verbatim (case preserved, never split).
 PLACEHOLDERS = frozenset({"@USER", "HTTPURL", *SPECIAL_TOKENS})
 
-_MENTION_RE = re.compile(r"@\w+")
-_URL_RE = re.compile(r"(?:https?://\S+|www\.\S+)")
+# A mention is `@` and a name with neither a word character nor an `@` on
+# either side, so an e-mail address is not one and neither part of `@a@b` is.
+# The lookbehind comes after the `@` so that `re` can scan for the `@`.
+_MENTION_RE = re.compile(r"@(?<![\w@]@)\w+(?![\w@])")
+# A URL runs to the end of its whitespace-delimited chunk, less the run of
+# `.,!?;:` that closes the chunk, and must keep at least one character
+# after `http://`, `https://` or `www.`.
+_URL_RE = re.compile(r"(?:https?://|www\.)\S*[^\s.,!?;:]")
 _WORD_OR_PUNCT = re.compile(r"\w+|[^\w\s]")
 
 # Bundled emoji -> name-string table (underscore-joined so each maps to one
@@ -113,16 +119,17 @@ def detokenize(tokens: Sequence[str]) -> str:
 
 
 def normalize_tweet(s: str) -> str:
-    """Map user mentions to @USER, URLs to HTTPURL and known emoji to their
-    name strings, then collapse whitespace to single spaces.
+    """Map URLs to HTTPURL, user mentions to @USER and known emoji to their
+    name strings, each padded with spaces so that it stays one token beside
+    punctuation, then collapse whitespace to single spaces.
 
     Each step is skipped when it cannot match, which leaves the output
     unchanged: every URL match holds `http` or `www.`, every mention holds
     `@`, and every emoji key is non-ASCII."""
     if "http" in s or "www." in s:
-        s = _URL_RE.sub("HTTPURL", s)
+        s = _URL_RE.sub(" HTTPURL ", s)
     if "@" in s:
-        s = _MENTION_RE.sub("@USER", s)
+        s = _MENTION_RE.sub(" @USER ", s)
     if not s.isascii():
         for emoji in _EMOJI_LONGEST_FIRST:
             if emoji in s:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .seq2seq import ModelConfig, Seq2SeqTransformer
+from rulefst.model import ModelConfig, Seq2SeqTransformer
 
 
 def grad_check(

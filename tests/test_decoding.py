@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from rulefst.errors import DataError
 from rulefst.model import ModelConfig, Seq2SeqTransformer, beam_decode, beam_search, greedy_decode, model_step_fn
 from rulefst.model.seq2seq import DecoderCache
-from rulefst.text import BOS_ID, EOS_ID, PAD_ID
+from rulefst.text import BOS_ID, EOS_ID, PAD_ID, SEP_ID, UNK_ID
 
 
 def tiny_model(vocab_size=12, seed=0, max_len=12, dtype="float64"):
@@ -136,7 +136,7 @@ def test_cached_steps_match_full_prefix_after_reorders():
 
 def test_cached_steps_match_full_prefix_for_hand_picked_back_pointers():
     model = tiny_model(seed=4)
-    src = [7, 9, PAD_ID]
+    src = [7, 9, SEP_ID]
     cached = model_step_fn(model, src)
     reference = PrefixStep(full_prefix_scores(model, src))
     moves = [([0], [BOS_ID]), ([0, 0, 0], [7, PAD_ID, 9]), ([2, 0, 1, 1], [PAD_ID, 8, 10, 7]), ([3, 3], [9, PAD_ID])]
@@ -307,7 +307,7 @@ def assert_cached_matches_full_prefix_out_to_max_len(model, src, atol, seed):
 def test_cached_steps_match_full_prefix_out_to_max_len():
     """The in-place cache over every position the model has."""
     model = tiny_model(seed=5, max_len=40)
-    assert_cached_matches_full_prefix_out_to_max_len(model, [7, 8, PAD_ID, 9, 10, 11], atol=1e-6, seed=5)
+    assert_cached_matches_full_prefix_out_to_max_len(model, [7, 8, SEP_ID, 9, 10, 11], atol=1e-6, seed=5)
 
 
 @pytest.mark.parametrize("dtype, atol", [("float64", 1e-9), ("float32", 1e-5)])
@@ -315,7 +315,7 @@ def test_cached_steps_match_full_prefix_with_every_parameter_perturbed(dtype, at
     """The folded products against the layers, with no gamma at 1 and no
     beta or bias at 0; float32 within the benchmark's decode tolerance."""
     model = perturbed(tiny_model(seed=6, max_len=40, dtype=dtype), seed=6)
-    assert_cached_matches_full_prefix_out_to_max_len(model, [7, PAD_ID, 8, 9, 10, 11, 6], atol=atol, seed=6)
+    assert_cached_matches_full_prefix_out_to_max_len(model, [7, UNK_ID, 8, 9, 10, 11, 6], atol=atol, seed=6)
 
 
 @pytest.mark.parametrize(
@@ -368,8 +368,11 @@ def test_decoder_cache_is_bound_to_the_source_of_its_first_call():
         ([25, 3], r"source id 25 at position 0\b"),
         ([7, 8, 12], r"source id 12 at position 2\b"),
         ([], "empty source"),
+        ([7, PAD_ID], r"source position 1 holds the reserved token \[PAD\]"),
+        ([BOS_ID, 7], r"source position 0 holds the reserved token \[BOS\]"),
+        ([7, 8, EOS_ID, 9], r"source position 2 holds the reserved token \[EOS\]"),
     ],
-    ids=["negative", "far-above-vocab", "vocab-size", "empty"],
+    ids=["negative", "far-above-vocab", "vocab-size", "empty", "pad", "bos", "eos"],
 )
 def test_bad_source_raises_before_encoding(monkeypatch, src, message):
     model = tiny_model()  # vocab_size 12

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from gradcheck import grad_check, tiny_model_for_check
 from rulefst.errors import DataError, TrainingError
 from rulefst.model import (
     Checkpoint,
@@ -14,16 +15,13 @@ from rulefst.model import (
     Seq2SeqTransformer,
     TrainSpec,
     beam_decode,
-    grad_check,
     make_batch,
-    tiny_model_for_check,
-    token_accuracy,
     train,
 )
 from rulefst.model import training
 from rulefst.model.layers import Dense, Dropout, LayerNorm, MultiHeadAttention, ParamStore, scatter_add_rows, softmax
 from rulefst.model.seq2seq import DecoderCache
-from rulefst.text import BOS_ID, EOS_ID, PAD_ID
+from rulefst.text import BOS_ID, CLS_ID, EOS_ID, PAD_ID, SEP_ID, UNK_ID
 
 
 def tiny_config(**overrides):
@@ -516,24 +514,66 @@ def test_train_deterministic_same_seed():
 
 
 def test_train_overfits_small_corpus():
+    def token_accuracy(model, pairs):
+        """Teacher-forced argmax accuracy over the non-[PAD] target positions."""
+        src, tgt_in, tgt_out = make_batch(pairs)
+        mask = tgt_out != PAD_ID
+        return float((np.argmax(model.forward(src, tgt_in, train=False), axis=-1)[mask] == tgt_out[mask]).mean())
+
     cfg = ModelConfig(vocab_size=16, d_model=32, heads=4, enc_layers=1, dec_layers=1,
                       ffn_dim=64, max_len=16, dropout=0.0, dtype="float32")
     pairs = toy_pairs(50, seed=1, vocab=16)
-    spec = TrainSpec(learning_rate=2e-3, batch_size=32, max_steps=2000, eval_every=200, seed=3)
+    spec = TrainSpec(learning_rate=2e-3, batch_size=32, max_steps=200, eval_every=20, seed=3)
     ck = train(pairs, pairs, cfg, spec)
     model = ck.restore_model()
     assert token_accuracy(model, pairs) >= 0.99
 
 
-def test_early_stopping_on_rising_validation_loss():
+def test_train_runs_the_budget_and_evaluates_on_one_schedule(monkeypatch):
+    """Exactly max_steps Adam steps; one evaluation at each multiple of
+    eval_every and after the last step, also where an epoch ends there; the
+    checkpoint's step is that of the lowest validation loss."""
     cfg = tiny_config(dtype="float32")
-    train_pairs = [([6, 7], [8, 9])] * 24
-    valid_pairs = [([6, 7], [10, 11])] * 8  # conflicts with training mapping
-    spec = TrainSpec(learning_rate=5e-3, batch_size=8, max_steps=5000, eval_every=1000, seed=0)
-    ck = train(train_pairs, valid_pairs, cfg, spec)
-    events = [h["event"] for h in ck.history]
-    assert "early_stop" in events
-    assert ck.history[-1]["step"] < spec.max_steps
+    pairs = toy_pairs(32, seed=3)  # 4 batches of 8 per epoch
+    adam_steps = []
+    original = training.Adam.step
+
+    def counted(self):
+        adam_steps.append(self.t)
+        original(self)
+
+    monkeypatch.setattr(training.Adam, "step", counted)
+    for max_steps, eval_every in ((60, 20), (50, 20), (7, 4), (3, 10)):
+        adam_steps.clear()
+        spec = TrainSpec(learning_rate=2e-3, batch_size=8, max_steps=max_steps, eval_every=eval_every, seed=5)
+        ck = train(pairs, pairs[:8], cfg, spec)
+        assert len(adam_steps) == max_steps
+        expected = sorted({*range(eval_every, max_steps + 1, eval_every), max_steps})
+        assert [h["step"] for h in ck.history] == expected
+        assert all(h.keys() == {"step", "val_loss"} for h in ck.history)
+        assert ck.step == min(ck.history, key=lambda h: h["val_loss"])["step"]
+
+
+@pytest.mark.parametrize(
+    "which, side, tok_id, message",
+    [
+        ("train", 0, PAD_ID, r"train\[3\]: source position 1 holds the reserved token \[PAD\]"),
+        ("valid", 1, BOS_ID, r"valid\[3\]: target position 1 holds the reserved token \[BOS\]"),
+        ("train", 1, EOS_ID, r"train\[3\]: target position 1 holds the reserved token \[EOS\]"),
+    ],
+    ids=["pad-in-a-train-source", "bos-in-a-valid-target", "eos-in-a-train-target"],
+)
+def test_train_refuses_pad_bos_and_eos_in_a_pair(which, side, tok_id, message):
+    cfg = tiny_config(dtype="float32")
+    spec = TrainSpec(batch_size=8, max_steps=1, eval_every=1)
+    sets = {"train": toy_pairs(8, seed=2), "valid": toy_pairs(4, seed=3)}
+    sets["train"][0] = ([6, SEP_ID, UNK_ID], [CLS_ID, 7])  # the other reserved tokens are legal
+    train(sets["train"], sets["valid"], cfg, spec)
+    pair = [list(seq) for seq in sets[which][3]]
+    pair[side][1] = tok_id
+    sets[which][3] = tuple(pair)
+    with pytest.raises(DataError, match=message):
+        train(sets["train"], sets["valid"], cfg, spec)
 
 
 def test_training_divergence_raises_with_step():
@@ -548,10 +588,10 @@ def test_training_divergence_raises_with_step():
 def test_non_finite_validation_loss_raises_with_step(monkeypatch):
     cfg = tiny_config(dtype="float32")
     pairs = toy_pairs(16, seed=2)
-    spec = TrainSpec(learning_rate=1e-3, batch_size=8, max_steps=10, eval_every=100, seed=0)
+    spec = TrainSpec(learning_rate=1e-3, batch_size=8, max_steps=10, eval_every=2, seed=0)
     monkeypatch.setattr(training, "evaluate_loss", lambda model, pairs: float("nan"))
     with pytest.raises(TrainingError, match="non-finite validation loss at step 2") as exc:
-        train(pairs, pairs[:4], cfg, spec)  # 2 steps per epoch, then the epoch-end eval
+        train(pairs, pairs[:4], cfg, spec)
     assert exc.value.step == 2
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rulefst.errors import DataError
-from rulefst.rules import Rule, RuleSet, extract_context, load_rules, match_rules, save_rules
+from rulefst.rules import Rule, RuleSet, load_rules, match_rules, save_rules
 from rulefst.text import tokenize
 
 from conftest import AMBIG_SENTENCE
@@ -167,27 +167,13 @@ def test_save_rules_refuses_exactly_the_rule_sets_that_would_not_read_back(tmp_p
     assert RuleSet(tuple(replace(r, source="") for r in loaded)) == rules
 
 
-# ---- context extraction ----------------------------------------------------
-
-
-def test_extract_context_basic():
-    assert extract_context(list("abcde"), (2, 3), 2) == (("a", "b"), ("d", "e"))
-
-
-def test_extract_context_boundary_clipping():
-    assert extract_context(["a", "b"], (0, 1), 3) == ((), ("b",))
-
-
-def test_extract_context_zero_window():
-    assert extract_context(list("abcde"), (1, 3), 0) == ((), ())
-
-
-def test_extract_context_out_of_bounds():
-    with pytest.raises(ValueError):
-        extract_context(["a", "b"], (1, 4), 1)
-
-
 # ---- matching --------------------------------------------------------------
+
+
+def test_match_rules_refuses_a_negative_window():
+    rules = RuleSet((Rule("r", ("a",), (("b",),)),))
+    with pytest.raises(DataError, match="window size must be >= 0, not -1"):
+        match_rules(["a"], rules, -1)
 
 
 def test_match_ambiguous_sentence(demo_rules_path):

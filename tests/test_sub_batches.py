@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rulefst.model import ModelConfig, Seq2SeqTransformer, grad_check, make_batch
+from gradcheck import grad_check
+from rulefst.model import ModelConfig, Seq2SeqTransformer, make_batch
 from rulefst.model import seq2seq
 from rulefst.model.seq2seq import content_lengths, split_rows
 from rulefst.text import BOS_ID, PAD_ID

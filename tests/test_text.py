@@ -38,6 +38,9 @@ def test_normalize_tweet_mentions_and_urls():
     assert normalize_tweet("@bob hi") == "@USER hi"
     assert normalize_tweet("see https://a.b/c") == "see HTTPURL"
     assert normalize_tweet("see www.example.com now") == "see HTTPURL now"
+    assert tokenize(normalize_tweet("@bob, hi")) == ["@USER", ",", "hi"]
+    assert normalize_tweet("see https://a.b/c.") == "see HTTPURL ."
+    assert "@USER" not in normalize_tweet("mail me@example.com")
 
 
 def test_normalize_tweet_emoji():
@@ -58,14 +61,75 @@ def test_detokenize_round_trip_up_to_whitespace_and_case(s):
     assert stripped == expected
 
 
+# ---- mentions, e-mail addresses and URLs beside punctuation ------------------
+
+ALNUM = st.text(alphabet="abcXYZ019", min_size=1, max_size=5)
+MENTION_NAME = st.text(alphabet="abcXYZ019_", min_size=1, max_size=6)
+OPENING = st.sampled_from(["", "(", '"', "'"])
+FOLLOWING = st.text(alphabet=".,!?;:'\")-", max_size=3)
+URL_CLOSING = st.text(alphabet=".,!?;:", min_size=1, max_size=3)
+URLS = st.tuples(
+    st.sampled_from(["http://", "https://", "www."]),
+    st.lists(st.tuples(ALNUM, st.sampled_from("./-")), max_size=3).map(lambda parts: "".join(a + b for a, b in parts)),
+    ALNUM,
+).map("".join)
+EMAILS = st.tuples(MENTION_NAME, ALNUM, ALNUM).map(lambda p: f"{p[0]}@{p[1]}.{p[2]}")
+
+
+@given(st.lists(st.one_of(ALNUM.map(lambda w: ("word", w)),
+                          st.tuples(OPENING, MENTION_NAME, FOLLOWING).map(lambda m: ("mention", m))),
+                max_size=8))
+def test_every_mention_is_one_user_token_whatever_punctuation_follows(items):
+    chunks, expected = [], []
+    for kind, item in items:
+        if kind == "word":
+            chunks.append(item)
+            expected.append(item.lower())
+        else:
+            opening, name, following = item
+            chunks.append(f"{opening}@{name}{following}")
+            expected += [*opening, "@USER", *following]
+    assert tokenize(normalize_tweet(" ".join(chunks))) == expected
+
+
+@given(EMAILS, FOLLOWING)
+def test_an_email_address_yields_no_user_token(email, following):
+    out = normalize_tweet(f"mail {email}{following} or @bob")
+    assert out.count("@USER") == 1 and email in out
+
+
+@given(URLS, URL_CLOSING, st.booleans())
+def test_punctuation_after_a_url_survives(url, closing, more):
+    tail = " now" if more else ""
+    assert normalize_tweet(f"see {url}{closing}{tail}") == f"see HTTPURL {closing}{tail}"
+
+
+@given(st.lists(st.one_of(ALNUM, URLS, EMAILS, st.sampled_from(sorted(EMOJI_NAMES)),
+                          st.tuples(OPENING, MENTION_NAME, FOLLOWING).map(lambda m: f"{m[0]}@{m[1]}{m[2]}"),
+                          st.sampled_from(".,!?;:@")),
+                max_size=10),
+       st.lists(st.sampled_from(["", " ", "  "]), min_size=10, max_size=10))
+def test_normalizing_twice_changes_nothing(pieces, gaps):
+    once = normalize_tweet("".join(p + g for p, g in zip(pieces, gaps)))
+    assert normalize_tweet(once) == once
+
+
 # ---- oracles for the fast paths --------------------------------------------
 #
 # The plain one-regex-call-per-chunk tokenizer and the always-scan normalizer
 # that `tokenize` and `normalize_tweet` must equal, with their own regexes.
 
-_REF_MENTION_RE = re.compile(r"@\w+")
-_REF_URL_RE = re.compile(r"(?:https?://\S+|www\.\S+)")
+_REF_MENTION_RE = re.compile(r"(?<![\w@])@\w+(?![\w@])")
+_REF_URL_RE = re.compile(r"(https?://|www\.)(\S*)")
 _REF_WORD_OR_PUNCT = re.compile(r"\w+|[^\w\s]")
+
+
+def _reference_url(m):
+    """A URL less the closing run of `.,!?;:`, which stays; none if nothing
+    is left after the scheme."""
+    body = m.group(2)
+    kept = body.rstrip(".,!?;:")
+    return " HTTPURL " + body[len(kept):] if kept else m.group(0)
 
 
 def reference_tokenize(s):
@@ -79,8 +143,8 @@ def reference_tokenize(s):
 
 
 def reference_normalize_tweet(s):
-    s = _REF_URL_RE.sub("HTTPURL", s)
-    s = _REF_MENTION_RE.sub("@USER", s)
+    s = _REF_URL_RE.sub(_reference_url, s)
+    s = _REF_MENTION_RE.sub(" @USER ", s)
     for emoji in sorted(EMOJI_NAMES, key=len, reverse=True):
         if emoji in s:
             s = s.replace(emoji, " " + EMOJI_NAMES[emoji] + " ")
