@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..errors import DataError
-from ..text import BOS_ID, EOS_ID, SPECIAL_TOKENS
+from ..text import BOS_ID, EOS_ID, reserved_token_error
 from .seq2seq import DecoderCache, Seq2SeqTransformer
 
 # step_fn(parents, tokens) -> (n, V) next-token log-probs. Hypothesis i is the
@@ -134,24 +134,24 @@ def model_step_fn(model: Seq2SeqTransformer, src_ids: Sequence[int]) -> StepFn:
     """Encode once; each step reorders the decoder cache by the back-pointers
     and feeds one new position per hypothesis through the decoder.
 
-    An empty source, or one holding an id outside the vocabulary or of
-    [PAD], [BOS] or [EOS] (ids 0..EOS_ID), raises DataError before anything
-    is encoded. A step raises DataError on a back-pointer outside 0..n-1, n
-    the previous step's rows (the first step's back-pointers are not read),
-    on a token outside the vocabulary, and past the model's max_len
-    positions.
+    An empty source, or one holding an id outside the vocabulary or a
+    [PAD], [BOS] or [EOS] (text.reserved_token_error), raises DataError
+    before anything is encoded. A step raises DataError on a back-pointer
+    outside 0..n-1, n the previous step's rows (the first step's
+    back-pointers are not read), on a token outside the vocabulary, and past
+    the model's max_len positions.
     """
     src = np.asarray([src_ids], dtype=np.int64)
     vocab_size = model.config.vocab_size
     if not src.size:
         raise DataError("empty source")
-    bad = np.flatnonzero((src[0] <= EOS_ID) | (src[0] >= vocab_size))
+    bad = np.flatnonzero((src[0] < 0) | (src[0] >= vocab_size))
     if bad.size:
         i = int(bad[0])
-        tok_id = int(src[0, i])
-        if 0 <= tok_id <= EOS_ID:
-            raise DataError(f"source position {i} holds the reserved token {SPECIAL_TOKENS[tok_id]}")
-        raise DataError(f"source id {tok_id} at position {i} is outside the vocabulary 0..{vocab_size - 1}")
+        raise DataError(f"source id {int(src[0, i])} at position {i} is outside the vocabulary 0..{vocab_size - 1}")
+    reserved = reserved_token_error(src[0].tolist())
+    if reserved:
+        raise DataError(f"source {reserved}")
     enc_out, src_mask = model.encode(src, train=False)
     cache = DecoderCache(model.config)
 

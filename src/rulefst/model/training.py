@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from ..errors import DataError, TrainingError
-from ..text import BOS_ID, EOS_ID, PAD_ID, SPECIAL_TOKENS
+from ..text import BOS_ID, EOS_ID, PAD_ID, reserved_token_error
 from .seq2seq import ModelConfig, Seq2SeqTransformer
 
 # 2: attention projections fused into .wqkv and .wkv; ModelConfig without
@@ -147,8 +147,8 @@ def make_batch(pairs: list[Pair], dtype=np.int64) -> tuple[np.ndarray, np.ndarra
 
 def _validate_pairs(pairs: list[Pair], config: ModelConfig, what: str) -> None:
     """Refuse an empty set, an empty source, a pair too long for the model,
-    and an id outside the vocabulary or of [PAD], [BOS] or [EOS], the tokens
-    that give batches their structure (ids 0..EOS_ID)."""
+    an id outside the vocabulary, and [PAD], [BOS] or [EOS]
+    (text.reserved_token_error)."""
     if not pairs:
         raise DataError(f"{what} set is empty")
     for i, (s, t) in enumerate(pairs):
@@ -157,11 +157,12 @@ def _validate_pairs(pairs: list[Pair], config: ModelConfig, what: str) -> None:
         if len(s) > config.max_len or len(t) + 1 > config.max_len:
             raise DataError(f"{what}[{i}]: sequence exceeds max_len={config.max_len}")
         for side, seq in (("source", s), ("target", t)):
-            for j, tok_id in enumerate(seq):
+            for tok_id in seq:
                 if not 0 <= tok_id < config.vocab_size:
                     raise DataError(f"{what}[{i}]: token id {tok_id} outside vocabulary")
-                if tok_id <= EOS_ID:
-                    raise DataError(f"{what}[{i}]: {side} position {j} holds the reserved token {SPECIAL_TOKENS[tok_id]}")
+            reserved = reserved_token_error(seq)
+            if reserved:
+                raise DataError(f"{what}[{i}]: {side} {reserved}")
 
 
 def evaluate_loss(model: Seq2SeqTransformer, pairs: list[Pair], batch_size: int = 64) -> float:

@@ -22,6 +22,21 @@ PAD_ID, BOS_ID, EOS_ID, SEP_ID, UNK_ID, CLS_ID = range(6)
 # Tokens that survive tokenization verbatim (case preserved, never split).
 PLACEHOLDERS = frozenset({"@USER", "HTTPURL", *SPECIAL_TOKENS})
 
+
+def reserved_token_error(ids: Sequence[int]) -> str | None:
+    """The complaint about the first [PAD], [BOS] or [EOS] (ids 0..EOS_ID)
+    in `ids`, "position j holds the reserved token X", or None if there is
+    none. These three give batches and decoding their structure, so no
+    sentence given to the model may hold one; [SEP], [UNK] and [CLS] may.
+    Ids outside the vocabulary are the caller's to refuse."""
+    if not ids or min(ids) > EOS_ID:  # one C-level pass for the usual case
+        return None
+    for j, tok_id in enumerate(ids):
+        if 0 <= tok_id <= EOS_ID:
+            return f"position {j} holds the reserved token {SPECIAL_TOKENS[tok_id]}"
+    return None
+
+
 # A mention is `@` and a name with neither a word character nor an `@` on
 # either side, so an e-mail address is not one and neither part of `@a@b` is.
 # The lookbehind comes after the `@` so that `re` can scan for the `@`.

@@ -48,6 +48,21 @@ class PrefixStep:
         return self.score(self.prefixes)
 
 
+def cache_step(model, src):
+    """model_step_fn's step without its source check: one DecoderCache on
+    model.encode's output, reordered by the back-pointers. A source holding
+    [PAD], which model_step_fn refuses, reaches the key-masked fold of the
+    cross-attention this way."""
+    enc_out, src_mask = model.encode(np.asarray([src], dtype=np.int64))
+    cache = DecoderCache(model.config)
+
+    def step(parents, tokens):
+        cache.reorder(parents)
+        return model.next_token_logprobs(enc_out, src_mask, np.asarray(tokens, dtype=np.int64)[:, None], cache)
+
+    return step
+
+
 def full_prefix_scores(model, src):
     """Reference scorer: re-decodes each whole prefix, without a cache."""
     enc_out, src_mask = model.encode(np.asarray([src], dtype=np.int64))
@@ -136,13 +151,14 @@ def test_cached_steps_match_full_prefix_after_reorders():
 
 def test_cached_steps_match_full_prefix_for_hand_picked_back_pointers():
     model = tiny_model(seed=4)
-    src = [7, 9, SEP_ID]
-    cached = model_step_fn(model, src)
-    reference = PrefixStep(full_prefix_scores(model, src))
-    moves = [([0], [BOS_ID]), ([0, 0, 0], [7, PAD_ID, 9]), ([2, 0, 1, 1], [PAD_ID, 8, 10, 7]), ([3, 3], [9, PAD_ID])]
-    for parents, tokens in moves:
-        parents = np.asarray(parents)
-        np.testing.assert_allclose(cached(parents, tokens), reference(parents, tokens), rtol=0, atol=1e-6)
+    # A padded source on the cache itself, and model_step_fn on a legal one.
+    for make_step, src in ((cache_step, [7, 9, PAD_ID]), (model_step_fn, [7, 9, SEP_ID])):
+        cached = make_step(model, src)
+        reference = PrefixStep(full_prefix_scores(model, src))
+        moves = [([0], [BOS_ID]), ([0, 0, 0], [7, PAD_ID, 9]), ([2, 0, 1, 1], [PAD_ID, 8, 10, 7]), ([3, 3], [9, PAD_ID])]
+        for parents, tokens in moves:
+            parents = np.asarray(parents)
+            np.testing.assert_allclose(cached(parents, tokens), reference(parents, tokens), rtol=0, atol=1e-6)
 
 
 def test_greedy_is_the_argmax_loop_and_equals_beam_1_fanout_1():
@@ -271,11 +287,11 @@ def test_decoder_cache_keeps_the_target_length_guard():
         step(np.asarray([0]), [7])
 
 
-def assert_cached_matches_full_prefix_out_to_max_len(model, src, atol, seed):
+def assert_cached_matches_full_prefix_out_to_max_len(make_step, model, src, atol, seed):
     """Cached against full-prefix log-probs at every position to max_len - 1,
     then the length guard, through reorders that repeat, drop, grow, shrink
     and keep rows."""
-    cached = model_step_fn(model, src)
+    cached = make_step(model, src)
     reference = PrefixStep(full_prefix_scores(model, src))
     rng = np.random.default_rng(seed)
     rows, seen = 1, set()
@@ -305,17 +321,21 @@ def assert_cached_matches_full_prefix_out_to_max_len(model, src, atol, seed):
 
 
 def test_cached_steps_match_full_prefix_out_to_max_len():
-    """The in-place cache over every position the model has."""
+    """The in-place cache over every position the model has, on a padded
+    source and through model_step_fn on a legal one."""
     model = tiny_model(seed=5, max_len=40)
-    assert_cached_matches_full_prefix_out_to_max_len(model, [7, 8, SEP_ID, 9, 10, 11], atol=1e-6, seed=5)
+    assert_cached_matches_full_prefix_out_to_max_len(cache_step, model, [7, 8, PAD_ID, 9, 10, 11], atol=1e-6, seed=5)
+    assert_cached_matches_full_prefix_out_to_max_len(model_step_fn, model, [7, 8, SEP_ID, 9, 10, 11], atol=1e-6, seed=5)
 
 
 @pytest.mark.parametrize("dtype, atol", [("float64", 1e-9), ("float32", 1e-5)])
 def test_cached_steps_match_full_prefix_with_every_parameter_perturbed(dtype, atol):
     """The folded products against the layers, with no gamma at 1 and no
-    beta or bias at 0; float32 within the benchmark's decode tolerance."""
+    beta or bias at 0; float32 within the benchmark's decode tolerance. On a
+    padded source and through model_step_fn on a legal one."""
     model = perturbed(tiny_model(seed=6, max_len=40, dtype=dtype), seed=6)
-    assert_cached_matches_full_prefix_out_to_max_len(model, [7, UNK_ID, 8, 9, 10, 11, 6], atol=atol, seed=6)
+    assert_cached_matches_full_prefix_out_to_max_len(cache_step, model, [7, PAD_ID, 8, 9, 10, 11, 6], atol=atol, seed=6)
+    assert_cached_matches_full_prefix_out_to_max_len(model_step_fn, model, [7, UNK_ID, 8, 9, 10, 11, 6], atol=atol, seed=6)
 
 
 @pytest.mark.parametrize(
