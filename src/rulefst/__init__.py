@@ -11,7 +11,6 @@ from .rules import (
     DEFAULT_WINDOW,
     Rule,
     RuleMatch,
-    RuleMatchSet,
     RuleSet,
     load_rules,
     match_rules,

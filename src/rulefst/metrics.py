@@ -1,10 +1,10 @@
 """Evaluation metrics: multi-reference corpus BLEU, macro-F1 and Pearson r.
 
-BLEU follows the original corpus-level definition: geometric mean of clipped
-modified n-gram precisions (n = 1..4) times a brevity penalty, with
-max-over-references clipping and the closest-reference-length rule. Corpus
-BLEU is unsmoothed; the sentence-level variant (debug output) applies add-one
-smoothing for n >= 2.
+BLEU is BLEU-4 in the original corpus-level definition (Papineni et al.
+2002): geometric mean of clipped modified n-gram precisions for n = 1..4
+(MAX_N) times a brevity penalty, with max-over-references clipping and the
+closest-reference-length rule. Corpus BLEU is unsmoothed; the sentence-level
+variant (debug output) applies add-one smoothing for n >= 2.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ from typing import Sequence
 from .errors import DataError
 
 Tokens = Sequence[str]
+
+MAX_N = 4  # the longest n-gram BLEU counts
 
 
 @dataclass
@@ -54,7 +56,7 @@ def _ngram_counts(tokens: Tokens, n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
-def bleu_statistics(hypotheses: Sequence[Tokens], reference_sets: Sequence[Sequence[Tokens]], max_n: int = 4) -> dict:
+def bleu_statistics(hypotheses: Sequence[Tokens], reference_sets: Sequence[Sequence[Tokens]]) -> dict:
     """Pooled corpus statistics: clipped matches and totals per n, plus the
     hypothesis/reference length sums for the brevity penalty."""
     if not hypotheses:
@@ -63,8 +65,8 @@ def bleu_statistics(hypotheses: Sequence[Tokens], reference_sets: Sequence[Seque
         raise DataError(
             f"hypothesis/reference count mismatch: {len(hypotheses)} vs {len(reference_sets)}"
         )
-    matches = [0] * max_n
-    totals = [0] * max_n
+    matches = [0] * MAX_N
+    totals = [0] * MAX_N
     hyp_len = 0
     ref_len = 0
     for hyp, refs in zip(hypotheses, reference_sets):
@@ -75,7 +77,7 @@ def bleu_statistics(hypotheses: Sequence[Tokens], reference_sets: Sequence[Seque
         hyp_len += len(hyp)
         # Closest reference length; ties broken toward the shorter reference.
         ref_len += min((abs(len(r) - len(hyp)), len(r)) for r in refs)[1]
-        for n in range(1, max_n + 1):
+        for n in range(1, MAX_N + 1):
             hyp_counts = _ngram_counts(hyp, n)
             if not hyp_counts:
                 continue
@@ -89,9 +91,9 @@ def bleu_statistics(hypotheses: Sequence[Tokens], reference_sets: Sequence[Seque
     return {"matches": matches, "totals": totals, "hyp_len": hyp_len, "ref_len": ref_len}
 
 
-def _bleu_from_stats(stats: dict, max_n: int, smooth_add_one: bool) -> tuple[float, list[float], float]:
+def _bleu_from_stats(stats: dict, smooth_add_one: bool) -> tuple[float, list[float], float]:
     precisions: list[float] = []
-    for n in range(1, max_n + 1):
+    for n in range(1, MAX_N + 1):
         num = stats["matches"][n - 1]
         den = stats["totals"][n - 1]
         if smooth_add_one and n >= 2:
@@ -103,26 +105,26 @@ def _bleu_from_stats(stats: dict, max_n: int, smooth_add_one: bool) -> tuple[flo
     bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
     if any(p == 0.0 for p in precisions):
         return 0.0, precisions, bp
-    log_mean = sum(math.log(p) for p in precisions) / max_n
+    log_mean = sum(math.log(p) for p in precisions) / MAX_N
     return 100.0 * bp * math.exp(log_mean), precisions, bp
 
 
-def corpus_bleu(hypotheses: Sequence[Tokens], reference_sets: Sequence[Sequence[Tokens]], max_n: int = 4) -> float:
+def corpus_bleu(hypotheses: Sequence[Tokens], reference_sets: Sequence[Sequence[Tokens]]) -> float:
     """Corpus BLEU in [0, 100]."""
-    stats = bleu_statistics(hypotheses, reference_sets, max_n)
-    score, _, _ = _bleu_from_stats(stats, max_n, smooth_add_one=False)
+    stats = bleu_statistics(hypotheses, reference_sets)
+    score, _, _ = _bleu_from_stats(stats, smooth_add_one=False)
     return score
 
 
-def corpus_bleu_report(hypotheses: Sequence[Tokens], reference_sets: Sequence[Sequence[Tokens]], max_n: int = 4) -> EvalReport:
-    stats = bleu_statistics(hypotheses, reference_sets, max_n)
-    score, precisions, bp = _bleu_from_stats(stats, max_n, smooth_add_one=False)
+def corpus_bleu_report(hypotheses: Sequence[Tokens], reference_sets: Sequence[Sequence[Tokens]]) -> EvalReport:
+    stats = bleu_statistics(hypotheses, reference_sets)
+    score, precisions, bp = _bleu_from_stats(stats, smooth_add_one=False)
     return EvalReport(
         metric="bleu",
         value=score,
         n_examples=len(hypotheses),
         config={
-            "max_n": max_n,
+            "max_n": MAX_N,
             "smoothing": "none",
             "precisions": precisions,
             "brevity_penalty": bp,
@@ -132,10 +134,10 @@ def corpus_bleu_report(hypotheses: Sequence[Tokens], reference_sets: Sequence[Se
     )
 
 
-def sentence_bleu(hypothesis: Tokens, references: Sequence[Tokens], max_n: int = 4) -> float:
+def sentence_bleu(hypothesis: Tokens, references: Sequence[Tokens]) -> float:
     """Add-one smoothed (n >= 2) sentence-level BLEU, for debugging output."""
-    stats = bleu_statistics([hypothesis], [references], max_n)
-    score, _, _ = _bleu_from_stats(stats, max_n, smooth_add_one=True)
+    stats = bleu_statistics([hypothesis], [references])
+    score, _, _ = _bleu_from_stats(stats, smooth_add_one=True)
     return score
 
 

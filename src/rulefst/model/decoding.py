@@ -3,9 +3,9 @@
 The beam keeps `beam_size` live hypotheses; each step expands every live
 hypothesis with its top-`fanout` next tokens, then reselects the best
 `beam_size` by score. Hypotheses end at [EOS] or max_len and the best
-finished hypothesis wins. Scores are sum log-probability, divided by the
-generated length when length_normalize is on. Ties go to the shorter, then
-the lexicographically smaller hypothesis.
+finished hypothesis wins. A hypothesis's score is its sum log-probability
+divided by its generated length (length-normalised). Ties go to the shorter,
+then the lexicographically smaller hypothesis.
 
 Decoding is incremental: the step callback receives only the token that each
 live hypothesis has just added, plus a back-pointer to the row of the
@@ -72,7 +72,6 @@ def beam_search(
     beam_size: int = 4,
     fanout: int = 6,
     max_len: int = 32,
-    length_normalize: bool = True,
 ) -> list[int]:
     """Generic beam search over a next-token log-probability callback.
 
@@ -101,7 +100,7 @@ def beam_search(
             top = np.sort(_top_k(logprobs, k), axis=-1).ravel()
             rows = np.arange(len(top)) // k
             cand_logp = logp[rows] + logprobs[rows, top]
-        score = cand_logp / (step + 1) if length_normalize else cand_logp
+        score = cand_logp / (step + 1)
         ends = top == EOS_ID
         if len(top) > beam_size or np.count_nonzero(ends):
             order = np.argsort(-score, kind="stable")
@@ -142,16 +141,11 @@ def model_step_fn(model: Seq2SeqTransformer, src_ids: Sequence[int]) -> StepFn:
     the model's max_len positions.
     """
     src = np.asarray([src_ids], dtype=np.int64)
-    vocab_size = model.config.vocab_size
     if not src.size:
         raise DataError("empty source")
-    bad = np.flatnonzero((src[0] < 0) | (src[0] >= vocab_size))
-    if bad.size:
-        i = int(bad[0])
-        raise DataError(f"source id {int(src[0, i])} at position {i} is outside the vocabulary 0..{vocab_size - 1}")
-    reserved = reserved_token_error(src[0].tolist())
-    if reserved:
-        raise DataError(f"source {reserved}")
+    bad = reserved_token_error(src[0].tolist(), model.config.vocab_size)
+    if bad:
+        raise DataError(f"source {bad}")
     enc_out, src_mask = model.encode(src, train=False)
     cache = DecoderCache(model.config)
 
@@ -169,7 +163,6 @@ def beam_decode(
     beam_size: int = 4,
     fanout: int = 6,
     max_len: int | None = None,
-    length_normalize: bool = True,
 ) -> list[int]:
     """Beam-search translation of one source sentence.
 
@@ -184,13 +177,7 @@ def beam_decode(
         max_len = limit
     elif not 1 <= max_len <= limit:
         raise DataError(f"max_len={max_len} is outside 1..{limit}, the model's output length range")
-    return beam_search(
-        model_step_fn(model, src_ids),
-        beam_size=beam_size,
-        fanout=fanout,
-        max_len=max_len,
-        length_normalize=length_normalize,
-    )
+    return beam_search(model_step_fn(model, src_ids), beam_size=beam_size, fanout=fanout, max_len=max_len)
 
 
 def greedy_decode(model: Seq2SeqTransformer, src_ids: Sequence[int], max_len: int | None = None) -> list[int]:

@@ -44,6 +44,9 @@ import math
 import numpy as np
 
 NEG_INF = -1e9
+# Added to the variance under every LayerNorm's square root, also in the
+# folded decode step (`seq2seq._normalized`).
+LN_EPS = 1e-5
 
 
 class ParamStore:
@@ -147,10 +150,9 @@ class LayerNorm:
     constant (d, 1) column of 1 / d, which BLAS runs several times faster
     than x.mean runs on short rows."""
 
-    def __init__(self, store: ParamStore, name: str, d: int, eps: float = 1e-5):
+    def __init__(self, store: ParamStore, name: str, d: int):
         self.store = store
         self.name = name
-        self.eps = eps
         self._gamma, self._beta = name + ".gamma", name + ".beta"
         store.add(self._gamma, np.ones(d))
         store.add(self._beta, np.zeros(d))
@@ -167,7 +169,7 @@ class LayerNorm:
     def forward(self, x: np.ndarray) -> np.ndarray:
         xc = x - x @ self._mean
         out = np.square(xc)  # the output's buffer, first used for the variance
-        self._inv_std = 1.0 / np.sqrt(out @ self._mean + self.eps)
+        self._inv_std = 1.0 / np.sqrt(out @ self._mean + LN_EPS)
         xc *= self._inv_std
         self._norm = xc
         np.multiply(xc, self.store.values[self._gamma], out=out)

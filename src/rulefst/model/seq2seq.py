@@ -8,6 +8,7 @@ No token-type embeddings: [SEP] tokens alone carry segment structure.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -15,6 +16,7 @@ import numpy as np
 from ..errors import DataError
 from ..text import PAD_ID
 from .layers import (
+    LN_EPS,
     NEG_INF,
     Dropout,
     Embedding,
@@ -71,6 +73,13 @@ def split_rows(src_len: np.ndarray, tgt_len: np.ndarray, heads: int, itemsize: i
     return out
 
 
+def check_size(name: str, value, low: int = 1) -> None:
+    """Raise DataError naming `name` unless `value` is an integer of at least
+    `low`; a bool, or a float such as 64.0, is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise DataError(f"{name}={value!r} must be an integer of at least {low}")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Model shape and numerics.
@@ -92,15 +101,16 @@ class ModelConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
+        check_size("vocab_size", self.vocab_size, 7)  # the reserved tokens and one more
         for name in ("d_model", "heads", "enc_layers", "dec_layers", "ffn_dim", "max_len"):
-            if getattr(self, name) < 1:
-                raise DataError(f"{name}={getattr(self, name)} must be at least 1")
-        if not 0.0 <= self.dropout < 1.0:
-            raise DataError(f"dropout={self.dropout} must be in [0, 1)")
+            check_size(name, getattr(self, name))
+        dropout = self.dropout
+        if isinstance(dropout, bool) or not isinstance(dropout, numbers.Real) or not 0.0 <= dropout < 1.0:
+            raise DataError(f"dropout={dropout!r} must be a number in [0, 1)")
         if self.d_model % self.heads:
             raise DataError("d_model must be divisible by heads")
-        if self.vocab_size < 7:
-            raise DataError("vocab_size must cover the reserved tokens")
+        if self.dtype not in ("float32", "float64"):
+            raise DataError(f"dtype={self.dtype} must be float32 or float64")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -156,12 +166,12 @@ class _DecoderBlock:
         return dx, denc
 
 
-def _normalized(x: np.ndarray, eps: float, mean: np.ndarray) -> np.ndarray:
-    """LayerNorm without its affine, (x - mean) / sqrt(var + eps) over the
+def _normalized(x: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """LayerNorm without its affine, (x - mean) / sqrt(var + LN_EPS) over the
     last axis; `mean` is a (d, 1) column of 1 / d."""
     xc = x - x @ mean
     var = np.square(xc) @ mean
-    var += eps
+    var += LN_EPS
     xc /= np.sqrt(var, out=var)
     return xc
 
@@ -181,17 +191,14 @@ class _FoldedLayer:
     head-major (heads, S), so that the softmax reduces over a contiguous last
     axis of S keys."""
 
-    eps1: float
     wqkv: np.ndarray  # (d, 3d)
     bqkv: np.ndarray
     wo: np.ndarray
     bo: np.ndarray
-    eps2: float
     m: np.ndarray  # (d, heads * S): cross-attention scores are x_hat @ m + c
     c: np.ndarray  # (heads * S,): query bias times keys, plus the source's [PAD] mask
     vw: np.ndarray  # (heads * S, d): each head's values times its rows of wo
     cross_bo: np.ndarray
-    eps3: float
     w1: np.ndarray
     b1: np.ndarray
     w2: np.ndarray
@@ -285,15 +292,13 @@ class DecoderCache:
             vw = v.swapaxes(-1, -2) @ cross.wo.weight.reshape(heads, dh, d)  # (heads, S, d)
             w1, b1 = _fold_norm(block.ln3, block.ffn.lin1)
             self.layers.append(_FoldedLayer(
-                eps1=block.ln1.eps, wqkv=wqkv, bqkv=bqkv, wo=block.self_attn.wo.weight, bo=block.self_attn.wo.bias,
-                eps2=block.ln2.eps, m=m.transpose(1, 0, 2).reshape(d, -1), c=c.reshape(-1), vw=vw.reshape(-1, d),
-                cross_bo=cross.wo.bias,
-                eps3=block.ln3.eps, w1=w1, b1=b1, w2=block.ffn.lin2.weight, b2=block.ffn.lin2.bias,
+                wqkv=wqkv, bqkv=bqkv, wo=block.self_attn.wo.weight, bo=block.self_attn.wo.bias,
+                m=m.transpose(1, 0, 2).reshape(d, -1), c=c.reshape(-1), vw=vw.reshape(-1, d), cross_bo=cross.wo.bias,
+                w1=w1, b1=b1, w2=block.ffn.lin2.weight, b2=block.ffn.lin2.bias,
             ))
         table = model.tok.table
         self._out_w = model.dec_ln.gamma[:, None] * table.T  # (d, V)
         self._out_b = model.dec_ln.beta @ table.T + model.store.values["out.bias"]
-        self._out_eps = model.dec_ln.eps
         self._mean = np.full((d, 1), 1.0 / d, dtype)
         self._src_ones = np.ones((src_len, 1), dtype)
         self._ones = np.ones((1, cfg.max_len), dtype)
@@ -331,7 +336,7 @@ class DecoderCache:
         mean, heads = self._mean, self.config.heads
         x = model.tok.table[ids] + model.store.values["embed.pos"][pos]
         for i, f in enumerate(self.layers):
-            qkv = _normalized(x, f.eps1, mean) @ f.wqkv
+            qkv = _normalized(x, mean) @ f.wqkv
             qkv += f.bqkv
             qkv = qkv.reshape(rows, 3, heads, -1)
             kv[:, i, :, :, pos] = qkv[:, 1:]
@@ -345,7 +350,7 @@ class DecoderCache:
             out += f.bo
             x += out
 
-            s = _normalized(x, f.eps2, mean) @ f.m
+            s = _normalized(x, mean) @ f.m
             s += f.c
             s3 = s.reshape(rows, heads, -1)  # (rows, heads, S)
             s3 -= np.maximum.reduce(s3, axis=-1, keepdims=True)
@@ -355,13 +360,13 @@ class DecoderCache:
             out += f.cross_bo
             x += out
 
-            h = _normalized(x, f.eps3, mean) @ f.w1
+            h = _normalized(x, mean) @ f.w1
             h += f.b1
             out = np.maximum(h, 0, out=h) @ f.w2
             out += f.b2
             x += out
         self.length = pos + 1
-        logits = _normalized(x, self._out_eps, mean) @ self._out_w
+        logits = _normalized(x, mean) @ self._out_w
         logits += self._out_b
         return logits[:, None, :]
 
@@ -514,7 +519,6 @@ class Seq2SeqTransformer:
         tgt_in_ids: np.ndarray,
         tgt_out_ids: np.ndarray,
         train: bool = True,
-        loss_scale: float = 1.0,
     ) -> tuple[float, int]:
         """Forward + backward; gradients accumulate into the param store.
 
@@ -525,8 +529,8 @@ class Seq2SeqTransformer:
         attention score array exceeds SUB_BATCH_BYTES (1 MiB, which keeps it
         in a 2 MiB per-core L2 cache), and each sub-batch is trimmed to its
         own longest source and target, so that no attention runs over another
-        row's padding. Each sub-batch's dlogits is weighted by
-        loss_scale * its tokens / all tokens before its backward pass.
+        row's padding. Each sub-batch's dlogits is weighted by its tokens / all
+        tokens before its backward pass.
 
         With dropout on, masks are drawn per sub-batch: training stays
         deterministic per seed, but draws differently from one pass over
@@ -538,9 +542,9 @@ class Seq2SeqTransformer:
         for src, tgt_in, tgt_out in self._sub_batches(src_ids, tgt_in_ids, tgt_out_ids):
             loss, dlogits, n = self._ce(self.forward(src, tgt_in, train), tgt_out)
             total += loss * n
-            dlogits *= float(loss_scale) * n / max(n_total, 1)
+            dlogits *= n / max(n_total, 1)
             self._backward(src, tgt_in, dlogits)
-        return float(loss_scale) * total / max(n_total, 1), n_total
+        return total / max(n_total, 1), n_total
 
     def _backward(self, src_ids: np.ndarray, tgt_in_ids: np.ndarray, dlogits: np.ndarray) -> None:
         """Backpropagate dlogits through the last forward call, adding the

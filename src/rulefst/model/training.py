@@ -4,17 +4,24 @@ evaluated on one schedule and the best checkpoint by validation loss kept."""
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from ..errors import DataError, TrainingError
 from ..text import BOS_ID, EOS_ID, PAD_ID, reserved_token_error
-from .seq2seq import ModelConfig, Seq2SeqTransformer
+from .seq2seq import ModelConfig, Seq2SeqTransformer, check_size
 
 # 2: attention projections fused into .wqkv and .wkv; ModelConfig without
 # `positional` and `tie_embeddings`.
 CHECKPOINT_FORMAT_VERSION = 2
+
+# Adam's moment decay rates and denominator term, as in Kingma & Ba (2015).
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+# Pairs per teacher-forced batch of `evaluate_loss`.
+EVAL_BATCH_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -31,8 +38,12 @@ class TrainSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.learning_rate, self.batch_size, self.max_steps, self.eval_every) <= 0:
-            raise DataError("all TrainSpec fields must be positive")
+        lr = self.learning_rate
+        if isinstance(lr, bool) or not isinstance(lr, numbers.Real) or not (math.isfinite(lr) and lr > 0):
+            raise DataError(f"learning_rate={lr!r} must be a finite number above 0")
+        for name in ("batch_size", "max_steps", "eval_every"):
+            check_size(name, getattr(self, name))
+        check_size("seed", self.seed, 0)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -83,7 +94,7 @@ class Checkpoint:
             params = {k[len("param/"):]: data[k] for k in data.files if k.startswith("param/")}
         try:
             config = ModelConfig(**meta["config"])
-        except DataError as err:
+        except (DataError, TypeError) as err:  # TypeError: a field ModelConfig does not have
             raise DataError(f"{path}: {err}") from err
         try:
             Seq2SeqTransformer(config).store.load(params)
@@ -100,42 +111,41 @@ class Checkpoint:
 
 
 class Adam:
-    def __init__(self, store, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, store, lr: float):
         self.store = store
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = {k: np.zeros_like(v) for k, v in store.values.items()}
         self.v = {k: np.zeros_like(v) for k, v in store.values.items()}
         self.t = 0
 
     def step(self) -> None:
         self.t += 1
-        b1t = 1.0 - self.beta1**self.t
-        b2t = 1.0 - self.beta2**self.t
+        b1t = 1.0 - ADAM_BETA1**self.t
+        b2t = 1.0 - ADAM_BETA2**self.t
         for k, g in self.store.grads.items():
             m = self.m[k]
             v = self.v[k]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * np.square(g)
-            self.store.values[k] -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * np.square(g)
+            self.store.values[k] -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)
 
 
 Pair = tuple[list[int], list[int]]
 
 
-def make_batch(pairs: list[Pair], dtype=np.int64) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pad a list of (src_ids, tgt_ids) into (src, tgt_in, tgt_out) arrays.
+def make_batch(pairs: list[Pair]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pad a list of (src_ids, tgt_ids) into (src, tgt_in, tgt_out) int64 arrays.
 
     tgt_in is BOS-prefixed, tgt_out is EOS-suffixed; both PAD-filled.
     """
     b = len(pairs)
     ls = max(len(s) for s, _ in pairs)
     lt = max(len(t) for _, t in pairs) + 1
-    src = np.full((b, ls), PAD_ID, dtype=dtype)
-    tgt_in = np.full((b, lt), PAD_ID, dtype=dtype)
-    tgt_out = np.full((b, lt), PAD_ID, dtype=dtype)
+    src = np.full((b, ls), PAD_ID, dtype=np.int64)
+    tgt_in = np.full((b, lt), PAD_ID, dtype=np.int64)
+    tgt_out = np.full((b, lt), PAD_ID, dtype=np.int64)
     for i, (s, t) in enumerate(pairs):
         src[i, : len(s)] = s
         tgt_in[i, 0] = BOS_ID
@@ -147,7 +157,7 @@ def make_batch(pairs: list[Pair], dtype=np.int64) -> tuple[np.ndarray, np.ndarra
 
 def _validate_pairs(pairs: list[Pair], config: ModelConfig, what: str) -> None:
     """Refuse an empty set, an empty source, a pair too long for the model,
-    an id outside the vocabulary, and [PAD], [BOS] or [EOS]
+    and an id outside the vocabulary or a [PAD], [BOS] or [EOS]
     (text.reserved_token_error)."""
     if not pairs:
         raise DataError(f"{what} set is empty")
@@ -157,19 +167,17 @@ def _validate_pairs(pairs: list[Pair], config: ModelConfig, what: str) -> None:
         if len(s) > config.max_len or len(t) + 1 > config.max_len:
             raise DataError(f"{what}[{i}]: sequence exceeds max_len={config.max_len}")
         for side, seq in (("source", s), ("target", t)):
-            for tok_id in seq:
-                if not 0 <= tok_id < config.vocab_size:
-                    raise DataError(f"{what}[{i}]: token id {tok_id} outside vocabulary")
-            reserved = reserved_token_error(seq)
-            if reserved:
-                raise DataError(f"{what}[{i}]: {side} {reserved}")
+            bad = reserved_token_error(seq, config.vocab_size)
+            if bad:
+                raise DataError(f"{what}[{i}]: {side} {bad}")
 
 
-def evaluate_loss(model: Seq2SeqTransformer, pairs: list[Pair], batch_size: int = 64) -> float:
-    """Token-weighted mean teacher-forced loss (no dropout)."""
+def evaluate_loss(model: Seq2SeqTransformer, pairs: list[Pair]) -> float:
+    """Token-weighted mean teacher-forced loss (no dropout), in batches of
+    EVAL_BATCH_SIZE pairs."""
     total, n = 0.0, 0
-    for i in range(0, len(pairs), batch_size):
-        src, tgt_in, tgt_out = make_batch(pairs[i : i + batch_size])
+    for i in range(0, len(pairs), EVAL_BATCH_SIZE):
+        src, tgt_in, tgt_out = make_batch(pairs[i : i + EVAL_BATCH_SIZE])
         loss, n_tok = model.loss(src, tgt_in, tgt_out, train=False)
         total += loss * n_tok
         n += n_tok

@@ -26,7 +26,6 @@ class Rule:
     id: str
     pattern: tuple[str, ...]
     alternatives: tuple[tuple[str, ...], ...]
-    source: str = ""
 
     def __post_init__(self):
         if not self.pattern or any(not t for t in self.pattern):
@@ -47,10 +46,10 @@ class RuleSet:
     `rules` is stored as a tuple, so the index cannot go stale when the
     caller later changes the sequence it was built from.
 
-    `_last` is `match_rules`'s one-entry memo: ((w, tokens), RuleMatchSet) of
-    the last call on this rule set, with the tokens as given, casing kept.
+    `_last` is `match_rules`'s one-entry memo: ((w, tokens), matches) of the
+    last call on this rule set, with the tokens as given, casing kept.
     It cannot go stale either: the rules are a tuple of frozen `Rule`s and
-    the stored result and its matches are immutable. Key and result are
+    the stored tuple of matches is immutable. Key and result are
     set as one tuple, so concurrent callers can at worst miss it."""
 
     rules: tuple[Rule, ...] = ()
@@ -97,24 +96,6 @@ class RuleMatch(NamedTuple):
         return (self.start, self.end)
 
 
-@dataclass(frozen=True)
-class RuleMatchSet:
-    matches: tuple[RuleMatch, ...] = ()
-
-    @property
-    def count(self) -> int:
-        return len(self.matches)
-
-    def __len__(self) -> int:
-        return len(self.matches)
-
-    def __iter__(self) -> Iterator[RuleMatch]:
-        return iter(self.matches)
-
-    def __getitem__(self, i: int) -> RuleMatch:
-        return self.matches[i]
-
-
 def parse_rule_line(line: str, lineno: int, source: str = "") -> Rule:
     parts = line.split("\t")
     if len(parts) != 3:
@@ -122,14 +103,9 @@ def parse_rule_line(line: str, lineno: int, source: str = "") -> Rule:
     rule_id, pattern_s, alts_s = (p.strip() for p in parts)
     if not rule_id:
         raise DataError(f"{source or 'rules'}:{lineno}: empty rule id")
-    pattern = tuple(pattern_s.split())
-    if not pattern:
-        raise DataError(f"{source or 'rules'}:{lineno}: empty pattern")
     alternatives = tuple(tuple(a.split()) for a in alts_s.split("|"))
-    if any(not alt for alt in alternatives):
-        raise DataError(f"{source or 'rules'}:{lineno}: empty alternative")
     try:
-        return Rule(rule_id, pattern, alternatives, source=source)
+        return Rule(rule_id, tuple(pattern_s.split()), alternatives)
     except DataError as e:
         raise DataError(f"{source or 'rules'}:{lineno}: {e}") from None
 
@@ -182,7 +158,7 @@ def save_rules(rules: RuleSet, path) -> None:
         f.writelines(lines)
 
 
-def match_rules(tokens: Sequence[str], rules: RuleSet, w: int = DEFAULT_WINDOW) -> RuleMatchSet:
+def match_rules(tokens: Sequence[str], rules: RuleSet, w: int = DEFAULT_WINDOW) -> tuple[RuleMatch, ...]:
     """Every (position, rule) occurrence, including overlaps, sorted by
     (start, rule file order). Matching is case-insensitive; matched_text
     keeps the original casing.
@@ -193,7 +169,7 @@ def match_rules(tokens: Sequence[str], rules: RuleSet, w: int = DEFAULT_WINDOW) 
 
     A call with the same w and the same tokens (casing included, since
     matched_text and the context windows keep it) as the last call on this
-    rule set returns that call's result object again; see `RuleSet`."""
+    rule set returns that call's tuple again; see `RuleSet`."""
     if w < 0:
         raise DataError(f"window size must be >= 0, not {w}")
     key = (w, tuple(tokens))
@@ -210,6 +186,6 @@ def match_rules(tokens: Sequence[str], rules: RuleSet, w: int = DEFAULT_WINDOW) 
                 # Up to w tokens on each side of the span, clipped at the sentence ends.
                 matches.append(RuleMatch(rule.id, start, end, tokens[start:end], tokens[max(0, start - w) : start],
                                          tokens[end : end + w], rule.alternatives))
-    result = RuleMatchSet(tuple(matches))
+    result = tuple(matches)
     object.__setattr__(rules, "_last", (key, result))
     return result

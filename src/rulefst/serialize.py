@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DataError
-from .rules import RuleMatchSet, RuleSet, match_rules
+from .rules import RuleMatch, RuleSet, match_rules
 from .text import SEP
 
 NR, RB, RCAT, CARI = "NR", "RB", "RCAT", "CARI"
@@ -47,7 +47,7 @@ def serialize_nr(x: Sequence[str], y: Sequence[str], max_len: int | None = None)
     return SerializedExample(NR, tuple(x), tuple(y))
 
 
-def apply_rules_fcfs(x: Sequence[str], matches: RuleMatchSet) -> list[str]:
+def apply_rules_fcfs(x: Sequence[str], matches: Sequence[RuleMatch]) -> list[str]:
     """Greedy left-to-right application: earliest match wins, overlapping
     later matches are skipped, and the first listed alternative is always
     substituted.
@@ -66,7 +66,7 @@ def apply_rules_fcfs(x: Sequence[str], matches: RuleMatchSet) -> list[str]:
     return out
 
 
-def serialize_rb(x: Sequence[str], matches: RuleMatchSet, y: Sequence[str], max_len: int | None = None) -> SerializedExample:
+def serialize_rb(x: Sequence[str], matches: Sequence[RuleMatch], y: Sequence[str], max_len: int | None = None) -> SerializedExample:
     """Rule-base method: train on the FCFS rewrite alone. max_len bounds the
     rewrite, the model's input, not the source."""
     _check_source(x, None)
@@ -95,7 +95,7 @@ def serialize_rcat(x: Sequence[str], x_prime: Sequence[str], y: Sequence[str], m
 
 def serialize_cari(
     x: Sequence[str],
-    matches: RuleMatchSet,
+    matches: Sequence[RuleMatch],
     y: Sequence[str] = (),
     max_len: int | None = None,
     segment_mode: str = "substituted",
@@ -170,12 +170,10 @@ def write_examples_tsv(examples: Sequence[SerializedExample], path) -> None:
 
 
 def read_examples_tsv(path, method: str | None = None) -> list[SerializedExample]:
-    """Read what `write_examples_tsv` wrote, losslessly.
-
-    Old two-column `input<TAB>target` files carry no method or truncation
-    flag: their examples get `method` (NR when None) and truncated=False.
-    A given method that differs from a line's own raises DataError.
-    """
+    """Read what `write_examples_tsv` wrote, losslessly: one
+    `input<TAB>target<TAB>method<TAB>truncated` line per example, blank lines
+    skipped. A line of any other shape, and a given method that differs from
+    a line's own, raise DataError naming the line."""
     out: list[SerializedExample] = []
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -183,10 +181,8 @@ def read_examples_tsv(path, method: str | None = None) -> list[SerializedExample
             if not line:
                 continue
             parts = line.split("\t")
-            if len(parts) == 2:
-                parts += [method or NR, "0"]
             if len(parts) != 4:
-                raise DataError(f"{path}:{lineno}: expected input<TAB>target[<TAB>method<TAB>truncated]")
+                raise DataError(f"{path}:{lineno}: expected input<TAB>target<TAB>method<TAB>truncated")
             src, tgt, line_method, truncated = parts
             if line_method not in METHODS or truncated not in ("0", "1"):
                 raise DataError(f"{path}:{lineno}: bad method {line_method!r} or truncated flag {truncated!r}")

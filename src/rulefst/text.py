@@ -20,19 +20,24 @@ SPECIAL_TOKENS = (PAD, BOS, EOS, SEP, UNK, CLS)
 PAD_ID, BOS_ID, EOS_ID, SEP_ID, UNK_ID, CLS_ID = range(6)
 
 # Tokens that survive tokenization verbatim (case preserved, never split).
-PLACEHOLDERS = frozenset({"@USER", "HTTPURL", *SPECIAL_TOKENS})
+# Of the reserved tokens only [SEP], which the serializers insert, is one:
+# raw text that spells [EOS] or [PAD] is split like any bracketed word.
+PLACEHOLDERS = frozenset({"@USER", "HTTPURL", SEP})
 
 
-def reserved_token_error(ids: Sequence[int]) -> str | None:
-    """The complaint about the first [PAD], [BOS] or [EOS] (ids 0..EOS_ID)
-    in `ids`, "position j holds the reserved token X", or None if there is
-    none. These three give batches and decoding their structure, so no
-    sentence given to the model may hold one; [SEP], [UNK] and [CLS] may.
-    Ids outside the vocabulary are the caller's to refuse."""
-    if not ids or min(ids) > EOS_ID:  # one C-level pass for the usual case
+def reserved_token_error(ids: Sequence[int], vocab_size: int) -> str | None:
+    """The complaint about the first id in `ids` that no sentence given to
+    the model may hold, or None if there is none: an id outside the
+    vocabulary, "id X at position j is outside the vocabulary 0..V-1", or a
+    [PAD], [BOS] or [EOS] (ids 0..EOS_ID), "position j holds the reserved
+    token X". These three give batches and decoding their structure; [SEP],
+    [UNK] and [CLS] may appear."""
+    if not ids or (min(ids) > EOS_ID and max(ids) < vocab_size):  # C-level passes for the usual case
         return None
     for j, tok_id in enumerate(ids):
-        if 0 <= tok_id <= EOS_ID:
+        if not 0 <= tok_id < vocab_size:
+            return f"id {tok_id} at position {j} is outside the vocabulary 0..{vocab_size - 1}"
+        if tok_id <= EOS_ID:
             return f"position {j} holds the reserved token {SPECIAL_TOKENS[tok_id]}"
     return None
 
@@ -106,10 +111,10 @@ def tokenize(s: str) -> list[str]:
     """Lowercase and segment `s` into tokens.
 
     Each whitespace-separated chunk that equals a placeholder (`@USER`,
-    `HTTPURL` or a reserved token such as `[SEP]`) passes through verbatim;
-    the comparison is case-sensitive, so `@user` is not one. Every other
-    chunk is lowercased and split so that each maximal run of `\\w`
-    characters (letters, digits and `_`) is one token and each other
+    `HTTPURL` or `[SEP]`) passes through verbatim; the comparison is
+    case-sensitive, so `@user` is not one. Every other chunk, `[EOS]` and
+    `[PAD]` included, is lowercased and split so that each maximal run of
+    `\\w` characters (letters, digits and `_`) is one token and each other
     non-space character is a token of its own.
 
     The fast path is exact. Lowercasing neither creates nor removes
@@ -204,22 +209,13 @@ class Vocabulary:
         return cls(tuple(tokens))
 
 
-def build_vocab(corpus: Iterable[Sequence[str]], min_freq: int = 1) -> Vocabulary:
-    """Build a vocabulary from an iterable of token sequences.
-
-    Tokens occurring fewer than min_freq times are left out (they encode to
-    [UNK]). Ordering is by descending frequency, ties broken alphabetically,
-    so construction is deterministic.
-    """
-    if min_freq < 1:
-        raise ValueError("min_freq must be >= 1")
+def build_vocab(corpus: Iterable[Sequence[str]]) -> Vocabulary:
+    """Build a vocabulary from an iterable of token sequences: the reserved
+    tokens, then every other distinct token by descending frequency, ties
+    broken alphabetically, so construction is deterministic."""
     counts = Counter()
     for tokens in corpus:
         counts.update(tokens)
     for special in SPECIAL_TOKENS:
         counts.pop(special, None)
-    kept = sorted(
-        (t for t, c in counts.items() if c >= min_freq),
-        key=lambda t: (-counts[t], t),
-    )
-    return Vocabulary(SPECIAL_TOKENS + tuple(kept))
+    return Vocabulary(SPECIAL_TOKENS + tuple(sorted(counts, key=lambda t: (-counts[t], t))))

@@ -75,7 +75,7 @@ def full_prefix_scores(model, src):
     return score
 
 
-def exhaustive_best(score, vocab_size, max_len, length_normalize):
+def exhaustive_best(score, vocab_size, max_len):
     """Best output over every sequence beam search can finish: EOS-ended
     ones up to max_len, and EOS-free ones of exactly max_len."""
     finished = []
@@ -93,8 +93,7 @@ def exhaustive_best(score, vocab_size, max_len, length_normalize):
 
     def key(hyp):
         tokens, logp = hyp
-        s = logp / len(tokens) if length_normalize else logp
-        return (-s, len(tokens), tokens)
+        return (-logp / len(tokens), len(tokens), tokens)
 
     best = min(finished, key=key)[0]
     return best[:-1] if best[-1] == EOS_ID else best
@@ -111,21 +110,20 @@ def random_scores(vocab_size, seed):
     return score
 
 
-@pytest.mark.parametrize("length_normalize", [True, False])
-def test_unpruned_beam_equals_exhaustive_search(length_normalize):
+def test_unpruned_beam_equals_exhaustive_search():
     vocab_size, max_len = 8, 3
-    unpruned = dict(beam_size=vocab_size**max_len, fanout=vocab_size, max_len=max_len, length_normalize=length_normalize)
+    unpruned = dict(beam_size=vocab_size**max_len, fanout=vocab_size, max_len=max_len)
     src = [6, 7, 3, 6]
     for seed in range(3):
         model = tiny_model(vocab_size, seed)
         got = beam_search(model_step_fn(model, src), **unpruned)
-        assert got == exhaustive_best(full_prefix_scores(model, src), vocab_size, max_len, length_normalize)
+        assert got == exhaustive_best(full_prefix_scores(model, src), vocab_size, max_len)
     # A model at its initialisation scores every prefix alike; these scores
     # depend on the whole prefix, so a wrong back-pointer changes the winner.
     for seed in range(20):
         score = random_scores(vocab_size, seed)
         got = beam_search(PrefixStep(score), **unpruned)
-        assert got == exhaustive_best(score, vocab_size, max_len, length_normalize)
+        assert got == exhaustive_best(score, vocab_size, max_len)
 
 
 def test_cached_steps_match_full_prefix_after_reorders():
@@ -227,14 +225,8 @@ def test_length_normalisation_ranks_by_mean_log_prob():
         (BOS_ID,): {EOS_ID: -1.0, a: -0.1},  # [EOS]: sum -1.0, mean -1.0
         (BOS_ID, a): {EOS_ID: -1.2},  # [a, EOS]: sum -1.3, mean -0.65
     }
-
-    def run(length_normalize):
-        return beam_search(
-            PrefixStep(table_scores(table)), beam_size=2, fanout=2, max_len=2, length_normalize=length_normalize
-        )
-
-    assert run(length_normalize=True) == [a]
-    assert run(length_normalize=False) == []
+    # By sum log-prob [EOS] would win.
+    assert beam_search(PrefixStep(table_scores(table)), beam_size=2, fanout=2, max_len=2) == [a]
 
 
 def test_length_normalisation_breaks_ties_by_shorter_then_lexicographic():
@@ -246,8 +238,9 @@ def test_length_normalisation_breaks_ties_by_shorter_then_lexicographic():
 
 
 def test_beam_cut_breaks_score_ties_lexicographically_across_parents():
-    # Step 1 ranks [7] above [6]; at step 2, [6, 5] and [7, 3] tie at -2.0
-    # for the one slot that [7, 4] leaves, and the smaller tokens win it.
+    # Step 1 ranks [7] above [6]; at step 2, [6, 5] and [7, 3] tie at sum
+    # -2.0, mean -1.0, for the one slot that [7, 4] leaves, and the smaller
+    # tokens win it.
     table = {
         (BOS_ID,): {6: -1.0, 7: -0.5},
         (BOS_ID, 6): {5: -1.0, 4: -3.0},
@@ -256,7 +249,7 @@ def test_beam_cut_breaks_score_ties_lexicographically_across_parents():
         (BOS_ID, 7, 3): {EOS_ID: 0.0},
         (BOS_ID, 7, 4): {EOS_ID: -5.0},
     }
-    args = dict(beam_size=2, fanout=2, max_len=3, length_normalize=False)
+    args = dict(beam_size=2, fanout=2, max_len=3)
     assert beam_search(PrefixStep(table_scores(table)), **args) == [6, 5]
     assert reference_beam_search(PrefixStep(table_scores(table)), **args) == [6, 5]
 
@@ -409,18 +402,13 @@ def test_bad_source_raises_before_encoding(monkeypatch, src, message):
 # ---- reference: the list-based beam search ----------------------------------
 
 
-def _reference_score(logp_sum, length, length_normalize):
-    if not length_normalize:
-        return logp_sum
-    return logp_sum / max(length, 1)
-
-
-def _reference_key(hyp, length_normalize):
+def _reference_key(hyp):
+    """(-mean log-prob, length, tokens): the order in which hypotheses rank."""
     tokens, logp = hyp
-    return (-_reference_score(logp, len(tokens), length_normalize), len(tokens), tokens)
+    return (-logp / max(len(tokens), 1), len(tokens), tokens)
 
 
-def reference_beam_search(step_fn, beam_size=4, fanout=6, max_len=32, length_normalize=True):
+def reference_beam_search(step_fn, beam_size=4, fanout=6, max_len=32):
     """Beam search that keeps every hypothesis as a token list: each row's
     `fanout` best tokens by (-log-prob, id) become (tokens + [tok], logp)
     candidates, sorted by (-score, length, tokens)."""
@@ -434,7 +422,7 @@ def reference_beam_search(step_fn, beam_size=4, fanout=6, max_len=32, length_nor
         for parent, ((tokens, logp), row) in enumerate(zip(live, logprobs)):
             for tok in sorted(range(row.shape[-1]), key=lambda t: (-row[t], t))[:fanout]:
                 candidates.append((tokens + [tok], logp + float(row[tok]), parent))
-        candidates.sort(key=lambda h: _reference_key(h[:2], length_normalize))
+        candidates.sort(key=lambda h: _reference_key(h[:2]))
         live, parents = [], []
         for tokens, logp, parent in candidates:
             if tokens[-1] == EOS_ID:
@@ -445,7 +433,7 @@ def reference_beam_search(step_fn, beam_size=4, fanout=6, max_len=32, length_nor
         if not live:
             break
     finished.extend(live)
-    finished.sort(key=lambda h: _reference_key(h, length_normalize))
+    finished.sort(key=_reference_key)
     best = finished[0][0]
     if best and best[-1] == EOS_ID:
         best = best[:-1]
@@ -471,16 +459,13 @@ def grid_scores(vocab_size, seed, grid, eos_penalty):
     vocab_size=st.integers(3, 8),
     max_len=st.integers(1, 4),
     data=st.data(),
-    length_normalize=st.booleans(),
     seed=st.integers(0, 2**16),
     grid=st.sampled_from([0.5, 1.0, 2.0]),
     eos_penalty=st.sampled_from([0.0, 1.0, 4.0]),
 )
-def test_beam_search_equals_the_list_based_reference(
-    vocab_size, max_len, data, length_normalize, seed, grid, eos_penalty
-):
+def test_beam_search_equals_the_list_based_reference(vocab_size, max_len, data, seed, grid, eos_penalty):
     beam_size = data.draw(st.one_of(st.integers(1, 4), st.integers(1, vocab_size**max_len)), label="beam_size")
     fanout = data.draw(st.integers(1, vocab_size), label="fanout")
-    args = dict(beam_size=beam_size, fanout=fanout, max_len=max_len, length_normalize=length_normalize)
+    args = dict(beam_size=beam_size, fanout=fanout, max_len=max_len)
     score = grid_scores(vocab_size, seed, grid, eos_penalty)
     assert beam_search(PrefixStep(score), **args) == reference_beam_search(PrefixStep(score), **args)

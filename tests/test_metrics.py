@@ -64,7 +64,8 @@ def test_bleu_identity_is_exactly_100():
 def test_bleu_clipped_unigram_precision():
     hyp = "the the the the the the the".split()
     ref = "the cat is on the mat".split()
-    report = corpus_bleu_report([hyp], [[ref]], max_n=1)
+    report = corpus_bleu_report([hyp], [[ref]])
+    assert report.config["max_n"] == 4
     assert report.config["precisions"][0] == pytest.approx(2 / 7, abs=1e-12)
 
 

@@ -1,7 +1,7 @@
 import functools
 import os
 import tempfile
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -19,9 +19,9 @@ from rulefst.model import (
     train,
 )
 from rulefst.model import training
-from rulefst.model.layers import Dense, Dropout, LayerNorm, MultiHeadAttention, ParamStore, scatter_add_rows, softmax
+from rulefst.model.layers import LN_EPS, Dense, Dropout, LayerNorm, MultiHeadAttention, ParamStore, scatter_add_rows, softmax
 from rulefst.model.seq2seq import DecoderCache
-from rulefst.text import BOS_ID, CLS_ID, EOS_ID, PAD_ID, SEP_ID, UNK_ID
+from rulefst.text import BOS_ID, CLS_ID, EOS_ID, PAD_ID, SEP_ID, UNK_ID, build_vocab, normalize_tweet, tokenize
 
 
 def tiny_config(**overrides):
@@ -221,7 +221,7 @@ def test_layer_norm_single_centering_pass_matches_var_formula():
     x = rng.normal(3.0, 2.0, size=(4, 5, 16))
     mean = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
-    old = (x - mean) / np.sqrt(var + ln.eps) * store.values["ln.gamma"] + store.values["ln.beta"]
+    old = (x - mean) / np.sqrt(var + LN_EPS) * store.values["ln.gamma"] + store.values["ln.beta"]
     np.testing.assert_allclose(ln.forward(x), old, rtol=0, atol=1e-12)
 
 
@@ -478,16 +478,6 @@ def test_zero_loss_example_zero_gradients():
         assert np.all(g == 0.0)
 
 
-def test_loss_scale_scales_gradients_linearly():
-    src, tgt_in, tgt_out = batch_from([([6, 7, 8], [9, 10])])
-    model = tiny_model_for_check(seed=7)
-    model.loss_and_grads(src, tgt_in, tgt_out)
-    base = {k: v.copy() for k, v in model.store.grads.items()}
-    model.loss_and_grads(src, tgt_in, tgt_out, loss_scale=2.0)
-    for k, g in model.store.grads.items():
-        np.testing.assert_allclose(g, 2.0 * base[k], rtol=1e-12, atol=1e-300)
-
-
 # ---- training ----------------------------------------------------------------
 
 
@@ -560,11 +550,15 @@ def test_train_runs_the_budget_and_evaluates_on_one_schedule(monkeypatch):
         ("train", 0, PAD_ID, r"train\[3\]: source position 1 holds the reserved token \[PAD\]"),
         ("valid", 1, BOS_ID, r"valid\[3\]: target position 1 holds the reserved token \[BOS\]"),
         ("train", 1, EOS_ID, r"train\[3\]: target position 1 holds the reserved token \[EOS\]"),
+        ("train", 0, 12, r"train\[3\]: source id 12 at position 1 is outside the vocabulary 0\.\.11"),
+        ("valid", 1, -1, r"valid\[3\]: target id -1 at position 1 is outside the vocabulary 0\.\.11"),
     ],
-    ids=["pad-in-a-train-source", "bos-in-a-valid-target", "eos-in-a-train-target"],
+    ids=["pad-in-a-train-source", "bos-in-a-valid-target", "eos-in-a-train-target", "vocab-size-in-a-train-source",
+         "negative-in-a-valid-target"],
 )
 def test_train_refuses_pad_bos_and_eos_in_a_pair(which, side, tok_id, message):
-    cfg = tiny_config(dtype="float32")
+    """Also an id outside the vocabulary: one rule, text.reserved_token_error."""
+    cfg = tiny_config(dtype="float32")  # vocab_size 12
     spec = TrainSpec(batch_size=8, max_steps=1, eval_every=1)
     sets = {"train": toy_pairs(8, seed=2), "valid": toy_pairs(4, seed=3)}
     sets["train"][0] = ([6, SEP_ID, UNK_ID], [CLS_ID, 7])  # the other reserved tokens are legal
@@ -574,6 +568,17 @@ def test_train_refuses_pad_bos_and_eos_in_a_pair(which, side, tok_id, message):
     sets[which][3] = tuple(pair)
     with pytest.raises(DataError, match=message):
         train(sets["train"], sets["valid"], cfg, spec)
+
+
+def test_train_accepts_a_tweet_that_spells_reserved_tokens():
+    """Raw text holding "[EOS]" or "[PAD]" tokenizes to ordinary tokens, so
+    it trains like any other pair."""
+    src = tokenize(normalize_tweet("hi [EOS] there"))
+    tgt = tokenize("hello [PAD] there")
+    vocab = build_vocab([src, tgt])
+    pair = (vocab.encode(src), vocab.encode(tgt))
+    ck = train([pair] * 4, [pair], tiny_config(vocab_size=len(vocab)), TrainSpec(batch_size=2, max_steps=2, eval_every=1))
+    assert [h["step"] for h in ck.history] == [1, 2]
 
 
 def test_training_divergence_raises_with_step():
@@ -691,7 +696,8 @@ def test_checkpoint_of_an_older_format_is_refused(tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "field, value",
     [("dropout", -0.5), ("dropout", 1.0), ("heads", 0), ("ffn_dim", 0), ("enc_layers", -1), ("dec_layers", 0),
-     ("d_model", 0), ("max_len", 0)],
+     ("d_model", 0), ("max_len", 0), ("dropout", float("nan")), ("dropout", True), ("d_model", 16.0),
+     ("heads", True), ("vocab_size", 12.0), ("vocab_size", 6), ("dtype", "int32")],
 )
 def test_config_with_a_bad_value_is_refused_also_from_a_checkpoint(tmp_path, field, value):
     with pytest.raises(DataError, match=rf"\b{field}={value}"):
@@ -702,6 +708,27 @@ def test_config_with_a_bad_value_is_refused_also_from_a_checkpoint(tmp_path, fie
     ck.save(path)
     with pytest.raises(DataError, match=rf"bad_config\.npz: {field}={value}"):
         Checkpoint.load(path)
+
+
+def test_checkpoint_config_with_a_field_the_model_does_not_have_is_refused(tmp_path, monkeypatch):
+    ck = _checkpoint_with_hash("abc123")
+    monkeypatch.setattr(ModelConfig, "to_dict", lambda self: {**asdict(self), "positional": "learned"})
+    path = tmp_path / "extra_field.npz"
+    ck.save(path)
+    monkeypatch.undo()
+    with pytest.raises(DataError, match=r"extra_field\.npz: .*'positional'"):
+        Checkpoint.load(path)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("learning_rate", float("nan")), ("learning_rate", float("inf")), ("learning_rate", 0.0),
+     ("learning_rate", True), ("batch_size", 2.5), ("batch_size", 0), ("max_steps", 10.0), ("eval_every", False),
+     ("seed", -1), ("seed", 1.0)],
+)
+def test_train_spec_with_a_bad_value_is_refused(field, value):
+    with pytest.raises(DataError, match=rf"\b{field}={value}"):
+        TrainSpec(**{field: value})
 
 
 def test_checkpoint_rejects_garbage(tmp_path):

@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from rulefst import serialize
 from rulefst.errors import DataError
-from rulefst.rules import RuleMatch, RuleMatchSet, match_rules
+from rulefst.rules import RuleMatch, match_rules
 from rulefst.serialize import (
     CARI,
     NR,
@@ -291,16 +291,6 @@ def test_tsv_round_trip(tmp_path, rules):
     assert read_examples_tsv(path, CARI) == examples[:2]
 
 
-def test_tsv_reads_old_two_column_files(tmp_path):
-    path = tmp_path / "old.tsv"
-    path.write_text("a [SEP] b\tc d\n\ne\t\n", encoding="utf-8")
-    assert read_examples_tsv(path, CARI) == [
-        SerializedExample(CARI, ("a", SEP, "b"), ("c", "d")),
-        SerializedExample(CARI, ("e",), ()),
-    ]
-    assert [e.method for e in read_examples_tsv(path)] == ["NR", "NR"]
-
-
 def test_tsv_refuses_a_method_other_than_the_file_s(tmp_path):
     path = tmp_path / "nr.tsv"
     write_examples_tsv([serialize_nr(["u"], ["you"])], path)
@@ -308,7 +298,7 @@ def test_tsv_refuses_a_method_other_than_the_file_s(tmp_path):
         read_examples_tsv(path, CARI)
 
 
-@pytest.mark.parametrize("line", ["a\tb\tXYZ\t0", "a\tb\tNR\tyes", "a\tb\tNR", "a\tb\tNR\t0\tz"])
+@pytest.mark.parametrize("line", ["a\tb\tXYZ\t0", "a\tb\tNR\tyes", "a\tb", "a\tb\tNR", "a\tb\tNR\t0\tz"])
 def test_tsv_malformed_lines_raise_with_the_line_number(tmp_path, line):
     path = tmp_path / "bad.tsv"
     path.write_text("a\tb\tNR\t0\n" + line + "\n", encoding="utf-8")
@@ -375,7 +365,7 @@ def overlapping_match_sets(draw):
         RuleMatch(f"r{i}", start, end, tuple(x[start:end]), (), (), ((f"alt{i}",), ("other",)))
         for i, (start, end) in enumerate(spans)
     ]
-    return x, RuleMatchSet(tuple(matches))
+    return x, tuple(matches)
 
 
 @given(overlapping_match_sets())

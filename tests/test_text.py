@@ -3,11 +3,11 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rulefst import text
 from rulefst.errors import DataError
 from rulefst.text import (
     EMOJI_NAMES,
     PLACEHOLDERS,
+    SEP,
     SPECIAL_TOKENS,
     Vocabulary,
     build_vocab,
@@ -32,6 +32,10 @@ def test_tokenize_preserves_placeholders():
 
 def test_tokenize_preserves_sep():
     assert tokenize("u ok [SEP] you ok") == ["u", "ok", "[SEP]", "you", "ok"]
+
+
+def test_tokenize_splits_the_other_reserved_tokens_like_any_bracketed_word():
+    assert tokenize("hi [EOS] there [PAD]") == ["hi", "[", "eos", "]", "there", "[", "pad", "]"]
 
 
 def test_normalize_tweet_mentions_and_urls():
@@ -153,8 +157,8 @@ def reference_normalize_tweet(s):
 
 SKIN_TONE = "\U0001f3fd"  # medium skin tone modifier
 PIECES = (
-    # placeholders alone and glued to punctuation, and look-alikes
-    *sorted(PLACEHOLDERS), "@USER!", "([SEP])", "@user", "httpurl", "[sep]",
+    # placeholders and reserved tokens alone and glued to punctuation, and look-alikes
+    *sorted(PLACEHOLDERS | set(SPECIAL_TOKENS)), "@USER!", "([SEP])", "[EOS].", "@user", "httpurl", "[sep]",
     # what the URL and mention steps look for
     "@bob", "@", "http://a.b/c", "https://", "http", "www.", "www.x", "WWW.X",
     # `_`, digits and numerals that are \w but not letters
@@ -183,6 +187,14 @@ def test_fast_paths_equal_the_reference_on_every_pair_of_pieces(f, reference):
             assert f(a + b) == reference(a + b), (a, b)
 
 
+@settings(max_examples=500)
+@given(TWEETS)
+def test_no_tweet_tokenizes_to_a_reserved_token_other_than_sep(s):
+    """[PAD], [BOS] and [EOS] would break batching and decoding, and [UNK]
+    and [CLS] mean something else, so raw text never yields them."""
+    assert not set(tokenize(normalize_tweet(s))) & (set(SPECIAL_TOKENS) - {SEP})
+
+
 @settings(max_examples=2000)
 @given(TWEETS)
 def test_tokenize_and_normalize_tweet_equal_the_reference_and_normalizing_is_idempotent(s):
@@ -191,13 +203,6 @@ def test_tokenize_and_normalize_tweet_equal_the_reference_and_normalizing_is_ide
     assert once == reference_normalize_tweet(s)
     assert normalize_tweet(once) == once
     assert tokenize(once) == reference_tokenize(once)
-
-
-def test_build_vocab_min_freq():
-    vocab = build_vocab([["a", "a", "b"]], min_freq=2)
-    assert "a" in vocab
-    assert "b" not in vocab
-    assert vocab.encode(["b"]) == [text.UNK_ID]
 
 
 def test_encode_decode_round_trip():
@@ -217,20 +222,12 @@ def test_encode_empty_sequence_allowed():
     assert vocab.encode([]) == []
 
 
-@given(
-    st.lists(st.lists(st.sampled_from("abcdef"), min_size=1, max_size=6), min_size=1, max_size=30),
-    st.integers(min_value=1, max_value=4),
-)
-def test_vocab_size_monotone_in_min_freq(corpus, min_freq):
-    # Oracle: direct frequency count.
-    from collections import Counter
-
-    counts = Counter(t for sent in corpus for t in sent)
-    v1 = build_vocab(corpus, min_freq=min_freq)
-    v2 = build_vocab(corpus, min_freq=min_freq + 1)
-    assert len(v2) <= len(v1)
-    expected = sum(1 for c in counts.values() if c >= min_freq)
-    assert len(v1) == len(SPECIAL_TOKENS) + expected
+@given(st.lists(st.lists(st.sampled_from(["a", "b", "c", "d", "e", "f", *SPECIAL_TOKENS]), max_size=6), max_size=30))
+def test_vocab_is_the_specials_plus_every_distinct_token(corpus):
+    vocab = build_vocab(corpus)
+    others = {t for sent in corpus for t in sent} - set(SPECIAL_TOKENS)
+    assert vocab.tokens[: len(SPECIAL_TOKENS)] == SPECIAL_TOKENS
+    assert sorted(vocab.tokens[len(SPECIAL_TOKENS) :]) == sorted(others)
 
 
 def test_vocab_reserved_ids_fixed():
