@@ -53,18 +53,18 @@ def _tokens(history: list[tuple[np.ndarray, np.ndarray]], length: int, row: int)
     return out[::-1]
 
 
-def _top_k(logprobs: np.ndarray, k: int) -> np.ndarray:
-    """Each row's k best ids by (log-prob descending, id ascending), in any
-    order. argpartition may cut through a tie at the k-th value; only the
-    rows where one does, which then hold more than k values at or above it,
-    are ranked again by a stable sort."""
-    v = logprobs.shape[-1]
-    top = np.argpartition(logprobs, v - k, axis=-1)[:, v - k :]  # column 0 holds the k-th best
-    at_or_above = logprobs >= logprobs[np.arange(len(top)), top[:, 0]][:, None]
-    if np.count_nonzero(at_or_above) > top.size:
-        tied = np.count_nonzero(at_or_above, axis=-1) > k
-        top[tied] = np.argsort(-logprobs[tied], axis=-1, kind="stable")[:, :k]
-    return top
+def _top_k(logprobs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, ids) of each row's k best ids by (log-prob descending, id
+    ascending), in lexicographic order: row by row, each row's ids
+    ascending. A row's k-th largest value is its threshold, and the ids at
+    or above it are its k best unless the threshold is tied; then there are
+    more than k such ids in all, and the rows are ranked by a stable sort."""
+    n, v = logprobs.shape
+    rows, ids = (logprobs >= np.partition(logprobs, v - k, axis=-1)[:, v - k, None]).nonzero()
+    if len(ids) != n * k:
+        ids = np.sort(np.argsort(-logprobs, axis=-1, kind="stable")[:, :k], axis=-1).ravel()
+        rows = np.arange(n).repeat(k)
+    return rows, ids
 
 
 def beam_search(
@@ -97,8 +97,7 @@ def beam_search(
             rows = np.arange(len(top))
             cand_logp = logp + logprobs[rows, top]
         else:
-            top = np.sort(_top_k(logprobs, k), axis=-1).ravel()
-            rows = np.arange(len(top)) // k
+            rows, top = _top_k(logprobs, k)
             cand_logp = logp[rows] + logprobs[rows, top]
         score = cand_logp / (step + 1)
         ends = top == EOS_ID

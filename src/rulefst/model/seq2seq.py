@@ -166,43 +166,41 @@ class _DecoderBlock:
         return dx, denc
 
 
-def _normalized(x: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """LayerNorm without its affine, (x - mean) / sqrt(var + LN_EPS) over the
-    last axis; `mean` is a (d, 1) column of 1 / d."""
-    xc = x - x @ mean
-    var = np.square(xc) @ mean
-    var += LN_EPS
-    xc /= np.sqrt(var, out=var)
-    return xc
-
-
-def _fold_norm(ln: LayerNorm, dense) -> tuple[np.ndarray, np.ndarray]:
-    """(W, b) such that dense(ln(x)) = x_hat @ W + b, where x_hat is x
-    normalised without ln's affine: W = gamma[:, None] * W_dense and
-    b = beta @ W_dense + b_dense."""
-    return ln.gamma[:, None] * dense.weight, ln.beta @ dense.weight + dense.bias
+def _fold_norm(ln: LayerNorm, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """The (d + 1, n) product W with [x_hat / sqrt(d), 1] @ W =
+    ln(x) @ weight + bias, x_hat being x normalised without ln's affine:
+    W[:d] = sqrt(d) * gamma[:, None] * weight, and the last row, the folded
+    bias, is beta @ weight + bias. The decode step's normalisation divides
+    by sqrt(d) * sqrt(var + LN_EPS), and these weights take the sqrt(d)
+    back."""
+    d = len(ln.gamma)
+    w = np.empty((d + 1, weight.shape[1]), weight.dtype)
+    np.multiply((math.sqrt(d) * ln.gamma)[:, None], weight, out=w[:d])
+    w[d] = ln.beta @ weight + bias
+    return w
 
 
 @dataclass
 class _FoldedLayer:
-    """One decoder block, folded for one source: each LayerNorm's affine is
-    in the weights after it, the query blocks carry 1 / sqrt(d_head), and the
-    cross-attention is `m`, `c` and `vw` over heads x source keys, laid out
-    head-major (heads, S), so that the softmax reduces over a contiguous last
-    axis of S keys."""
+    """One decoder block, folded for one source.
 
-    wqkv: np.ndarray  # (d, 3d)
-    bqkv: np.ndarray
-    wo: np.ndarray
-    bo: np.ndarray
-    m: np.ndarray  # (d, heads * S): cross-attention scores are x_hat @ m + c
-    c: np.ndarray  # (heads * S,): query bias times keys, plus the source's [PAD] mask
-    vw: np.ndarray  # (heads * S, d): each head's values times its rows of wo
-    cross_bo: np.ndarray
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
+    Each product's bias is its last row, which the ones column of the
+    step's buffer that it multiplies picks up. A product that follows a
+    LayerNorm is in `_fold_norm`'s layout, with the norm's affine and
+    sqrt(d) in its first d rows. The query blocks carry 1 / sqrt(d_head).
+    Each product that adds to the residual stream ends in the centring
+    matrix C = I - 1/d, bias row included, so that the stream stays
+    centred. The cross-attention is `m` and `vw` over heads x source keys,
+    laid out head-major (heads, S), so that the softmax reduces over a
+    contiguous last axis of S keys; its `.wo` bias rides in `vw`, divided
+    by heads, since each head's attention weights sum to 1."""
+
+    wqkv: np.ndarray  # (d + 1, 3d)
+    wo: np.ndarray  # (d + 1, d): [.wo weight; .wo bias] @ C
+    m: np.ndarray  # (d + 1, heads * S): query projection times keys; last row: query bias times keys, plus [PAD] mask
+    vw: np.ndarray  # (heads * S, d): each head's values times its rows of .wo, plus .wo's bias / heads, @ C
+    w1: np.ndarray  # (d + 1, ffn)
+    w2: np.ndarray  # (ffn + 1, d): [.lin2 weight; .lin2 bias] @ C
 
 
 class DecoderCache:
@@ -217,8 +215,26 @@ class DecoderCache:
     output projection with `out.bias`); the attention scale into both query
     projections; the cross-attention query projection into the source's
     keys, and its values into `.wo`, so that a step's cross-attention is two
-    matmuls. Each step then runs on 2-D (rows, d_model) arrays, one new
+    products. Each step then runs on 2-D (rows, d_model) arrays, one new
     position per row.
+
+    LayerNorm's centring is folded too. The residual stream is kept centred:
+    the step multiplies the embedding sum by the centring matrix C = I - 1/d
+    once, and every product that adds to the stream (`.wo`, `vw`, `.lin2`)
+    has C folded into its weight and bias. A LayerNorm then only divides
+    each row by its norm, into a (rows, d + 1) buffer whose last column is 1,
+    so that one product with the folded weight, its bias as the last row,
+    finishes LayerNorm and Dense together. The norm itself is one product
+    too: the squares go into a (rows, d + 1) buffer whose last column holds
+    d * LN_EPS. The self-attention context (the matmul writes it in place)
+    and the ReLU output go into ones-padded (rows, d + 1) and (rows, ffn + 1)
+    buffers in the same way, for the biases of `.wo` and `.lin2`.
+
+    Every 2-D product in the step is `a.dot(b)`, not `a @ b`: the results
+    are identical, but NumPy 2.4's `@` costs more per call, which is most of
+    the cost on these small arrays (on a 2-CPU host, BLAS on one thread,
+    float32: (4, 64) by (64, 192) takes 2.9 us with `@` and 1.7 us with
+    `.dot`). The 4-D self-attention products stay `@`.
 
     The self-attention keys and values of every decoder layer share one
     buffer, (rows, dec_layers, 2, heads, max_len, d_head), and the additive
@@ -240,30 +256,55 @@ class DecoderCache:
         self._source: tuple | None = None  # (model, enc_out, src_mask) of the first call
         self._rows = 0  # rows of the last step, or of the next one after a reorder
 
+    def _allocate(self, rows: int) -> None:
+        """Allocate the per-row buffers for `rows` rows; their decoded
+        positions are the caller's to fill."""
+        cfg = self.config
+        d, dtype = cfg.d_model, cfg.dtype
+        self._kv = np.empty((rows, cfg.dec_layers, 2, cfg.heads, cfg.max_len, d // cfg.heads), dtype)
+        self._pad = np.empty((rows, cfg.max_len), dtype)
+        self._sq = np.full((rows, d + 1), d * LN_EPS, dtype)
+        self._xn = np.ones((rows, d + 1), dtype)
+        self._ctx = np.ones((rows, d + 1), dtype)
+        self._ctx_heads = self._ctx[:, :d].reshape(rows, cfg.heads, 1, d // cfg.heads)  # a view of _ctx
+        self._relu = np.ones((rows, cfg.ffn_dim + 1), dtype)
+
     def reorder(self, rows: np.ndarray) -> None:
         """Keep row rows[i] of the state as row i (beam back-pointers).
 
-        Nothing moves when rows is 0..n-1; otherwise the decoded positions
-        of the chosen rows are gathered once. Before the first step there is
-        nothing to reorder. A back-pointer outside the previous step's rows
-        raises DataError."""
+        Nothing moves when rows is 0..n-1. Ascending back-pointers, which
+        is what beam search passes, move in place, only the rows that change
+        and each once: first each row that takes a later row, in ascending
+        order, then each that takes an earlier row, in descending order, so
+        that no row is read after it is written. Any other order gathers the
+        decoded positions of the chosen rows into a copy first. The checks
+        run on a list: NumPy's per-call cost outweighs its speed on four
+        rows. Before the first step there is nothing to reorder. A
+        back-pointer outside the previous step's rows raises DataError."""
         if not self.length:
             return
         rows = np.asarray(rows)
-        n = len(rows)
-        if n <= self._rows and np.array_equal(rows, np.arange(n)):
+        order = rows.tolist()
+        n = len(order)
+        if n <= self._rows and order == list(range(n)):
             self._rows = n
             return
-        if rows.min() < 0 or rows.max() >= self._rows:
-            i = int(np.flatnonzero((rows < 0) | (rows >= self._rows))[0])
-            raise DataError(f"back-pointer {int(rows[i])} at row {i} is outside the previous step's {self._rows} rows")
+        if min(order) < 0 or max(order) >= self._rows:
+            i = next(i for i, r in enumerate(order) if not 0 <= r < self._rows)
+            raise DataError(f"back-pointer {order[i]} at row {i} is outside the previous step's {self._rows} rows")
         t = self.length
-        kv, pad = self._kv[rows, :, :, :, :t], self._pad[rows, :t]
-        if n > len(self._kv):
-            self._kv = np.empty((n, *self._kv.shape[1:]), self._kv.dtype)
-            self._pad = np.empty((n, *self._pad.shape[1:]), self._pad.dtype)
-        self._kv[:n, :, :, :, :t] = kv
-        self._pad[:n, :t] = pad
+        if n <= len(self._kv) and all(a <= b for a, b in zip(order, order[1:])):
+            later = [i for i, r in enumerate(order) if r > i]
+            earlier = [i for i, r in enumerate(order) if r < i]
+            for i in later + earlier[::-1]:
+                self._kv[i, :, :, :, :t] = self._kv[order[i], :, :, :, :t]
+                self._pad[i, :t] = self._pad[order[i], :t]
+        else:
+            kv, pad = self._kv[rows, :, :, :, :t], self._pad[rows, :t]
+            if n > len(self._kv):
+                self._allocate(n)
+            self._kv[:n, :, :, :, :t] = kv
+            self._pad[:n, :t] = pad
         self._rows = n
 
     def _fold(self, model: "Seq2SeqTransformer", enc_out: np.ndarray, src_mask: np.ndarray, rows: int) -> None:
@@ -273,37 +314,36 @@ class DecoderCache:
         dh = d // heads
         dtype = model.store.dtype
         scale = 1.0 / math.sqrt(dh)  # a Python float, which keeps float32 products float32
+        centre = np.eye(d, dtype=dtype) - 1.0 / d
         memory = enc_out[0]
         src_len = len(memory)
         key_mask = src_mask.reshape(src_len)
         for block in model.dec_blocks:
-            wqkv, bqkv = _fold_norm(block.ln1, block.self_attn.wqkv)
+            attn, cross, ffn = block.self_attn, block.cross_attn, block.ffn
+            wqkv = _fold_norm(block.ln1, attn.wqkv.weight, attn.wqkv.bias)
             wqkv[:, :d] *= scale
-            bqkv[:d] *= scale
-            cross = block.cross_attn
-            wq, bq = _fold_norm(block.ln2, cross.wq)
+            wq = _fold_norm(block.ln2, cross.wq.weight, cross.wq.bias)
             wq *= scale
-            bq *= scale
             kv = memory @ cross.wkv.weight
             kv += cross.wkv.bias
             k, v = kv.reshape(src_len, 2, heads, dh).transpose(1, 2, 3, 0)  # (heads, d_head, S) each
-            m = wq.reshape(d, heads, dh).transpose(1, 0, 2) @ k  # (heads, d, S)
-            c = (bq.reshape(heads, 1, dh) @ k)[:, 0] + key_mask  # (heads, S)
-            vw = v.swapaxes(-1, -2) @ cross.wo.weight.reshape(heads, dh, d)  # (heads, S, d)
-            w1, b1 = _fold_norm(block.ln3, block.ffn.lin1)
+            m = wq.reshape(d + 1, heads, dh).transpose(1, 0, 2) @ k  # (heads, d + 1, S)
+            m[:, d] += key_mask
+            vw = v.swapaxes(-1, -2) @ (cross.wo.weight @ centre).reshape(heads, dh, d)  # (heads, S, d)
+            vw += (cross.wo.bias @ centre) / heads
             self.layers.append(_FoldedLayer(
-                wqkv=wqkv, bqkv=bqkv, wo=block.self_attn.wo.weight, bo=block.self_attn.wo.bias,
-                m=m.transpose(1, 0, 2).reshape(d, -1), c=c.reshape(-1), vw=vw.reshape(-1, d), cross_bo=cross.wo.bias,
-                w1=w1, b1=b1, w2=block.ffn.lin2.weight, b2=block.ffn.lin2.bias,
+                wqkv=wqkv, wo=np.concatenate([attn.wo.weight, attn.wo.bias[None]]) @ centre,
+                m=m.transpose(1, 0, 2).reshape(d + 1, -1), vw=vw.reshape(-1, d),
+                w1=_fold_norm(block.ln3, ffn.lin1.weight, ffn.lin1.bias),
+                w2=np.concatenate([ffn.lin2.weight, ffn.lin2.bias[None]]) @ centre,
             ))
         table = model.tok.table
-        self._out_w = model.dec_ln.gamma[:, None] * table.T  # (d, V)
-        self._out_b = model.dec_ln.beta @ table.T + model.store.values["out.bias"]
-        self._mean = np.full((d, 1), 1.0 / d, dtype)
-        self._src_ones = np.ones((src_len, 1), dtype)
-        self._ones = np.ones((1, cfg.max_len), dtype)
-        self._kv = np.empty((rows, cfg.dec_layers, 2, heads, cfg.max_len, dh), dtype)
-        self._pad = np.empty((rows, cfg.max_len), dtype)
+        self._out = _fold_norm(model.dec_ln, table.T, model.store.values["out.bias"])  # (d + 1, V)
+        self._centre = centre
+        self._blocks = np.repeat(np.eye(heads, dtype=dtype), src_len, axis=0)  # (heads * S, heads): head of each key
+        self._keys_ones = np.ones(cfg.max_len, dtype)
+        self._norm_ones = np.ones(d + 1, dtype)
+        self._allocate(rows)
         self._rows = rows
         self._source = (model, enc_out, src_mask)
 
@@ -315,10 +355,11 @@ class DecoderCache:
         if t != 1:
             raise DataError(f"cached decoding takes one new position per row, not {t}")
         ids = tgt_in_ids[:, 0]
+        listed = ids.tolist()
         vocab = self.config.vocab_size
-        if rows and (ids.min() < 0 or ids.max() >= vocab):
-            i = int(np.flatnonzero((ids < 0) | (ids >= vocab))[0])
-            raise DataError(f"token {int(ids[i])} at row {i} is outside the vocabulary 0..{vocab - 1}")
+        if rows and (min(listed) < 0 or max(listed) >= vocab):
+            i = next(i for i, token in enumerate(listed) if not 0 <= token < vocab)
+            raise DataError(f"token {listed[i]} at row {i} is outside the vocabulary 0..{vocab - 1}")
         pos = self.length
         model._check_len(pos + 1, "target")
         if self._source is None:
@@ -332,43 +373,40 @@ class DecoderCache:
         kv = self._kv[:rows]
         self._pad[:rows, pos] = np.where(ids == PAD_ID, NEG_INF, 0.0)
         pad = self._pad[:rows, None, : pos + 1, None]  # key-major: (rows, 1, keys, 1)
-        ones = self._ones[:, : pos + 1]
-        mean, heads = self._mean, self.config.heads
-        x = model.tok.table[ids] + model.store.values["embed.pos"][pos]
+        keys_ones, norm_ones, heads = self._keys_ones[: pos + 1], self._norm_ones, self.config.heads
+        sq, xn, ctx, relu = self._sq[:rows], self._xn[:rows], self._ctx[:rows], self._relu[:rows]
+        sq_x, xn_x, ctx_heads, relu_x = sq[:, :-1], xn[:, :-1], self._ctx_heads[:rows], relu[:, :-1]
+
+        def normalized(x):
+            """xn, holding each row of x over sqrt(x . x + d * LN_EPS)."""
+            np.square(x, out=sq_x)
+            np.divide(x, np.sqrt(sq.dot(norm_ones))[:, None], out=xn_x)
+            return xn
+
+        x = (model.tok.table[ids] + model.store.values["embed.pos"][pos]).dot(self._centre)
         for i, f in enumerate(self.layers):
-            qkv = _normalized(x, mean) @ f.wqkv
-            qkv += f.bqkv
-            qkv = qkv.reshape(rows, 3, heads, -1)
+            qkv = normalized(x).dot(f.wqkv).reshape(rows, 3, heads, -1)
             kv[:, i, :, :, pos] = qkv[:, 1:]
             k, v = kv[:, i, 0, :, : pos + 1], kv[:, i, 1, :, : pos + 1]  # (rows, heads, keys, d_head)
             s = k @ qkv[:, 0, :, :, None]
             s += pad
             s -= np.maximum.reduce(s, axis=-2, keepdims=True)
             np.exp(s, out=s)
-            s /= ones @ s
-            out = (s.swapaxes(-1, -2) @ v).reshape(rows, -1) @ f.wo
-            out += f.bo
-            x += out
+            s /= s.reshape(rows * heads, -1).dot(keys_ones).reshape(rows, heads, 1, 1)
+            np.matmul(s.swapaxes(-1, -2), v, out=ctx_heads)
+            x += ctx.dot(f.wo)
 
-            s = _normalized(x, mean) @ f.m
-            s += f.c
+            s = normalized(x).dot(f.m)
             s3 = s.reshape(rows, heads, -1)  # (rows, heads, S)
             s3 -= np.maximum.reduce(s3, axis=-1, keepdims=True)
             np.exp(s, out=s)
-            s3 /= s3 @ self._src_ones
-            out = s @ f.vw
-            out += f.cross_bo
-            x += out
+            s3 /= s.dot(self._blocks)[:, :, None]
+            x += s.dot(f.vw)
 
-            h = _normalized(x, mean) @ f.w1
-            h += f.b1
-            out = np.maximum(h, 0, out=h) @ f.w2
-            out += f.b2
-            x += out
+            np.maximum(normalized(x).dot(f.w1), 0, out=relu_x)
+            x += relu.dot(f.w2)
         self.length = pos + 1
-        logits = _normalized(x, mean) @ self._out_w
-        logits += self._out_b
-        return logits[:, None, :]
+        return normalized(x).dot(self._out)[:, None, :]
 
 
 class Seq2SeqTransformer:

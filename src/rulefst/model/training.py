@@ -207,9 +207,9 @@ def train(
     adam = Adam(model.store, lr=spec.learning_rate)
     shuffle_rng = np.random.default_rng(spec.seed + 0x5EED)
 
-    best_loss = float("inf")
-    best_params = model.store.snapshot()
-    best_step = 0
+    # The last step always evaluates and a non-finite loss raises, so these
+    # are always replaced.
+    best_loss, best_params, best_step = float("inf"), None, None
     history: list = []
     per_epoch = -(-len(train_set) // spec.batch_size)  # batches; the last may be short
     for step in range(1, spec.max_steps + 1):

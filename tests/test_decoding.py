@@ -23,13 +23,13 @@ def tiny_model(vocab_size=12, seed=0, max_len=12, dtype="float64"):
     return Seq2SeqTransformer(config, seed=seed)
 
 
-def perturbed(model, seed):
-    """The model with every parameter moved by seeded N(0, 0.3) noise. At
+def perturbed(model, seed, scale=0.3):
+    """The model with every parameter moved by seeded N(0, scale) noise. At
     initialisation every LayerNorm gamma is 1 and every beta and bias 0, so a
     decode path that dropped one of them would still match."""
     rng = np.random.default_rng(seed)
     for value in model.store.values.values():
-        value += rng.normal(0.0, 0.3, size=value.shape).astype(value.dtype)
+        value += rng.normal(0.0, scale, size=value.shape).astype(value.dtype)
     return model
 
 
@@ -283,7 +283,7 @@ def test_decoder_cache_keeps_the_target_length_guard():
 def assert_cached_matches_full_prefix_out_to_max_len(make_step, model, src, atol, seed):
     """Cached against full-prefix log-probs at every position to max_len - 1,
     then the length guard, through reorders that repeat, drop, grow, shrink
-    and keep rows."""
+    and keep rows, in ascending order (moved in place) and in any order."""
     cached = make_step(model, src)
     reference = PrefixStep(full_prefix_scores(model, src))
     rng = np.random.default_rng(seed)
@@ -292,9 +292,13 @@ def assert_cached_matches_full_prefix_out_to_max_len(make_step, model, src, atol
         if position == 0:
             parents, tokens = np.asarray([0]), [BOS_ID]
         else:
-            kind = ["random", "random", "identity", "random", "prefix", "one"][position % 6]
+            kind = ["random", "sorted", "identity", "random", "prefix", "one"][position % 6]
             if kind == "random":
                 parents = rng.integers(0, rows, size=int(rng.integers(1, 6)))
+            elif kind == "sorted":
+                parents = np.sort(rng.integers(0, rows, size=int(rng.integers(1, 6))))
+                seen |= {("later", bool(np.any(parents > np.arange(len(parents))))),
+                         ("earlier", bool(np.any(parents < np.arange(len(parents)))))}
             elif kind == "identity":
                 parents = np.arange(rows)
             elif kind == "prefix":
@@ -306,7 +310,7 @@ def assert_cached_matches_full_prefix_out_to_max_len(make_step, model, src, atol
             tokens = rng.integers(0, model.config.vocab_size, size=len(parents)).tolist()
         rows = len(parents)
         np.testing.assert_allclose(cached(parents, tokens), reference(parents, tokens), rtol=0, atol=atol)
-    assert {("repeat", True), ("drop", True), ("grow", True)} <= seen
+    assert {("repeat", True), ("drop", True), ("grow", True), ("later", True), ("earlier", True)} <= seen
     assert any(PAD_ID in p for p in reference.seen)
     assert len(reference.prefixes[0]) == model.config.max_len
     with pytest.raises(DataError, match="target length"):
@@ -329,6 +333,24 @@ def test_cached_steps_match_full_prefix_with_every_parameter_perturbed(dtype, at
     model = perturbed(tiny_model(seed=6, max_len=40, dtype=dtype), seed=6)
     assert_cached_matches_full_prefix_out_to_max_len(cache_step, model, [7, PAD_ID, 8, 9, 10, 11, 6], atol=atol, seed=6)
     assert_cached_matches_full_prefix_out_to_max_len(model_step_fn, model, [7, UNK_ID, 8, 9, 10, 11, 6], atol=atol, seed=6)
+
+
+@pytest.mark.parametrize("dtype, atol", [("float64", 1e-9), ("float32", 1e-5)])
+def test_cached_steps_match_full_prefix_at_the_default_shapes(dtype, atol):
+    """The same oracle at ModelConfig's default shapes, which the benchmark
+    runs (d_model 64, 4 heads, ffn 256, 2 decoder layers, max_len 128), so
+    that every buffer and block indicator the step sizes from them is
+    exercised: every parameter perturbed, a padded source through the cache
+    and a legal one through model_step_fn. The noise is 0.3 * sqrt(16 / 64),
+    which gives a product over d_model 64 the spread that 0.3 gives over the
+    tiny models' 16; at 0.3 the log-probs reach about -17, and float32
+    rounding alone, in the full-prefix path too, is then about 2e-5."""
+    config = ModelConfig(vocab_size=30, dropout=0.0, dtype=dtype)
+    model = perturbed(Seq2SeqTransformer(config, seed=7), seed=7, scale=0.15)
+    src = np.random.default_rng(7).integers(UNK_ID, 30, size=45).tolist()
+    padded = src[:20] + [PAD_ID] + src[20:]
+    assert_cached_matches_full_prefix_out_to_max_len(cache_step, model, padded, atol=atol, seed=7)
+    assert_cached_matches_full_prefix_out_to_max_len(model_step_fn, model, src, atol=atol, seed=8)
 
 
 @pytest.mark.parametrize(

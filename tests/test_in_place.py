@@ -72,7 +72,7 @@ def test_dropout_in_training_writes_neither_input_nor_gradient(rng):
     x, dout = normal(rng, 3, 5, D), normal(rng, 3, 5, D)
     unchanged = freeze(x, dout)
     out = drop.forward(x, train=True, rng=rng)
-    assert out.dtype == drop._mask.dtype == np.float32
+    assert out.dtype == np.float32 and drop._mask.dtype == bool
     drop.backward(dout)
     unchanged()
 
@@ -114,8 +114,7 @@ def test_attention_with_filled_caches_writes_neither_inputs_nor_filled_positions
     unchanged = freeze(enc_out, src_mask, *model.store.values.values())
     cache = DecoderCache(model.config)
     cache.decode(model, enc_out, src_mask, np.array([[BOS_ID], [BOS_ID]]))
-    static_unchanged = freeze(*[layer.m for layer in cache.layers], *[layer.c for layer in cache.layers],
-                              *[layer.vw for layer in cache.layers])
+    static_unchanged = freeze(*[layer.m for layer in cache.layers], *[layer.vw for layer in cache.layers])
     first = cache._kv[:2, :, :, :, :1].copy(), cache._pad[:2, :1].copy()  # its buffers take appends: compare copies
     for _ in range(2):
         ids = rng.integers(PAD_ID, 12, size=(2, 1))

@@ -255,6 +255,27 @@ def test_dropout_draws_in_the_model_dtype_and_scales_what_it_keeps(dtype):
     assert np.array_equal(kept, uniforms < 0.75)  # for float64 the stream of rng.random(shape)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dropout_equals_the_float_mask_formula_bit_for_bit(dtype):
+    """Forward output and backward gradient against a verbatim copy of the
+    float-mask formula that the bool mask replaced, compared as bytes, so a
+    dropped negative input must give -0.0 as it did."""
+    rng = np.random.default_rng(3)
+    x = rng.normal(0.0, 2.0, size=(6, 9, 16)).astype(dtype)
+    dout = rng.normal(0.0, 2.0, size=x.shape).astype(dtype)
+    for rate in (0.1, 0.25, 0.3):
+        drop = Dropout(rate)
+        out = drop.forward(x, True, np.random.default_rng(11))
+        dx = drop.backward(dout)
+        keep = 1.0 - rate
+        u = np.random.default_rng(11).random(x.shape, dtype=x.dtype)
+        mask = np.divide(u < keep, keep, out=u, dtype=x.dtype)
+        assert out.dtype == dx.dtype == dtype
+        assert out.tobytes() == (x * mask).tobytes()
+        assert dx.tobytes() == (dout * mask).tobytes()
+        assert np.signbit(out[(mask == 0) & (x < 0)]).all() and ((mask == 0) & (x < 0)).any()
+
+
 class UnfusedAttention:
     """Reference attention with separate wq, wk, wv and wo Dense layers."""
 
@@ -381,7 +402,7 @@ def test_activations_caches_and_gradients_stay_in_model_dtype(dtype):
     model.loss_and_grads(src, tgt_in, tgt_out, train=True)
     paths = assert_all_in_dtype(np.dtype(dtype), model=model)
     assert "model.enc_blocks.0.attn._attn" in paths
-    assert "model.dec_blocks.0.drop3._mask" in paths
+    assert model.dec_blocks[0].drop3._mask.dtype == bool
     assert len(model.store.grads) == len(model.store.values)
 
     enc_out, src_mask = model.encode(src[:1])
@@ -390,8 +411,9 @@ def test_activations_caches_and_gradients_stay_in_model_dtype(dtype):
     cache.reorder(np.array([0, 0]))
     logprobs = model.next_token_logprobs(enc_out, src_mask, np.array([[6], [7]]), cache)
     paths = assert_all_in_dtype(np.dtype(dtype), model=model, cache=cache, logits=logits, enc_out=enc_out)
-    folded = {f"cache.layers.0.{name}" for name in ("wqkv", "bqkv", "m", "c", "vw", "w1", "b1")}
-    assert folded | {"cache._kv", "cache._pad", "cache._out_w", "cache._out_b"} <= paths
+    folded = {f"cache.layers.0.{name}" for name in ("wqkv", "wo", "m", "vw", "w1", "w2")}
+    buffers = {f"cache._{name}" for name in ("kv", "pad", "out", "sq", "xn", "ctx", "relu")}
+    assert folded | buffers <= paths
     assert logprobs.dtype == np.float64 and logprobs.shape == (2, model.config.vocab_size)
 
 
