@@ -272,19 +272,23 @@ class DecoderCache:
     def reorder(self, rows: np.ndarray) -> None:
         """Keep row rows[i] of the state as row i (beam back-pointers).
 
-        Nothing moves when rows is 0..n-1. Ascending back-pointers, which
-        is what beam search passes, move in place, only the rows that change
-        and each once: first each row that takes a later row, in ascending
-        order, then each that takes an earlier row, in descending order, so
-        that no row is read after it is written. Any other order gathers the
-        decoded positions of the chosen rows into a copy first. The checks
-        run on a list: NumPy's per-call cost outweighs its speed on four
-        rows. Before the first step there is nothing to reorder. A
-        back-pointer outside the previous step's rows raises DataError."""
+        Nothing moves when rows is 0..n-1. Otherwise only the rows that
+        change are written, in place, each with the decoded positions of its
+        chosen row: first each row that takes a later row, in ascending
+        order, then each that takes an earlier row, in descending order.
+        Under ascending back-pointers, which beam search passes, no row is
+        then read after it is written; a row that another order reads after
+        writing it is copied before the first write. One basic-slice copy
+        per moved row costs about half of NumPy's fancy-index gather and
+        scatter of the same rows (a (rows, ..., :t) slice of the 6-D buffer
+        is not contiguous). More rows than the buffers hold are gathered
+        first and written into new buffers. The checks run on a list:
+        NumPy's per-call cost outweighs its speed on four rows. Before the
+        first step there is nothing to reorder. A back-pointer outside the
+        previous step's rows raises DataError."""
         if not self.length:
             return
-        rows = np.asarray(rows)
-        order = rows.tolist()
+        order = np.asarray(rows).tolist()
         n = len(order)
         if n <= self._rows and order == list(range(n)):
             self._rows = n
@@ -293,18 +297,21 @@ class DecoderCache:
             i = next(i for i, r in enumerate(order) if not 0 <= r < self._rows)
             raise DataError(f"back-pointer {order[i]} at row {i} is outside the previous step's {self._rows} rows")
         t = self.length
-        if n <= len(self._kv) and all(a <= b for a, b in zip(order, order[1:])):
-            later = [i for i, r in enumerate(order) if r > i]
-            earlier = [i for i, r in enumerate(order) if r < i]
-            for i in later + earlier[::-1]:
-                self._kv[i, :, :, :, :t] = self._kv[order[i], :, :, :, :t]
-                self._pad[i, :t] = self._pad[order[i], :t]
-        else:
-            kv, pad = self._kv[rows, :, :, :, :t], self._pad[rows, :t]
-            if n > len(self._kv):
-                self._allocate(n)
+        if n > len(self._kv):
+            kv, pad = self._kv[order, :, :, :, :t], self._pad[order, :t]
+            self._allocate(n)
             self._kv[:n, :, :, :, :t] = kv
             self._pad[:n, :t] = pad
+        else:
+            moved = [i for i, r in enumerate(order) if r > i] + [i for i in range(n - 1, -1, -1) if order[i] < i]
+            written_at = {i: k for k, i in enumerate(moved)}
+            early = {order[i] for k, i in enumerate(moved) if written_at.get(order[i], k) < k}
+            copies = {r: (self._kv[r, :, :, :, :t].copy(), self._pad[r, :t].copy()) for r in early}
+            for i in moved:
+                r = order[i]
+                kv, pad = copies[r] if r in copies else (self._kv[r, :, :, :, :t], self._pad[r, :t])
+                self._kv[i, :, :, :, :t] = kv
+                self._pad[i, :t] = pad
         self._rows = n
 
     def _fold(self, model: "Seq2SeqTransformer", enc_out: np.ndarray, src_mask: np.ndarray, rows: int) -> None:

@@ -11,13 +11,19 @@ of each run's output is its result; a run with `correct: false` or
 
 For every end-to-end metric of BENCHMARK.json the report gives each side's
 median and quartiles, the median over pairs of change / parent, the change's
-wins (ties count for neither) and one verdict:
+wins (ties count for neither) and one verdict, the first that holds, where
+"the bound" is the metric's `bound` times the parent's median:
 
 - gain: at least ten pairs, the change wins at least 9 in 10 of them, and its
   median is better than the parent's by more than the distance between the
   parent's quartiles;
-- no gain: the change's median is not better than the parent's;
-- unresolved: anything else.
+- worse than bound: the change's median is worse than the parent's by more
+  than the bound;
+- unresolved: the distance between the parent's quartiles is wider than the
+  bound, and not every run of the change reads better than every run of the
+  parent, so the runs cannot tell whether the change is within the bound;
+- no gain: the change's median is no worse than the parent's by more than
+  the bound, and no gain is shown.
 """
 
 from __future__ import annotations
@@ -42,22 +48,29 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def verdict(parent: list[float], change: list[float], better: str) -> tuple[str, int]:
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> tuple[str, int]:
     """(verdict, wins) of paired runs, pair i being (parent[i], change[i]);
-    `better` is "higher" or "lower"."""
+    `better` is "higher" or "lower", and `bound` the share of the parent's
+    median by which the change may be worse."""
     if len(parent) != len(change) or not parent:
         raise ValueError("need one parent and one change value per pair, and at least one pair")
     if better not in ("higher", "lower"):
         raise ValueError(f"better={better!r} must be 'higher' or 'lower'")
+    if not bound >= 0:
+        raise ValueError(f"bound={bound!r} must be a share of at least 0")
     sign = 1.0 if better == "higher" else -1.0
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     q1, median, q3 = quartiles(parent)
     gap = sign * (statistics.median(change) - median)
+    allowed = bound * abs(median)
     if len(parent) >= MIN_PAIRS and wins >= math.ceil(WIN_SHARE * len(parent)) and gap > q3 - q1:
         return "gain", wins
-    if gap <= 0:
-        return "no gain", wins
-    return "unresolved", wins
+    if gap < -allowed:
+        return "worse than bound", wins
+    every_run_better = min(sign * c for c in change) > max(sign * p for p in parent)
+    if q3 - q1 > allowed and not every_run_better:
+        return "unresolved", wins
+    return "no gain", wins
 
 
 def run_once(checkout: str, command: list[str], workload: str, seed: int, seconds: float) -> dict:
@@ -86,7 +99,7 @@ def report(metrics: list[dict], parent_runs: list[dict], change_runs: list[dict]
         c = [r["metrics"][name]["value"] for r in change_runs]
         ratios = [b / a for a, b in zip(p, c) if a]
         ratio = statistics.median(ratios) if ratios else math.nan
-        result, wins = verdict(p, c, m["better"])
+        result, wins = verdict(p, c, m["better"], m["bound"])
         sides = ["{:9.4g} {:9.4g} {:9.4g}".format(*quartiles(v)) for v in (p, c)]
         lines.append(f"{name:24s} {sides[0]:>30s} {sides[1]:>30s} {ratio:13.4f} {wins:>3d}/{n:<2d}  {result}")
     return lines
