@@ -12,10 +12,11 @@ live hypothesis has just added, plus a back-pointer to the row of the
 previous step's state that the hypothesis extends, so a model step feeds one
 position per hypothesis through the decoder (fairseq's incremental_state and
 reorder_incremental_state, Ott et al. 2019). The model's step runs on a
-DecoderCache, which folds what depends only on the source and the
-parameters into its products once per source, and raises DataError on a
-back-pointer outside the previous step's rows or a token outside the
-vocabulary, naming the value and its row.
+DecoderCache built for the encoded source, which starts from one row, the
+empty prefix, and raises DataError on a back-pointer outside the previous
+step's rows or a token outside the vocabulary, naming the value and its row.
+Greedy decoding is beam search with beam 1 and fanout 1, through the same
+top-k as every other fanout.
 
 The bookkeeping is array-backed: each step keeps only the (token, parent)
 arrays of its live hypotheses, and token lists are rebuilt from them for the
@@ -91,14 +92,8 @@ def beam_search(
     parents, last, logp = np.zeros(1, np.int64), np.full(1, BOS_ID, np.int64), np.zeros(1)
     for step in range(max_len):
         logprobs = step_fn(parents, last)
-        k = min(fanout, logprobs.shape[-1])
-        if k == 1:  # row i's one candidate is candidate i; argmax takes the first maximum
-            top = np.argmax(logprobs, axis=-1)
-            rows = np.arange(len(top))
-            cand_logp = logp + logprobs[rows, top]
-        else:
-            rows, top = _top_k(logprobs, k)
-            cand_logp = logp[rows] + logprobs[rows, top]
+        rows, top = _top_k(logprobs, min(fanout, logprobs.shape[-1]))
+        cand_logp = logp[rows] + logprobs[rows, top]
         score = cand_logp / (step + 1)
         ends = top == EOS_ID
         if len(top) > beam_size or np.count_nonzero(ends):
@@ -129,15 +124,16 @@ def beam_search(
 
 
 def model_step_fn(model: Seq2SeqTransformer, src_ids: Sequence[int]) -> StepFn:
-    """Encode once; each step reorders the decoder cache by the back-pointers
-    and feeds one new position per hypothesis through the decoder.
+    """Encode once and build the source's DecoderCache; each step reorders
+    the cache by the back-pointers and feeds one new position per hypothesis
+    through the decoder.
 
     An empty source, or one holding an id outside the vocabulary or a
     [PAD], [BOS] or [EOS] (text.reserved_token_error), raises DataError
     before anything is encoded. A step raises DataError on a back-pointer
-    outside 0..n-1, n the previous step's rows (the first step's
-    back-pointers are not read), on a token outside the vocabulary, and past
-    the model's max_len positions.
+    outside 0..n-1, n the previous step's rows (1 at the first step, the
+    empty prefix), on a token outside the vocabulary, and past the model's
+    max_len positions.
     """
     src = np.asarray([src_ids], dtype=np.int64)
     if not src.size:
@@ -146,7 +142,7 @@ def model_step_fn(model: Seq2SeqTransformer, src_ids: Sequence[int]) -> StepFn:
     if bad:
         raise DataError(f"source {bad}")
     enc_out, src_mask = model.encode(src, train=False)
-    cache = DecoderCache(model.config)
+    cache = DecoderCache(model, enc_out, src_mask)
 
     def step(parents: np.ndarray, tokens: np.ndarray) -> np.ndarray:
         cache.reorder(parents)

@@ -26,12 +26,13 @@ LayerNorm's means, four B=32 training steps at pipeline-cari's sizes ran
 0.97x as fast (median of 16 alternating rounds, 2-CPU host, BLAS on one
 thread). On 3-D operands, as LayerNorm's, `.dot` also rounds differently.
 
-Attention scores are kept key-major, (B, heads, Lk, Lq): the softmax's max
-over the keys is then a reduction over axis -2, which NumPy runs about three
-times faster than one over a short contiguous last axis. Its sum, like
-LayerNorm's means and the sums over rows of the bias and LayerNorm
-gradients, is a matmul with a constant vector, which BLAS runs several times
-faster than np.add.reduce sums short rows.
+Attention scores are kept key-major, (B, heads, Lk, Lq), and `softmax`
+works on axis -2 alone: its max over the keys is a reduction over axis -2,
+which NumPy runs about three times faster than one over a short contiguous
+last axis. Its sum (`axis_sum`), like LayerNorm's means and the sums over
+rows of the bias and LayerNorm gradients, is a matmul with a constant
+vector, which BLAS runs several times faster than np.add.reduce sums short
+rows.
 
 Dtype contract: every activation, cache and gradient stays in the parameter
 dtype (the model's `ModelConfig.dtype`). Constants mixed into array
@@ -93,25 +94,20 @@ class ParamStore:
             self.values[k] = np.asarray(v, dtype=self.dtype).copy()
 
 
-def axis_sum(x: np.ndarray, axis: int) -> np.ndarray:
-    """x summed over `axis`, keeping it as size 1. Over either of the last
-    two axes the sum is a matmul with a ones vector: BLAS sums rows of a few
-    dozen elements several times faster than np.add.reduce does."""
-    axis %= x.ndim
-    if axis == x.ndim - 1:
-        return x @ np.ones((x.shape[-1], 1), x.dtype)
-    if axis == x.ndim - 2:
-        return np.ones((1, x.shape[-2]), x.dtype) @ x
-    return np.add.reduce(x, axis=axis, keepdims=True)
+def axis_sum(x: np.ndarray) -> np.ndarray:
+    """x summed over axis -2, keeping it as size 1. The sum is a matmul with
+    a ones row: BLAS sums rows of a few dozen elements several times faster
+    than np.add.reduce does."""
+    return np.ones((1, x.shape[-2]), x.dtype) @ x
 
 
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Softmax of x along `axis`, computed in place: x is overwritten with
-    the result, which is returned. Any axis works; attention passes
-    key-major scores and axis=-2."""
-    x -= np.maximum.reduce(x, axis=axis, keepdims=True)
+def softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax of x over axis -2, computed in place: x is overwritten with
+    the result, which is returned. Attention passes key-major scores, whose
+    axis -2 is the keys."""
+    x -= np.maximum.reduce(x, axis=-2, keepdims=True)
     np.exp(x, out=x)
-    x /= axis_sum(x, axis)
+    x /= axis_sum(x)
     return x
 
 
@@ -150,7 +146,7 @@ class Dense:
         d2d = dout.reshape(-1, dout.shape[-1])
         W = self.store.values[self._w]
         self.store.accumulate(self._w, self._x2d.T @ d2d)
-        self.store.accumulate(self._b, axis_sum(d2d, 0)[0])
+        self.store.accumulate(self._b, axis_sum(d2d)[0])
         return (d2d @ W.T).reshape(self._shape)
 
 
@@ -189,8 +185,8 @@ class LayerNorm:
         norm = self._norm
         flat = (-1, norm.shape[-1])
         t = dout * norm
-        self.store.accumulate(self._gamma, axis_sum(t.reshape(flat), 0)[0])
-        self.store.accumulate(self._beta, axis_sum(dout.reshape(flat), 0)[0])
+        self.store.accumulate(self._gamma, axis_sum(t.reshape(flat))[0])
+        self.store.accumulate(self._beta, axis_sum(dout.reshape(flat))[0])
         dx = dout * self.store.values[self._gamma]  # dnorm, turned into dx in place
         # d/dx of (x - mean) / std, all along the last axis:
         # (dnorm - mean(dnorm) - norm * mean(dnorm * norm)) / std
@@ -326,7 +322,7 @@ class MultiHeadAttention:
         attn = k @ q.swapaxes(-1, -2)
         if mask is not None:
             attn += mask.swapaxes(-1, -2)
-        softmax(attn, axis=-2)  # normalises attn in place
+        softmax(attn)  # normalises attn over the keys, in place
         b, _, _, lq = attn.shape
         ctx = np.empty((b, lq, self.heads, self.d_head), attn.dtype)
         np.matmul(attn.swapaxes(-1, -2), v, out=ctx.transpose(0, 2, 1, 3))

@@ -205,10 +205,10 @@ class _FoldedLayer:
 
 class DecoderCache:
     """Incremental decoding state for one source sentence, after fairseq's
-    incremental_state, with everything that depends only on the source and
-    the parameters computed once, at the first cached `decode` call.
+    incremental_state, built for that source: the constructor computes
+    everything that depends only on the source and the parameters.
 
-    Folded then, from the decoder blocks' layers and the encoder output (see
+    Folded there, from the decoder blocks' layers and the encoder output (see
     `_FoldedLayer`): each LayerNorm's gamma and beta into the Dense after it
     (ln1 into the self-attention's `.wqkv`, ln2 into the cross-attention's
     `.wq`, ln3 into the FFN's `.lin1`, the final `dec.ln_f` into the tied
@@ -239,22 +239,28 @@ class DecoderCache:
     The self-attention keys and values of every decoder layer share one
     buffer, (rows, dec_layers, 2, heads, max_len, d_head), and the additive
     mask that hides decoded [PAD] keys one (rows, max_len) buffer; both are
-    allocated for config.max_len positions and written in place. `reorder`
-    takes the rows that the next step extends.
+    allocated for config.max_len positions and written in place. A new
+    cache holds one row, the empty prefix; `reorder` takes the rows that the
+    next step extends.
 
-    A cache is bound to the model, `enc_out` and `src_mask` of its first
-    call, by identity: another source raises DataError. It is also bound to
-    the parameter values of that call: after a parameter update, start a new
-    cache. Every folded product and buffer is in the model's dtype; the
-    constants mixed in are Python floats, which never widen it.
+    A cache is built for one source (batch 1; a batch raises DataError) and
+    bound to its model, `enc_out` and `src_mask` by identity: `decode` with
+    others raises DataError. It is also bound to the parameter values it
+    was built from: after a parameter update, build a new cache. Every
+    folded product and buffer is in the model's dtype; the constants mixed
+    in are Python floats, which never widen it.
     """
 
-    def __init__(self, config: ModelConfig):
-        self.config = config
+    def __init__(self, model: "Seq2SeqTransformer", enc_out: np.ndarray, src_mask: np.ndarray):
+        if enc_out.shape[0] != 1:
+            raise DataError(f"a DecoderCache decodes one source, not a batch of {enc_out.shape[0]}")
+        self.config = model.config
         self.length = 0  # target positions decoded so far
         self.layers: list[_FoldedLayer] = []
-        self._source: tuple | None = None  # (model, enc_out, src_mask) of the first call
-        self._rows = 0  # rows of the last step, or of the next one after a reorder
+        self._source = (model, enc_out, src_mask)
+        self._fold(model, enc_out, src_mask)
+        self._allocate(1)
+        self._rows = 1  # rows of the last step, or of the next one after a reorder
 
     def _allocate(self, rows: int) -> None:
         """Allocate the per-row buffers for `rows` rows; their decoded
@@ -272,22 +278,20 @@ class DecoderCache:
     def reorder(self, rows: np.ndarray) -> None:
         """Keep row rows[i] of the state as row i (beam back-pointers).
 
-        Nothing moves when rows is 0..n-1. Otherwise only the rows that
-        change are written, in place, each with the decoded positions of its
-        chosen row: first each row that takes a later row, in ascending
-        order, then each that takes an earlier row, in descending order.
-        Under ascending back-pointers, which beam search passes, no row is
-        then read after it is written; a row that another order reads after
-        writing it is copied before the first write. One basic-slice copy
-        per moved row costs about half of NumPy's fancy-index gather and
-        scatter of the same rows (a (rows, ..., :t) slice of the 6-D buffer
-        is not contiguous). More rows than the buffers hold are gathered
-        first and written into new buffers. The checks run on a list:
-        NumPy's per-call cost outweighs its speed on four rows. Before the
-        first step there is nothing to reorder. A back-pointer outside the
-        previous step's rows raises DataError."""
-        if not self.length:
-            return
+        Nothing moves when rows is 0..n-1. More rows than the buffers hold
+        first get larger buffers, with the filled rows copied in. Then only
+        the rows that change are written, in place, each with the decoded
+        positions of its chosen row: first each row that takes a later row,
+        in ascending order, then each that takes an earlier row, in
+        descending order. Under ascending back-pointers, which beam search
+        passes, no row is then read after it is written; a row that another
+        order reads after writing it is copied before the first write. One
+        basic-slice copy per moved row costs about half of NumPy's
+        fancy-index gather and scatter of the same rows (a (rows, ..., :t)
+        slice of the 6-D buffer is not contiguous). The checks run on a
+        list: NumPy's per-call cost outweighs its speed on four rows. A
+        back-pointer outside the previous step's rows (before the first
+        step, the one row of the empty prefix) raises DataError."""
         order = np.asarray(rows).tolist()
         n = len(order)
         if n <= self._rows and order == list(range(n)):
@@ -296,26 +300,25 @@ class DecoderCache:
         if min(order) < 0 or max(order) >= self._rows:
             i = next(i for i, r in enumerate(order) if not 0 <= r < self._rows)
             raise DataError(f"back-pointer {order[i]} at row {i} is outside the previous step's {self._rows} rows")
-        t = self.length
+        t, filled = self.length, self._rows
         if n > len(self._kv):
-            kv, pad = self._kv[order, :, :, :, :t], self._pad[order, :t]
+            kv, pad = self._kv, self._pad
             self._allocate(n)
-            self._kv[:n, :, :, :, :t] = kv
-            self._pad[:n, :t] = pad
-        else:
-            moved = [i for i, r in enumerate(order) if r > i] + [i for i in range(n - 1, -1, -1) if order[i] < i]
-            written_at = {i: k for k, i in enumerate(moved)}
-            early = {order[i] for k, i in enumerate(moved) if written_at.get(order[i], k) < k}
-            copies = {r: (self._kv[r, :, :, :, :t].copy(), self._pad[r, :t].copy()) for r in early}
-            for i in moved:
-                r = order[i]
-                kv, pad = copies[r] if r in copies else (self._kv[r, :, :, :, :t], self._pad[r, :t])
-                self._kv[i, :, :, :, :t] = kv
-                self._pad[i, :t] = pad
+            self._kv[:filled, :, :, :, :t] = kv[:filled, :, :, :, :t]
+            self._pad[:filled, :t] = pad[:filled, :t]
+        moved = [i for i, r in enumerate(order) if r > i] + [i for i in range(n - 1, -1, -1) if order[i] < i]
+        written_at = {i: k for k, i in enumerate(moved)}
+        early = {order[i] for k, i in enumerate(moved) if written_at.get(order[i], k) < k}
+        copies = {r: (self._kv[r, :, :, :, :t].copy(), self._pad[r, :t].copy()) for r in early}
+        for i in moved:
+            r = order[i]
+            kv, pad = copies[r] if r in copies else (self._kv[r, :, :, :, :t], self._pad[r, :t])
+            self._kv[i, :, :, :, :t] = kv
+            self._pad[i, :t] = pad
         self._rows = n
 
-    def _fold(self, model: "Seq2SeqTransformer", enc_out: np.ndarray, src_mask: np.ndarray, rows: int) -> None:
-        """Compute the folded products of the source and allocate the buffers."""
+    def _fold(self, model: "Seq2SeqTransformer", enc_out: np.ndarray, src_mask: np.ndarray) -> None:
+        """Compute the folded products of the source."""
         cfg = self.config
         d, heads = cfg.d_model, cfg.heads
         dh = d // heads
@@ -350,9 +353,6 @@ class DecoderCache:
         self._blocks = np.repeat(np.eye(heads, dtype=dtype), src_len, axis=0)  # (heads * S, heads): head of each key
         self._keys_ones = np.ones(cfg.max_len, dtype)
         self._norm_ones = np.ones(d + 1, dtype)
-        self._allocate(rows)
-        self._rows = rows
-        self._source = (model, enc_out, src_mask)
 
     def decode(
         self, model: "Seq2SeqTransformer", enc_out: np.ndarray, src_mask: np.ndarray, tgt_in_ids: np.ndarray
@@ -369,13 +369,9 @@ class DecoderCache:
             raise DataError(f"token {listed[i]} at row {i} is outside the vocabulary 0..{vocab - 1}")
         pos = self.length
         model._check_len(pos + 1, "target")
-        if self._source is None:
-            if enc_out.shape[0] != 1:
-                raise DataError(f"a DecoderCache decodes one source, not a batch of {enc_out.shape[0]}")
-            self._fold(model, enc_out, src_mask, rows)
-        elif self._source[0] is not model or self._source[1] is not enc_out or self._source[2] is not src_mask:
-            raise DataError("this DecoderCache is bound to the model and source of its first decode call")
-        elif rows != self._rows:
+        if self._source[0] is not model or self._source[1] is not enc_out or self._source[2] is not src_mask:
+            raise DataError("this DecoderCache is bound to the model and source it was built for")
+        if rows != self._rows:
             raise DataError(f"cached decode got {rows} rows; the cache holds {self._rows}")
         kv = self._kv[:rows]
         self._pad[:rows, pos] = np.where(ids == PAD_ID, NEG_INF, 0.0)
@@ -490,10 +486,9 @@ class Seq2SeqTransformer:
         """Logits at each position of tgt_in_ids, (B, T, V).
 
         With a cache (inference only), tgt_in_ids hold one new position per
-        row, after the cache's length; enc_out and src_mask are those of one
-        source (batch 1) and the cache's first call, and the cache then holds
-        the new position too (see DecoderCache, which raises DataError on any
-        other use).
+        row, after the cache's length; enc_out and src_mask are those the
+        cache was built for, and the cache then holds the new position too
+        (see DecoderCache, which raises DataError on any other use).
         """
         if cache is not None:
             return cache.decode(self, enc_out, src_mask, tgt_in_ids)

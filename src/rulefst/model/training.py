@@ -85,6 +85,7 @@ class Checkpoint:
 
     @classmethod
     def load(cls, path) -> "Checkpoint":
+        """Read a checkpoint; DataError names the file if it cannot be used."""
         with np.load(path) as data:
             if "meta" not in data:
                 raise DataError(f"{path}: not a checkpoint file")
@@ -100,6 +101,9 @@ class Checkpoint:
             Seq2SeqTransformer(config).store.load(params)
         except ValueError as err:
             raise DataError(f"{path}: parameters do not fit the stored config: {err}") from err
+        bad = next((k for k in sorted(params) if not np.isfinite(params[k]).all()), None)
+        if bad is not None:
+            raise DataError(f"{path}: parameter {bad} holds a non-finite value")
         return cls(
             config=config,
             params=params,

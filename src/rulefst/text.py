@@ -196,6 +196,10 @@ class Vocabulary:
         return hashlib.sha256("\n".join(self.tokens).encode("utf-8")).hexdigest()
 
     def save(self, path) -> None:
+        """One token per line; a token that would not read back raises DataError first."""
+        for i, t in enumerate(self.tokens):
+            if not t or "\n" in t or "\r" in t:
+                raise DataError(f"token {t!r} at id {i} is empty or holds a line break")
         with open(path, "w", encoding="utf-8") as f:
             for t in self.tokens:
                 f.write(t + "\n")

@@ -54,7 +54,7 @@ def cache_step(model, src):
     [PAD], which model_step_fn refuses, reaches the key-masked fold of the
     cross-attention this way."""
     enc_out, src_mask = model.encode(np.asarray([src], dtype=np.int64))
-    cache = DecoderCache(model.config)
+    cache = DecoderCache(model, enc_out, src_mask)
 
     def step(parents, tokens):
         cache.reorder(parents)
@@ -369,18 +369,29 @@ def test_step_rejects_back_pointers_and_tokens_out_of_range(parents, tokens, mes
         step(np.asarray(parents), tokens)
 
 
-def test_decoder_cache_is_bound_to_the_source_of_its_first_call():
+def test_decoder_cache_refuses_a_batch_of_sources():
+    model = tiny_model()
+    enc_out, src_mask = model.encode(np.array([[7, 8, 9], [10, 11, 6]]))
+    with pytest.raises(DataError, match="one source, not a batch of 2"):
+        DecoderCache(model, enc_out, src_mask)
+
+
+def test_decoder_cache_is_bound_to_the_source_it_was_built_for():
     model = tiny_model()
     enc_a, mask_a = model.encode(np.array([[7, 8, 9]]))
     enc_b, mask_b = model.encode(np.array([[10, 11, 6]]))
-    two = DecoderCache(model.config)
-    with pytest.raises(DataError, match="one source"):
-        model.decode(np.repeat(enc_a, 2, 0), np.repeat(mask_a, 2, 0), np.array([[BOS_ID]] * 2), cache=two)
-    cache = DecoderCache(model.config)
-    first = model.next_token_logprobs(enc_a, mask_a, np.array([[BOS_ID]]), cache)
-    for enc, mask in ((enc_b, mask_b), (enc_a.copy(), mask_a), (enc_a, mask_a.copy())):
+    cache = DecoderCache(model, enc_a, mask_a)
+    twin = tiny_model()  # equal parameters, another model
+    for other, enc, mask in ((twin, enc_a, mask_a), (model, enc_b, mask_b), (model, enc_a.copy(), mask_a),
+                             (model, enc_a, mask_a.copy())):
         with pytest.raises(DataError, match="bound"):
-            model.next_token_logprobs(enc, mask, np.array([[7]]), cache)
+            other.next_token_logprobs(enc, mask, np.array([[BOS_ID]]), cache)
+    with pytest.raises(DataError, match="2 rows; the cache holds 1"):
+        model.decode(enc_a, mask_a, np.array([[BOS_ID], [BOS_ID]]), cache=cache)
+    assert cache.length == 0
+    first = model.next_token_logprobs(enc_a, mask_a, np.array([[BOS_ID]]), cache)
+    with pytest.raises(DataError, match="bound"):
+        model.next_token_logprobs(enc_b, mask_b, np.array([[7]]), cache)
     with pytest.raises(DataError, match="one new position"):
         model.decode(enc_a, mask_a, np.array([[7, 8]]), cache=cache)
     with pytest.raises(DataError, match="2 rows"):
@@ -390,6 +401,21 @@ def test_decoder_cache_is_bound_to_the_source_of_its_first_call():
     reference = model.next_token_logprobs(enc_a, mask_a, np.array([[BOS_ID, 7]]))
     np.testing.assert_allclose(second, reference, rtol=0, atol=1e-9)
     assert not np.allclose(first, second)
+
+
+def test_reorder_before_the_first_step_repeats_the_empty_prefix():
+    """A new cache holds one row, the empty prefix: reordering it to three
+    rows gives three [BOS] rows, each scored as the full-prefix path scores
+    [BOS], and a back-pointer past that one row is refused."""
+    model = perturbed(tiny_model(seed=4), seed=4)
+    enc_out, src_mask = model.encode(np.array([[7, 8, 9, 10]]))
+    cache = DecoderCache(model, enc_out, src_mask)
+    cache.reorder(np.array([0, 0, 0]))
+    got = model.next_token_logprobs(enc_out, src_mask, np.full((3, 1), BOS_ID), cache)
+    reference = model.next_token_logprobs(enc_out, src_mask, np.array([[BOS_ID]]))
+    np.testing.assert_allclose(got, np.repeat(reference, 3, 0), rtol=0, atol=1e-9)
+    with pytest.raises(DataError, match=r"back-pointer 1 at row 1\b.* 1 rows"):
+        DecoderCache(model, enc_out, src_mask).reorder(np.array([0, 1]))
 
 
 @pytest.mark.parametrize(

@@ -112,7 +112,8 @@ def test_attention_with_filled_caches_writes_neither_inputs_nor_filled_positions
     model = small_model()
     enc_out, src_mask = model.encode(np.array([[6, 7, PAD_ID, 8, 9]]))
     unchanged = freeze(enc_out, src_mask, *model.store.values.values())
-    cache = DecoderCache(model.config)
+    cache = DecoderCache(model, enc_out, src_mask)
+    cache.reorder(np.array([0, 0]))
     cache.decode(model, enc_out, src_mask, np.array([[BOS_ID], [BOS_ID]]))
     static_unchanged = freeze(*[layer.m for layer in cache.layers], *[layer.vw for layer in cache.layers])
     first = cache._kv[:2, :, :, :, :1].copy(), cache._pad[:2, :1].copy()  # its buffers take appends: compare copies
@@ -136,7 +137,7 @@ def test_cached_decode_steps_write_neither_encoder_output_nor_parameters(rng):
     model = small_model()
     enc_out, src_mask = model.encode(np.array([[6, 7, PAD_ID, 8, 9]]))
     unchanged = freeze(enc_out, src_mask, *model.store.values.values())
-    cache = DecoderCache(model.config)
+    cache = DecoderCache(model, enc_out, src_mask)
     model.next_token_logprobs(enc_out, src_mask, np.array([[BOS_ID]]), cache)
     folded = [a for layer in cache.layers for a in vars(layer).values() if isinstance(a, np.ndarray)]
     folded_unchanged = freeze(*folded)

@@ -234,11 +234,15 @@ def row_softmax(x):
 @pytest.mark.parametrize("dtype, atol", [(np.float32, 1e-6), (np.float64, 1e-15)])
 @pytest.mark.parametrize("axis", [-1, -2, 0, 1])
 def test_softmax_normalises_in_place_over_any_axis(axis, dtype, atol):
+    """softmax normalises axis -2 of its argument; given a view of x with
+    `axis` moved there, strided for every axis but -2, it normalises x over
+    `axis` in place."""
     x = np.random.default_rng(6).normal(0.0, 5.0, size=(3, 4, 5, 6)).astype(dtype)
     x[1, 2] = -1e9  # a masked slice, in every orientation
     expected = np.moveaxis(row_softmax(np.moveaxis(x.astype(np.float64), axis, -1)), -1, axis)
-    out = softmax(x, axis=axis)
-    assert out is x and x.dtype == dtype
+    view = np.moveaxis(x, axis, -2)
+    out = softmax(view)
+    assert out is view and x.dtype == dtype
     np.testing.assert_allclose(x, expected, rtol=0, atol=atol)
 
 
@@ -406,7 +410,7 @@ def test_activations_caches_and_gradients_stay_in_model_dtype(dtype):
     assert len(model.store.grads) == len(model.store.values)
 
     enc_out, src_mask = model.encode(src[:1])
-    cache = DecoderCache(model.config)
+    cache = DecoderCache(model, enc_out, src_mask)
     logits = model.decode(enc_out, src_mask, np.array([[BOS_ID]]), cache=cache)
     cache.reorder(np.array([0, 0]))
     logprobs = model.next_token_logprobs(enc_out, src_mask, np.array([[6], [7]]), cache)
@@ -757,6 +761,16 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "junk.npz"
     np.savez(path, foo=np.zeros(3))
     with pytest.raises(DataError):
+        Checkpoint.load(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_checkpoint_with_a_non_finite_parameter_is_refused(tmp_path, value):
+    ck = _checkpoint_with_hash("abc123")
+    ck.params["dec.ln_f.gamma"][3] = value
+    path = tmp_path / "non_finite.npz"
+    ck.save(path)
+    with pytest.raises(DataError, match=r"non_finite\.npz: parameter dec\.ln_f\.gamma holds a non-finite value"):
         Checkpoint.load(path)
 
 

@@ -244,6 +244,16 @@ def test_vocab_file_round_trip(tmp_path):
     assert Vocabulary.load(path) == vocab
 
 
+@pytest.mark.parametrize("token", ["", "x\ny", "x\ry"])
+def test_vocab_save_refuses_a_token_that_would_not_read_back(tmp_path, token):
+    vocab = build_vocab([["a", token]])
+    path = tmp_path / "vocab.txt"
+    message = rf"token {re.escape(repr(token))} at id {vocab.tokens.index(token)} is empty or holds a line break"
+    with pytest.raises(DataError, match=message):
+        vocab.save(path)
+    assert not path.exists()
+
+
 def test_vocab_deterministic_order():
     a = build_vocab([["x", "y", "x", "z"]])
     b = build_vocab([["x", "y", "x", "z"]])
