@@ -23,6 +23,7 @@ def test_a_checkout_against_itself_reports_equal_ids_and_both_kinds():
     lines = proc.stdout.splitlines()
     assert sum(line.startswith('{"round": ') for line in lines) == 2
     assert "equal ids on every source, beam and greedy" in proc.stdout
+    assert "verdicts against the bound 0.25 of decode_sent_ms_p50" in proc.stdout
     for kind in ("beam", "greedy"):
         (row,) = [line for line in lines if line.split()[0] == kind]
         assert "/2 " in row and row.endswith(("no gain", "unresolved", "worse than bound"))

@@ -1,7 +1,7 @@
 """Paired decode timing of two checkouts in one process: a parent and a change.
 
     python3 tools/ab_decode.py PARENT_DIR CHANGE_DIR [--rounds N] [--sources N]
-        [--src-len L] [--max-len M] [--vocab V] [--seed S] [--bound B]
+        [--src-len L] [--max-len M] [--vocab V]
 
 Each checkout's `rulefst` is imported from its `src/` into this one process
 under module objects of its own: the `rulefst` entries of sys.modules are
@@ -11,8 +11,9 @@ the same interpreter, the same BLAS (on one thread) and the same inputs.
 One model of the default ModelConfig shapes, with the given vocabulary, is
 built by the parent's code. Its parameters are moved by seeded N(0, NOISE)
 noise, so that its scores are not the near-uniform ones of initialisation,
-and loaded into a model built by the change's code. The sources are seeded
-random ids above the reserved ones.
+and loaded into a model built by the change's code. The sources are random
+ids above the reserved ones. Model, noise and sources come from the fixed
+SEED, so every run decodes the same inputs.
 
 Each round decodes every source with beam 4 / fanout 6 on both sides, then
 every source greedily on both sides; which side runs first alternates from
@@ -20,7 +21,9 @@ round to round. Both sides must give equal ids on every source: if not, the
 run stops with exit status 1, naming the kind, the round and the source.
 For each kind the report gives each side's quartiles of its seconds per
 round, the median over rounds of change / parent, the change's wins (ties
-count for neither) and `ab_bench.verdict` on those seconds against --bound.
+count for neither) and `ab_bench.verdict` on those seconds against the bound
+that PARENT_DIR's BENCHMARK.json gives decode_sent_ms_p50, the benchmark's
+lower-is-better decode time.
 """
 
 from __future__ import annotations
@@ -42,6 +45,8 @@ from ab_bench import quartiles, verdict  # noqa: E402
 
 NOISE = 0.15  # the spread that the default-shape decode oracle in tests/test_decoding.py gives its model
 BEAM, FANOUT = 4, 6  # the benchmark's beam decodes
+SEED = 0
+BOUND_METRIC = "decode_sent_ms_p50"
 
 
 def load(checkout: str):
@@ -71,7 +76,7 @@ def decoders(package, params, args):
     """(beam, greedy): functions of a source that decode it with the model
     of `package`'s code holding `params`."""
     model_mod = package.model
-    model = model_mod.Seq2SeqTransformer(model_mod.ModelConfig(vocab_size=args.vocab, dropout=0.0), seed=args.seed)
+    model = model_mod.Seq2SeqTransformer(model_mod.ModelConfig(vocab_size=args.vocab, dropout=0.0), seed=SEED)
     model.store.load(params)
 
     def beam(src):
@@ -92,17 +97,17 @@ def main(argv=None) -> int:
     parser.add_argument("--src-len", type=int, default=127)
     parser.add_argument("--max-len", type=int, default=127)
     parser.add_argument("--vocab", type=int, default=300)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--bound", type=float, default=0.25,
-                        help="share of the parent's median seconds by which the change may be slower")
     args = parser.parse_args(argv)
     if min(args.rounds, args.sources, args.src_len, args.max_len) < 1:
         parser.error("--rounds, --sources, --src-len and --max-len must be at least 1")
 
+    with open(os.path.join(args.parent, "BENCHMARK.json")) as f:
+        (bound,) = [m["bound"] for m in json.load(f)["end_to_end"] if m["name"] == BOUND_METRIC]
+
     packages = {"parent": load(args.parent), "change": load(args.change)}
     model_mod = packages["parent"].model
-    model = model_mod.Seq2SeqTransformer(model_mod.ModelConfig(vocab_size=args.vocab, dropout=0.0), seed=args.seed)
-    rng = np.random.default_rng(args.seed)
+    model = model_mod.Seq2SeqTransformer(model_mod.ModelConfig(vocab_size=args.vocab, dropout=0.0), seed=SEED)
+    rng = np.random.default_rng(SEED)
     for value in model.store.values.values():
         value += rng.normal(0.0, NOISE, size=value.shape).astype(value.dtype)
     first_id = len(packages["parent"].text.SPECIAL_TOKENS)
@@ -128,13 +133,14 @@ def main(argv=None) -> int:
                                          for side in packages for kind in kinds}}), flush=True)
 
     print(f"{args.rounds} rounds, {args.sources} sources of {args.src_len} ids, max_len {args.max_len}, "
-          f"vocab {args.vocab}, seed {args.seed}: equal ids on every source, beam and greedy")
+          f"vocab {args.vocab}, seed {SEED}: equal ids on every source, beam and greedy")
+    print(f"verdicts against the bound {bound:g} of {BOUND_METRIC} in {args.parent}/BENCHMARK.json")
     print(f"{'kind':8s} {'parent q1 / median / q3 s':>30s} {'change q1 / median / q3 s':>30s} "
           f"{'change/parent':>13s} {'wins':>6s}  verdict")
     for kind in kinds:
         p, c = seconds["parent", kind], seconds["change", kind]
         ratio = statistics.median(b / a for a, b in zip(p, c))
-        result, wins = verdict(p, c, "lower", args.bound)
+        result, wins = verdict(p, c, "lower", bound)
         sides = ["{:9.4g} {:9.4g} {:9.4g}".format(*quartiles(v)) for v in (p, c)]
         print(f"{kind:8s} {sides[0]:>30s} {sides[1]:>30s} {ratio:13.4f} {wins:>3d}/{args.rounds:<2d}  {result}")
     return 0
