@@ -14,7 +14,8 @@ position per hypothesis through the decoder (fairseq's incremental_state and
 reorder_incremental_state, Ott et al. 2019). The model's step runs on a
 DecoderCache built for the encoded source, which starts from one row, the
 empty prefix, and raises DataError on a back-pointer outside the previous
-step's rows or a token outside the vocabulary, naming the value and its row.
+step's rows or below the one before it, or a token outside the vocabulary,
+naming the value and its row.
 Greedy decoding is beam search with beam 1 and fanout 1, through the same
 top-k as every other fanout.
 
@@ -39,8 +40,9 @@ from .seq2seq import DecoderCache, Seq2SeqTransformer
 
 # step_fn(parents, tokens) -> (n, V) next-token log-probs. Hypothesis i is the
 # prefix that row parents[i] of the previous call scored, extended by
-# tokens[i]; the first call gets parents [0] and tokens [BOS]. Both are
-# (n,) int arrays.
+# tokens[i]; the first call gets parents [0] and tokens [BOS]. Both are (n,)
+# int arrays; parents never decreases, as `_top_k` returns rows in row-major
+# order and `beam_search` keeps np.sort of the kept candidates' indices.
 StepFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -132,8 +134,8 @@ def model_step_fn(model: Seq2SeqTransformer, src_ids: Sequence[int]) -> StepFn:
     [PAD], [BOS] or [EOS] (text.reserved_token_error), raises DataError
     before anything is encoded. A step raises DataError on a back-pointer
     outside 0..n-1, n the previous step's rows (1 at the first step, the
-    empty prefix), on a token outside the vocabulary, and past the model's
-    max_len positions.
+    empty prefix), or below the back-pointer before it, on a token outside
+    the vocabulary, and past the model's max_len positions.
     """
     src = np.asarray([src_ids], dtype=np.int64)
     if not src.size:

@@ -236,12 +236,12 @@ class DecoderCache:
     float32: (4, 64) by (64, 192) takes 2.9 us with `@` and 1.7 us with
     `.dot`). The 4-D self-attention products stay `@`.
 
-    The self-attention keys and values of every decoder layer share one
-    buffer, (rows, dec_layers, 2, heads, max_len, d_head), and the additive
-    mask that hides decoded [PAD] keys one (rows, max_len) buffer; both are
-    allocated for config.max_len positions and written in place. A new
-    cache holds one row, the empty prefix; `reorder` takes the rows that the
-    next step extends.
+    The self-attention keys and values of every decoder layer, the only
+    per-row state kept from step to step, share one buffer, (rows,
+    dec_layers, 2, heads, max_len, d_head), allocated for config.max_len
+    positions and written in place. No key is hidden: a decoded [PAD] is
+    attended like any other token. A new cache holds one row, the empty
+    prefix; `reorder` takes the rows that the next step extends.
 
     A cache is built for one source (batch 1; a batch raises DataError) and
     bound to its model, `enc_out` and `src_mask` by identity: `decode` with
@@ -268,7 +268,6 @@ class DecoderCache:
         cfg = self.config
         d, dtype = cfg.d_model, cfg.dtype
         self._kv = np.empty((rows, cfg.dec_layers, 2, cfg.heads, cfg.max_len, d // cfg.heads), dtype)
-        self._pad = np.empty((rows, cfg.max_len), dtype)
         self._sq = np.full((rows, d + 1), d * LN_EPS, dtype)
         self._xn = np.ones((rows, d + 1), dtype)
         self._ctx = np.ones((rows, d + 1), dtype)
@@ -283,15 +282,14 @@ class DecoderCache:
         the rows that change are written, in place, each with the decoded
         positions of its chosen row: first each row that takes a later row,
         in ascending order, then each that takes an earlier row, in
-        descending order. Under ascending back-pointers, which beam search
-        passes, no row is then read after it is written; a row that another
-        order reads after writing it is copied before the first write. One
-        basic-slice copy per moved row costs about half of NumPy's
-        fancy-index gather and scatter of the same rows (a (rows, ..., :t)
-        slice of the 6-D buffer is not contiguous). The checks run on a
-        list: NumPy's per-call cost outweighs its speed on four rows. A
-        back-pointer outside the previous step's rows (before the first
-        step, the one row of the empty prefix) raises DataError."""
+        descending order; back-pointers that never decrease let neither pass
+        read a row already written. One basic-slice copy per moved row
+        costs about half of NumPy's fancy-index gather and scatter of the
+        same rows (a (rows, ..., :t) slice of the 6-D buffer is not
+        contiguous). The checks run on a list: NumPy's per-call cost
+        outweighs its speed on four rows. A back-pointer outside the
+        previous step's rows (before the first step, the one row of the
+        empty prefix), or below the one before it, raises DataError."""
         order = np.asarray(rows).tolist()
         n = len(order)
         if n <= self._rows and order == list(range(n)):
@@ -300,21 +298,16 @@ class DecoderCache:
         if min(order) < 0 or max(order) >= self._rows:
             i = next(i for i, r in enumerate(order) if not 0 <= r < self._rows)
             raise DataError(f"back-pointer {order[i]} at row {i} is outside the previous step's {self._rows} rows")
+        i = next((i for i in range(1, n) if order[i] < order[i - 1]), 0)
+        if i:
+            raise DataError(f"back-pointer {order[i]} at row {i} decreases from row {i - 1}'s {order[i - 1]}")
         t, filled = self.length, self._rows
         if n > len(self._kv):
-            kv, pad = self._kv, self._pad
+            kv = self._kv
             self._allocate(n)
             self._kv[:filled, :, :, :, :t] = kv[:filled, :, :, :, :t]
-            self._pad[:filled, :t] = pad[:filled, :t]
-        moved = [i for i, r in enumerate(order) if r > i] + [i for i in range(n - 1, -1, -1) if order[i] < i]
-        written_at = {i: k for k, i in enumerate(moved)}
-        early = {order[i] for k, i in enumerate(moved) if written_at.get(order[i], k) < k}
-        copies = {r: (self._kv[r, :, :, :, :t].copy(), self._pad[r, :t].copy()) for r in early}
-        for i in moved:
-            r = order[i]
-            kv, pad = copies[r] if r in copies else (self._kv[r, :, :, :, :t], self._pad[r, :t])
-            self._kv[i, :, :, :, :t] = kv
-            self._pad[i, :t] = pad
+        for i in [i for i, r in enumerate(order) if r > i] + [i for i in range(n - 1, -1, -1) if order[i] < i]:
+            self._kv[i, :, :, :, :t] = self._kv[order[i], :, :, :, :t]
         self._rows = n
 
     def _fold(self, model: "Seq2SeqTransformer", enc_out: np.ndarray, src_mask: np.ndarray) -> None:
@@ -374,8 +367,6 @@ class DecoderCache:
         if rows != self._rows:
             raise DataError(f"cached decode got {rows} rows; the cache holds {self._rows}")
         kv = self._kv[:rows]
-        self._pad[:rows, pos] = np.where(ids == PAD_ID, NEG_INF, 0.0)
-        pad = self._pad[:rows, None, : pos + 1, None]  # key-major: (rows, 1, keys, 1)
         keys_ones, norm_ones, heads = self._keys_ones[: pos + 1], self._norm_ones, self.config.heads
         sq, xn, ctx, relu = self._sq[:rows], self._xn[:rows], self._ctx[:rows], self._relu[:rows]
         sq_x, xn_x, ctx_heads, relu_x = sq[:, :-1], xn[:, :-1], self._ctx_heads[:rows], relu[:, :-1]
@@ -391,8 +382,7 @@ class DecoderCache:
             qkv = normalized(x).dot(f.wqkv).reshape(rows, 3, heads, -1)
             kv[:, i, :, :, pos] = qkv[:, 1:]
             k, v = kv[:, i, 0, :, : pos + 1], kv[:, i, 1, :, : pos + 1]  # (rows, heads, keys, d_head)
-            s = k @ qkv[:, 0, :, :, None]
-            s += pad
+            s = k @ qkv[:, 0, :, :, None]  # key-major: (rows, heads, keys, 1)
             s -= np.maximum.reduce(s, axis=-2, keepdims=True)
             np.exp(s, out=s)
             s /= s.reshape(rows * heads, -1).dot(keys_ones).reshape(rows, heads, 1, 1)
@@ -483,7 +473,8 @@ class Seq2SeqTransformer:
         train: bool = False,
         cache: DecoderCache | None = None,
     ) -> np.ndarray:
-        """Logits at each position of tgt_in_ids, (B, T, V).
+        """Logits at each position of tgt_in_ids, (B, T, V), under a causal
+        self-attention mask alone: a [PAD] is attended like any other token.
 
         With a cache (inference only), tgt_in_ids hold one new position per
         row, after the cache's length; enc_out and src_mask are those the
@@ -494,7 +485,7 @@ class Seq2SeqTransformer:
             return cache.decode(self, enc_out, src_mask, tgt_in_ids)
         t = tgt_in_ids.shape[1]
         self._check_len(t, "target")
-        self_mask = self.causal_mask(t, self.store.dtype) + self.pad_mask(tgt_in_ids, self.store.dtype)
+        self_mask = self.causal_mask(t, self.store.dtype)
         x = self._embed(tgt_in_ids, self.emb_drop_tgt, train)
         for block in self.dec_blocks:
             x = block.forward(x, enc_out, self_mask, src_mask, train, self._dropout_rng)

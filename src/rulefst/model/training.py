@@ -92,6 +92,9 @@ class Checkpoint:
             meta = json.loads(bytes(data["meta"]).decode("utf-8"))
             if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
                 raise DataError(f"{path}: unsupported checkpoint version {meta.get('format_version')}")
+            missing = next((k for k in ("config", "vocab_hash", "step", "seed", "history") if k not in meta), None)
+            if missing is not None:
+                raise DataError(f"{path}: checkpoint metadata has no {missing!r}")
             params = {k[len("param/"):]: data[k] for k in data.files if k.startswith("param/")}
         try:
             config = ModelConfig(**meta["config"])
@@ -178,14 +181,15 @@ def _validate_pairs(pairs: list[Pair], config: ModelConfig, what: str) -> None:
 
 def evaluate_loss(model: Seq2SeqTransformer, pairs: list[Pair]) -> float:
     """Token-weighted mean teacher-forced loss (no dropout), in batches of
-    EVAL_BATCH_SIZE pairs."""
+    EVAL_BATCH_SIZE pairs, checked as `train` checks its pairs."""
+    _validate_pairs(pairs, model.config, "eval")
     total, n = 0.0, 0
     for i in range(0, len(pairs), EVAL_BATCH_SIZE):
         src, tgt_in, tgt_out = make_batch(pairs[i : i + EVAL_BATCH_SIZE])
         loss, n_tok = model.loss(src, tgt_in, tgt_out, train=False)
         total += loss * n_tok
         n += n_tok
-    return total / max(n, 1)
+    return total / n  # every pair scores at least its [EOS]
 
 
 def train(

@@ -159,13 +159,17 @@ def normalize_tweet(s: str) -> str:
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Token <-> id map with reserved ids 0..5 for the special tokens."""
+    """Token <-> id map with reserved ids 0..5 for the special tokens; a
+    token that would not read back from `save`'s file raises DataError."""
 
     tokens: tuple[str, ...]
 
     def __post_init__(self):
         if self.tokens[: len(SPECIAL_TOKENS)] != SPECIAL_TOKENS:
             raise DataError("vocabulary must start with the reserved tokens")
+        for i, t in enumerate(self.tokens):
+            if not t or "\n" in t or "\r" in t:
+                raise DataError(f"token {t!r} at id {i} is empty or holds a line break")
         index = {t: i for i, t in enumerate(self.tokens)}
         if len(index) != len(self.tokens):
             raise DataError("vocabulary contains duplicate tokens")
@@ -196,10 +200,7 @@ class Vocabulary:
         return hashlib.sha256("\n".join(self.tokens).encode("utf-8")).hexdigest()
 
     def save(self, path) -> None:
-        """One token per line; a token that would not read back raises DataError first."""
-        for i, t in enumerate(self.tokens):
-            if not t or "\n" in t or "\r" in t:
-                raise DataError(f"token {t!r} at id {i} is empty or holds a line break")
+        """One token per line."""
         with open(path, "w", encoding="utf-8") as f:
             for t in self.tokens:
                 f.write(t + "\n")

@@ -1,6 +1,8 @@
-"""tools/ab_decode.py at a tiny size: this checkout against itself, and
-against copies whose beam or greedy decode gives other ids."""
+"""tools/ab_decode.py at a tiny size: this checkout against itself, with a wall
+and a CPU row for each kind, and against copies whose beam or greedy decode
+gives other ids."""
 
+import json
 import os
 import shutil
 import subprocess
@@ -24,9 +26,12 @@ def test_a_checkout_against_itself_reports_equal_ids_and_both_kinds():
     assert sum(line.startswith('{"round": ') for line in lines) == 2
     assert "equal ids on every source, beam and greedy" in proc.stdout
     assert "verdicts against the bound 0.25 of decode_sent_ms_p50" in proc.stdout
+    rounds = [json.loads(line) for line in lines if line.startswith('{"round": ')]
     for kind in ("beam", "greedy"):
-        (row,) = [line for line in lines if line.split()[0] == kind]
-        assert "/2 " in row and row.endswith(("no gain", "unresolved", "worse than bound"))
+        for clock in ("wall", "cpu"):
+            (row,) = [line for line in lines if line.split()[:2] == [kind, clock]]
+            assert "/2 " in row and row.endswith(("no gain", "unresolved", "worse than bound"))
+            assert all(r[f"{side}_{kind}_{clock}_s"] > 0 for r in rounds for side in ("parent", "change"))
 
 
 @pytest.mark.parametrize(

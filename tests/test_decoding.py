@@ -153,7 +153,7 @@ def test_cached_steps_match_full_prefix_for_hand_picked_back_pointers():
     for make_step, src in ((cache_step, [7, 9, PAD_ID]), (model_step_fn, [7, 9, SEP_ID])):
         cached = make_step(model, src)
         reference = PrefixStep(full_prefix_scores(model, src))
-        moves = [([0], [BOS_ID]), ([0, 0, 0], [7, PAD_ID, 9]), ([2, 0, 1, 1], [PAD_ID, 8, 10, 7]), ([3, 3], [9, PAD_ID])]
+        moves = [([0], [BOS_ID]), ([0, 0, 0], [7, PAD_ID, 9]), ([0, 1, 1, 2], [PAD_ID, 8, 10, 7]), ([3, 3], [9, PAD_ID])]
         for parents, tokens in moves:
             parents = np.asarray(parents)
             np.testing.assert_allclose(cached(parents, tokens), reference(parents, tokens), rtol=0, atol=1e-6)
@@ -282,8 +282,9 @@ def test_decoder_cache_keeps_the_target_length_guard():
 
 def assert_cached_matches_full_prefix_out_to_max_len(make_step, model, src, atol, seed):
     """Cached against full-prefix log-probs at every position to max_len - 1,
-    then the length guard, through reorders that repeat, drop, grow, shrink
-    and keep rows."""
+    then the length guard, through sorted reorders that repeat, drop, grow,
+    shrink and keep rows, and that move rows to take both a later and an
+    earlier row."""
     cached = make_step(model, src)
     reference = PrefixStep(full_prefix_scores(model, src))
     rng = np.random.default_rng(seed)
@@ -294,7 +295,7 @@ def assert_cached_matches_full_prefix_out_to_max_len(make_step, model, src, atol
         else:
             kind = ["random", "random", "identity", "random", "prefix", "one"][position % 6]
             if kind == "random":
-                parents = rng.integers(0, rows, size=int(rng.integers(1, 6)))
+                parents = np.sort(rng.integers(0, rows, size=int(rng.integers(1, 6))))
             elif kind == "identity":
                 parents = np.arange(rows)
             elif kind == "prefix":
@@ -303,10 +304,12 @@ def assert_cached_matches_full_prefix_out_to_max_len(make_step, model, src, atol
                 parents = np.asarray([rows - 1])
             kept = set(parents.tolist())
             seen |= {("repeat", len(kept) < len(parents)), ("drop", len(kept) < rows), ("grow", len(parents) > rows)}
+            seen |= {("later", any(p > i for i, p in enumerate(parents))),
+                     ("earlier", any(p < i for i, p in enumerate(parents)))}
             tokens = rng.integers(0, model.config.vocab_size, size=len(parents)).tolist()
         rows = len(parents)
         np.testing.assert_allclose(cached(parents, tokens), reference(parents, tokens), rtol=0, atol=atol)
-    assert {("repeat", True), ("drop", True), ("grow", True)} <= seen
+    assert {("repeat", True), ("drop", True), ("grow", True), ("later", True), ("earlier", True)} <= seen
     assert any(PAD_ID in p for p in reference.seen)
     assert len(reference.prefixes[0]) == model.config.max_len
     with pytest.raises(DataError, match="target length"):
@@ -356,9 +359,11 @@ def test_cached_steps_match_full_prefix_at_the_default_shapes(dtype, atol):
         ([0, 2], [9, 9], r"back-pointer 2 at row 1\b"),
         ([0, 1, 2], [9, 9, 9], r"back-pointer 2 at row 2\b"),
         ([0], [-1], r"token -1 at row 0\b"),
-        ([1, 0], [9, 12], r"token 12 at row 1\b"),
+        ([1, 1], [9, 12], r"token 12 at row 1\b"),
+        ([1, 0], [9, 9], r"back-pointer 0 at row 1 decreases from row 0's 1"),
     ],
-    ids=["negative-parent", "parent-past-the-rows", "identity-past-the-rows", "negative-token", "vocab-size-token"],
+    ids=["negative-parent", "parent-past-the-rows", "identity-past-the-rows", "negative-token", "vocab-size-token",
+         "decreasing-parents"],
 )
 def test_step_rejects_back_pointers_and_tokens_out_of_range(parents, tokens, message):
     model = tiny_model()  # vocab_size 12

@@ -116,7 +116,7 @@ def test_attention_with_filled_caches_writes_neither_inputs_nor_filled_positions
     cache.reorder(np.array([0, 0]))
     cache.decode(model, enc_out, src_mask, np.array([[BOS_ID], [BOS_ID]]))
     static_unchanged = freeze(*[layer.m for layer in cache.layers], *[layer.vw for layer in cache.layers])
-    first = cache._kv[:2, :, :, :, :1].copy(), cache._pad[:2, :1].copy()  # its buffers take appends: compare copies
+    first = cache._kv[:2, :, :, :, :1].copy()  # its buffer takes appends: compare a copy
     for _ in range(2):
         ids = rng.integers(PAD_ID, 12, size=(2, 1))
         ids_unchanged = freeze(ids)
@@ -124,16 +124,15 @@ def test_attention_with_filled_caches_writes_neither_inputs_nor_filled_positions
         ids_unchanged()
         assert logits.shape == (2, 1, 12) and np.all(np.isfinite(logits))
     assert cache.length == 3
-    assert np.array_equal(cache._kv[:2, :, :, :, :1], first[0]) and np.array_equal(cache._pad[:2, :1], first[1])
+    assert np.array_equal(cache._kv[:2, :, :, :, :1], first)
     static_unchanged()
     unchanged()
 
 
 def test_cached_decode_steps_write_neither_encoder_output_nor_parameters(rng):
-    """Each step writes only its own position: the keys, values and [PAD]
-    mask of the positions before it are those the reorder left, and the
-    step's ids, the source, the parameters and the folded products stay as
-    they were."""
+    """Each step writes only its own position: the keys and values of the
+    positions before it are those the reorder left, and the step's ids, the
+    source, the parameters and the folded products stay as they were."""
     model = small_model()
     enc_out, src_mask = model.encode(np.array([[6, 7, PAD_ID, 8, 9]]))
     unchanged = freeze(enc_out, src_mask, *model.store.values.values())
@@ -141,16 +140,15 @@ def test_cached_decode_steps_write_neither_encoder_output_nor_parameters(rng):
     model.next_token_logprobs(enc_out, src_mask, np.array([[BOS_ID]]), cache)
     folded = [a for layer in cache.layers for a in vars(layer).values() if isinstance(a, np.ndarray)]
     folded_unchanged = freeze(*folded)
-    for parents in ([0, 0, 0], [2, 0, 1], [0, 1, 2], [1, 1]):
+    for parents in ([0, 0, 0], [0, 1, 1], [0, 1, 2], [1, 2]):
         cache.reorder(np.array(parents))
         t, rows = cache.length, len(parents)
-        filled = cache._kv[:rows, :, :, :, :t].copy(), cache._pad[:rows, :t].copy()
+        filled = cache._kv[:rows, :, :, :, :t].copy()
         ids = rng.integers(PAD_ID, 12, size=(rows, 1))
         ids_unchanged = freeze(ids)
         model.next_token_logprobs(enc_out, src_mask, ids, cache)
         ids_unchanged()
-        assert np.array_equal(cache._kv[:rows, :, :, :, :t], filled[0])
-        assert np.array_equal(cache._pad[:rows, :t], filled[1])
+        assert np.array_equal(cache._kv[:rows, :, :, :, :t], filled)
     assert cache.length == 5
     unchanged()
     folded_unchanged()

@@ -1,4 +1,5 @@
 import functools
+import json
 import os
 import tempfile
 from dataclasses import asdict, replace
@@ -116,9 +117,7 @@ def scalar_forward_loss(model, src, tgt_in, tgt_out):
         y = np.stack([P["embed.tok.E"][tgt_row[i]] + P["embed.pos"][i] for i in range(lt)])
 
         def tgt_mask(i, j):
-            if j > i:
-                return -1e9
-            return -1e9 if tgt_row[j] == PAD_ID else 0.0
+            return -1e9 if j > i else 0.0
 
         for li in range(cfg.dec_layers):
             pre = np.stack([layer_norm(y[i], f"dec{li}.ln1") for i in range(lt)])
@@ -177,6 +176,42 @@ def test_pad_positions_in_batch_do_not_leak():
     full = model.forward(src_a, ti_a)
     solo = model.forward(src_b, ti_b)
     np.testing.assert_allclose(full[0, : ti_b.shape[1]], solo[0], atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@given(
+    pairs=st.lists(
+        st.tuples(st.lists(st.integers(6, 11), min_size=1, max_size=8), st.lists(st.integers(6, 11), max_size=8)),
+        min_size=1,
+        max_size=5,
+    ),
+    seed=st.integers(0, 2**16),
+)
+def test_trailing_target_pad_ids_change_neither_loss_nor_gradients(dtype, pairs, seed):
+    """The causal mask alone keeps a target's trailing [PAD] from every scored
+    position: any ids in its place leave the loss and every gradient bit for
+    bit as they were, with dropout on. One exception, of summation order:
+    where a filler id is also a content id of the target, its zero gradient
+    rows join that id's row sum in `scatter_add_rows`, whose pairwise
+    reduction may then round the embedding row in its last bits."""
+    src, tgt_in, tgt_out = batch_from(pairs)
+    trailing = tgt_in == PAD_ID
+    filled = np.where(trailing, np.random.default_rng(seed).integers(0, 12, tgt_in.shape), tgt_in)
+    results = []
+    for ids in (tgt_in, filled):
+        model = Seq2SeqTransformer(tiny_config(dtype=dtype, dropout=0.1, dec_layers=2), seed=seed)
+        loss, n_tok = model.loss_and_grads(src, ids, tgt_out, train=True)
+        results.append((loss, n_tok, model.store.grads))
+    (loss_a, n_a, grads_a), (loss_b, n_b, grads_b) = results
+    assert loss_a == loss_b and n_a == n_b
+    shared = sorted(set(filled[trailing].tolist()) & set(tgt_in[~trailing].tolist()))
+    for name, grad in grads_a.items():
+        other = grads_b[name]
+        if name == "embed.tok.E":
+            tol = 16 * np.finfo(dtype).eps * np.abs(grad[shared]).max(initial=0.0)
+            np.testing.assert_allclose(other[shared], grad[shared], rtol=0, atol=tol)
+            grad, other = np.delete(grad, shared, axis=0), np.delete(other, shared, axis=0)
+        assert np.array_equal(grad, other), name
 
 
 def test_causal_masking():
@@ -416,7 +451,7 @@ def test_activations_caches_and_gradients_stay_in_model_dtype(dtype):
     logprobs = model.next_token_logprobs(enc_out, src_mask, np.array([[6], [7]]), cache)
     paths = assert_all_in_dtype(np.dtype(dtype), model=model, cache=cache, logits=logits, enc_out=enc_out)
     folded = {f"cache.layers.0.{name}" for name in ("wqkv", "wo", "m", "vw", "w1", "w2")}
-    buffers = {f"cache._{name}" for name in ("kv", "pad", "out", "sq", "xn", "ctx", "relu")}
+    buffers = {f"cache._{name}" for name in ("kv", "out", "sq", "xn", "ctx", "relu")}
     assert folded | buffers <= paths
     assert logprobs.dtype == np.float64 and logprobs.shape == (2, model.config.vocab_size)
 
@@ -659,6 +694,22 @@ def test_best_checkpoint_has_lowest_observed_val_loss():
     assert evaluate_loss(model, pairs[:8]) == pytest.approx(min(evals), abs=1e-6)
 
 
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        ([([-1, 7], [8])], r"eval\[0\]: source id -1 at position 0 is outside the vocabulary 0\.\.11"),
+        ([([7, 8], [9]), ([7, 8], [9, PAD_ID, 10])], r"eval\[1\]: target position 1 holds the reserved token \[PAD\]"),
+        ([], r"eval set is empty"),
+    ],
+    ids=["negative-id", "pad-in-target", "empty"],
+)
+def test_evaluate_loss_refuses_pairs_that_train_refuses(pairs, message):
+    from rulefst.model import evaluate_loss
+
+    with pytest.raises(DataError, match=message):
+        evaluate_loss(Seq2SeqTransformer(tiny_config(), seed=0), pairs)
+
+
 # ---- checkpoint io -----------------------------------------------------------
 
 
@@ -755,6 +806,20 @@ def test_checkpoint_config_with_a_field_the_model_does_not_have_is_refused(tmp_p
 def test_train_spec_with_a_bad_value_is_refused(field, value):
     with pytest.raises(DataError, match=rf"\b{field}={value}"):
         TrainSpec(**{field: value})
+
+
+@pytest.mark.parametrize("key", ["config", "vocab_hash", "step", "seed", "history"])
+def test_checkpoint_without_a_metadata_key_is_refused_naming_file_and_key(tmp_path, key):
+    path = tmp_path / "no_key.npz"
+    _checkpoint_with_hash("abc123").save(path)
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files}
+    meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+    del meta[key]
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    np.savez(path, **arrays)
+    with pytest.raises(DataError, match=rf"no_key\.npz: checkpoint metadata has no '{key}'"):
+        Checkpoint.load(path)
 
 
 def test_checkpoint_rejects_garbage(tmp_path):

@@ -245,13 +245,17 @@ def test_vocab_file_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize("token", ["", "x\ny", "x\ry"])
-def test_vocab_save_refuses_a_token_that_would_not_read_back(tmp_path, token):
-    vocab = build_vocab([["a", token]])
-    path = tmp_path / "vocab.txt"
-    message = rf"token {re.escape(repr(token))} at id {vocab.tokens.index(token)} is empty or holds a line break"
+def test_build_vocab_refuses_a_token_that_would_not_read_back(token):
+    message = rf"token {re.escape(repr(token))} at id 7 is empty or holds a line break"
     with pytest.raises(DataError, match=message):
-        vocab.save(path)
-    assert not path.exists()
+        build_vocab([["a", "a", token]])
+
+
+def test_vocab_load_refuses_a_blank_line_between_tokens(tmp_path):
+    path = tmp_path / "vocab.txt"
+    path.write_text("\n".join([*SPECIAL_TOKENS, "a", "", "b"]) + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r"token '' at id 7 is empty or holds a line break"):
+        Vocabulary.load(path)
 
 
 def test_vocab_deterministic_order():

@@ -19,11 +19,13 @@ Each round decodes every source with beam 4 / fanout 6 on both sides, then
 every source greedily on both sides; which side runs first alternates from
 round to round. Both sides must give equal ids on every source: if not, the
 run stops with exit status 1, naming the kind, the round and the source.
-For each kind the report gives each side's quartiles of its seconds per
-round, the median over rounds of change / parent, the change's wins (ties
-count for neither) and `ab_bench.verdict` on those seconds against the bound
-that PARENT_DIR's BENCHMARK.json gives decode_sent_ms_p50, the benchmark's
-lower-is-better decode time.
+Each side's decodes are timed in wall seconds (`time.perf_counter`) and in
+CPU seconds of this process (`time.process_time`), which a loaded host
+disturbs less. For each kind and clock the report gives each side's quartiles
+of its seconds per round, the median over rounds of change / parent, the
+change's wins (ties count for neither) and `ab_bench.verdict` on those
+seconds against the bound that PARENT_DIR's BENCHMARK.json gives
+decode_sent_ms_p50, the benchmark's lower-is-better decode time.
 """
 
 from __future__ import annotations
@@ -112,37 +114,40 @@ def main(argv=None) -> int:
         value += rng.normal(0.0, NOISE, size=value.shape).astype(value.dtype)
     first_id = len(packages["parent"].text.SPECIAL_TOKENS)
     sources = rng.integers(first_id, args.vocab, size=(args.sources, args.src_len)).tolist()
-    kinds = ("beam", "greedy")
+    kinds, clocks = ("beam", "greedy"), ("wall", "cpu")
     decode = {side: dict(zip(kinds, decoders(p, model.store.values, args))) for side, p in packages.items()}
 
-    seconds = {(side, kind): [] for side in packages for kind in kinds}
+    seconds = {(clock, side, kind): [] for clock in clocks for side in packages for kind in kinds}
     for r in range(args.rounds):
         order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
         for kind in kinds:
             outputs = {}
             for side in order:
-                start = time.perf_counter()
+                start, cpu = time.perf_counter(), time.process_time()
                 outputs[side] = [decode[side][kind](src) for src in sources]
-                seconds[side, kind].append(time.perf_counter() - start)
+                seconds["wall", side, kind].append(time.perf_counter() - start)
+                seconds["cpu", side, kind].append(time.process_time() - cpu)
             for i, (p, c) in enumerate(zip(outputs["parent"], outputs["change"])):
                 if p != c:
                     print(f"ab_decode: {kind} ids differ in round {r} on source {i}:\n  parent {p}\n  change {c}",
                           file=sys.stderr)
                     return 1
-        print(json.dumps({"round": r, **{f"{side}_{kind}_s": round(seconds[side, kind][-1], 4)
-                                         for side in packages for kind in kinds}}), flush=True)
+        print(json.dumps({"round": r, **{f"{side}_{kind}_{clock}_s": round(seconds[clock, side, kind][-1], 4)
+                                         for clock in clocks for side in packages for kind in kinds}}), flush=True)
 
     print(f"{args.rounds} rounds, {args.sources} sources of {args.src_len} ids, max_len {args.max_len}, "
           f"vocab {args.vocab}, seed {SEED}: equal ids on every source, beam and greedy")
     print(f"verdicts against the bound {bound:g} of {BOUND_METRIC} in {args.parent}/BENCHMARK.json")
-    print(f"{'kind':8s} {'parent q1 / median / q3 s':>30s} {'change q1 / median / q3 s':>30s} "
+    print(f"{'kind':8s} {'clock':5s} {'parent q1 / median / q3 s':>30s} {'change q1 / median / q3 s':>30s} "
           f"{'change/parent':>13s} {'wins':>6s}  verdict")
-    for kind in kinds:
-        p, c = seconds["parent", kind], seconds["change", kind]
-        ratio = statistics.median(b / a for a, b in zip(p, c))
-        result, wins = verdict(p, c, "lower", bound)
-        sides = ["{:9.4g} {:9.4g} {:9.4g}".format(*quartiles(v)) for v in (p, c)]
-        print(f"{kind:8s} {sides[0]:>30s} {sides[1]:>30s} {ratio:13.4f} {wins:>3d}/{args.rounds:<2d}  {result}")
+    for clock in clocks:
+        for kind in kinds:
+            p, c = seconds[clock, "parent", kind], seconds[clock, "change", kind]
+            ratio = statistics.median(b / a for a, b in zip(p, c))
+            result, wins = verdict(p, c, "lower", bound)
+            sides = ["{:9.4g} {:9.4g} {:9.4g}".format(*quartiles(v)) for v in (p, c)]
+            print(f"{kind:8s} {clock:5s} {sides[0]:>30s} {sides[1]:>30s} {ratio:13.4f} "
+                  f"{wins:>3d}/{args.rounds:<2d}  {result}")
     return 0
 
 
