@@ -3,8 +3,7 @@
 BLEU is BLEU-4 in the original corpus-level definition (Papineni et al.
 2002): geometric mean of clipped modified n-gram precisions for n = 1..4
 (MAX_N) times a brevity penalty, with max-over-references clipping and the
-closest-reference-length rule. Corpus BLEU is unsmoothed; the sentence-level
-variant (debug output) applies add-one smoothing for n >= 2.
+closest-reference-length rule, unsmoothed.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ class EvalReport:
     value: float
     n_examples: int
     config: dict = field(default_factory=dict)
-    per_example: list | None = None
 
     def to_json_line(self) -> str:
         payload = {
@@ -37,19 +35,7 @@ class EvalReport:
             "n_examples": self.n_examples,
             "config": self.config,
         }
-        if self.per_example is not None:
-            payload["per_example"] = self.per_example
         return json.dumps(payload, sort_keys=True)
-
-
-def format_report_table(reports: Sequence[EvalReport]) -> str:
-    """Human-readable fixed-width table for a list of reports."""
-    header = f"{'metric':<14} {'value':>10} {'n':>6}  config"
-    lines = [header, "-" * len(header)]
-    for r in reports:
-        cfg = json.dumps(r.config, sort_keys=True) if r.config else ""
-        lines.append(f"{r.metric:<14} {r.value:>10.4f} {r.n_examples:>6}  {cfg}")
-    return "\n".join(lines)
 
 
 def _ngram_counts(tokens: Tokens, n: int) -> Counter:
@@ -91,14 +77,8 @@ def bleu_statistics(hypotheses: Sequence[Tokens], reference_sets: Sequence[Seque
     return {"matches": matches, "totals": totals, "hyp_len": hyp_len, "ref_len": ref_len}
 
 
-def _bleu_from_stats(stats: dict, smooth_add_one: bool) -> tuple[float, list[float], float]:
-    precisions: list[float] = []
-    for n in range(1, MAX_N + 1):
-        num = stats["matches"][n - 1]
-        den = stats["totals"][n - 1]
-        if smooth_add_one and n >= 2:
-            num, den = num + 1, den + 1
-        precisions.append(num / den if den > 0 else 0.0)
+def _bleu_from_stats(stats: dict) -> tuple[float, list[float], float]:
+    precisions = [num / den if den > 0 else 0.0 for num, den in zip(stats["matches"], stats["totals"])]
     hyp_len, ref_len = stats["hyp_len"], stats["ref_len"]
     if hyp_len == 0:
         return 0.0, precisions, 0.0
@@ -112,13 +92,13 @@ def _bleu_from_stats(stats: dict, smooth_add_one: bool) -> tuple[float, list[flo
 def corpus_bleu(hypotheses: Sequence[Tokens], reference_sets: Sequence[Sequence[Tokens]]) -> float:
     """Corpus BLEU in [0, 100]."""
     stats = bleu_statistics(hypotheses, reference_sets)
-    score, _, _ = _bleu_from_stats(stats, smooth_add_one=False)
+    score, _, _ = _bleu_from_stats(stats)
     return score
 
 
 def corpus_bleu_report(hypotheses: Sequence[Tokens], reference_sets: Sequence[Sequence[Tokens]]) -> EvalReport:
     stats = bleu_statistics(hypotheses, reference_sets)
-    score, precisions, bp = _bleu_from_stats(stats, smooth_add_one=False)
+    score, precisions, bp = _bleu_from_stats(stats)
     return EvalReport(
         metric="bleu",
         value=score,
@@ -132,13 +112,6 @@ def corpus_bleu_report(hypotheses: Sequence[Tokens], reference_sets: Sequence[Se
             "ref_len": stats["ref_len"],
         },
     )
-
-
-def sentence_bleu(hypothesis: Tokens, references: Sequence[Tokens]) -> float:
-    """Add-one smoothed (n >= 2) sentence-level BLEU, for debugging output."""
-    stats = bleu_statistics([hypothesis], [references])
-    score, _, _ = _bleu_from_stats(stats, smooth_add_one=True)
-    return score
 
 
 def macro_f1(predictions: Sequence, golds: Sequence, labels: Sequence) -> float:

@@ -91,10 +91,6 @@ class RuleMatch(NamedTuple):
     context_right: tuple[str, ...]
     alternatives: tuple[tuple[str, ...], ...]
 
-    @property
-    def span(self) -> tuple[int, int]:
-        return (self.start, self.end)
-
 
 def parse_rule_line(line: str, lineno: int, source: str = "") -> Rule:
     parts = line.split("\t")

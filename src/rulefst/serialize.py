@@ -3,8 +3,23 @@
 NR    : raw source, no rules.
 RB    : source rewritten by first-come-first-served rule application.
 RCAT  : source [SEP] FCFS rewrite.
-CARI  : source [SEP] one segment per (match, alternative) pair, each
-        alternative rendered inside its context window.
+CARI  : source [SEP] one segment per (match, alternative) pair, in
+        (match position, alternative order) order. Each segment takes its
+        context window from the match, so the window is the one
+        `match_rules` was called with: substituted mode renders the
+        alternative inside it (left + alternative + right), literal mode
+        puts the alternative first (alternative + left + right).
+
+`max_len`, when given, bounds the model input:
+
+NR    : a source longer than max_len raises DataError.
+RB    : max_len bounds the rewrite, not the source; a rewrite longer than
+        max_len raises DataError.
+RCAT  : a source longer than max_len raises DataError; the rewrite is cut
+        at its tail to fit, and [SEP] goes too when no rewrite token fits.
+CARI  : a source longer than max_len raises DataError; the first segment
+        that would not fit and every segment after it are dropped whole.
+RCAT and CARI set `truncated` exactly when they cut something.
 
 Serialized datasets are written as UTF-8 TSV, one
 `input<TAB>target<TAB>method<TAB>truncated` line per example with tokens
@@ -34,19 +49,6 @@ class SerializedExample:
     truncated: bool = False
 
 
-def _check_source(x: Sequence[str], max_len: int | None) -> None:
-    if not x:
-        raise DataError("source sentence is empty")
-    if max_len is not None and len(x) > max_len:
-        raise DataError(f"source of {len(x)} tokens exceeds max_len={max_len}")
-
-
-def serialize_nr(x: Sequence[str], y: Sequence[str], max_len: int | None = None) -> SerializedExample:
-    """No-rule baseline: the input is the source itself."""
-    _check_source(x, max_len)
-    return SerializedExample(NR, tuple(x), tuple(y))
-
-
 def apply_rules_fcfs(x: Sequence[str], matches: Sequence[RuleMatch]) -> list[str]:
     """Greedy left-to-right application: earliest match wins, overlapping
     later matches are skipped, and the first listed alternative is always
@@ -66,66 +68,6 @@ def apply_rules_fcfs(x: Sequence[str], matches: Sequence[RuleMatch]) -> list[str
     return out
 
 
-def serialize_rb(x: Sequence[str], matches: Sequence[RuleMatch], y: Sequence[str], max_len: int | None = None) -> SerializedExample:
-    """Rule-base method: train on the FCFS rewrite alone. max_len bounds the
-    rewrite, the model's input, not the source."""
-    _check_source(x, None)
-    x_prime = apply_rules_fcfs(x, matches)
-    if max_len is not None and len(x_prime) > max_len:
-        raise DataError(f"RB rewrite of {len(x_prime)} tokens (source of {len(x)}) exceeds max_len={max_len}")
-    return SerializedExample(RB, tuple(x_prime), tuple(y))
-
-
-def serialize_rcat(x: Sequence[str], x_prime: Sequence[str], y: Sequence[str], max_len: int | None = None) -> SerializedExample:
-    """Concatenate the source and its FCFS rewrite with a separator."""
-    _check_source(x, max_len)
-    truncated = False
-    supplement = list(x_prime)
-    if max_len is not None:
-        room = max_len - len(x) - 1
-        if room < len(supplement):
-            truncated = True
-            supplement = supplement[: max(room, 0)]
-    if supplement:
-        input_tokens = tuple(x) + (SEP,) + tuple(supplement)
-    else:
-        input_tokens = tuple(x)
-    return SerializedExample(RCAT, input_tokens, tuple(y), truncated)
-
-
-def serialize_cari(
-    x: Sequence[str],
-    matches: Sequence[RuleMatch],
-    y: Sequence[str] = (),
-    max_len: int | None = None,
-    segment_mode: str = "substituted",
-) -> SerializedExample:
-    """Context-aware serialization: one segment per (match, alternative) pair,
-    in (match position, alternative order) order.
-
-    Each segment takes its context window from the match, so the window size
-    is the one `match_rules` was called with. substituted mode renders each
-    alternative inside that window (left + alternative + right); literal mode
-    puts the alternative first (alternative + left + right). Segments that
-    would push the input past max_len are dropped whole, tail first; the
-    source itself is never truncated.
-    """
-    if segment_mode not in SEGMENT_MODES:
-        raise DataError(f"unknown segment_mode {segment_mode!r}")
-    _check_source(x, max_len)
-    substituted = segment_mode == "substituted"
-    input_tokens = list(x)
-    for m in matches:
-        left, right = m.context_left, m.context_right
-        for alt in m.alternatives:
-            seg = left + alt + right if substituted else alt + left + right
-            if max_len is not None and len(input_tokens) + 1 + len(seg) > max_len:
-                return SerializedExample(CARI, tuple(input_tokens), tuple(y), True)
-            input_tokens.append(SEP)
-            input_tokens.extend(seg)
-    return SerializedExample(CARI, tuple(input_tokens), tuple(y), False)
-
-
 def serialize_downstream(d_ori: Sequence[str], d_fst: Sequence[str]) -> tuple[str, ...]:
     """Input format for downstream classification: original [SEP] FST output."""
     if not d_ori or not d_fst:
@@ -142,31 +84,59 @@ def serialize_example(
     max_len: int | None = None,
     segment_mode: str = "substituted",
 ) -> SerializedExample:
-    """Dispatch to the chosen method, running rule matching as needed. An
-    unknown method raises DataError before any matching."""
+    """The model input for source `x` and target `y` under `method`, with
+    `max_len` applied as the module docstring states. An unknown method or
+    segment_mode raises DataError before any matching; RB, RCAT and CARI
+    call `match_rules(x, rules, w)` once, NR never."""
     if method not in METHODS:
         raise DataError(f"unknown serialization method {method!r}")
+    if segment_mode not in SEGMENT_MODES:
+        raise DataError(f"unknown segment_mode {segment_mode!r}")
+    matches = () if method == NR else match_rules(x, rules, w)
+    if not x:
+        raise DataError("source sentence is empty")
+    if max_len is not None and method != RB and len(x) > max_len:
+        raise DataError(f"source of {len(x)} tokens exceeds max_len={max_len}")
     if method == NR:
-        return serialize_nr(x, y, max_len)
-    matches = match_rules(x, rules, w)
+        return SerializedExample(NR, tuple(x), tuple(y))
+    if method == CARI:
+        substituted = segment_mode == "substituted"
+        input_tokens = list(x)
+        for m in matches:
+            left, right = m.context_left, m.context_right
+            for alt in m.alternatives:
+                seg = left + alt + right if substituted else alt + left + right
+                if max_len is not None and len(input_tokens) + 1 + len(seg) > max_len:
+                    return SerializedExample(CARI, tuple(input_tokens), tuple(y), True)
+                input_tokens.append(SEP)
+                input_tokens.extend(seg)
+        return SerializedExample(CARI, tuple(input_tokens), tuple(y), False)
+    x_prime = apply_rules_fcfs(x, matches)
     if method == RB:
-        return serialize_rb(x, matches, y, max_len)
-    if method == RCAT:
-        x_prime = apply_rules_fcfs(x, matches)
-        return serialize_rcat(x, x_prime, y, max_len)
-    return serialize_cari(x, matches, y, max_len, segment_mode)
+        if max_len is not None and len(x_prime) > max_len:
+            raise DataError(f"RB rewrite of {len(x_prime)} tokens (source of {len(x)}) exceeds max_len={max_len}")
+        return SerializedExample(RB, tuple(x_prime), tuple(y))
+    room = len(x_prime) if max_len is None else max(max_len - len(x) - 1, 0)
+    supplement = x_prime[:room]
+    input_tokens = tuple(x) + (SEP,) + tuple(supplement) if supplement else tuple(x)
+    return SerializedExample(RCAT, input_tokens, tuple(y), room < len(x_prime))
 
 
 def write_examples_tsv(examples: Sequence[SerializedExample], path) -> None:
     """One `input<TAB>target<TAB>method<TAB>truncated` line per example, with
-    truncated written as 0 or 1. A token that is empty or holds whitespace
-    would not read back as written, so it raises DataError."""
+    truncated written as 0 or 1. An example that would not read back as
+    written (a method not in METHODS, a token that is empty or holds
+    whitespace) raises DataError naming it, before anything is written."""
+    lines = []
+    for i, ex in enumerate(examples):
+        if ex.method not in METHODS:
+            raise DataError(f"example {i}: unknown serialization method {ex.method!r}")
+        fields = [" ".join(ex.input), " ".join(ex.target)]
+        if fields[0].split() != list(ex.input) or fields[1].split() != list(ex.target):
+            raise DataError(f"example {i}: a token is empty or holds whitespace")
+        lines.append("\t".join(fields) + f"\t{ex.method}\t{int(ex.truncated)}\n")
     with open(path, "w", encoding="utf-8") as f:
-        for i, ex in enumerate(examples):
-            fields = [" ".join(ex.input), " ".join(ex.target)]
-            if fields[0].split() != list(ex.input) or fields[1].split() != list(ex.target):
-                raise DataError(f"example {i}: a token is empty or holds whitespace")
-            f.write("\t".join(fields) + f"\t{ex.method}\t{int(ex.truncated)}\n")
+        f.writelines(lines)
 
 
 def read_examples_tsv(path, method: str | None = None) -> list[SerializedExample]:

@@ -134,10 +134,6 @@ def tokenize(s: str) -> list[str]:
     return out
 
 
-def detokenize(tokens: Sequence[str]) -> str:
-    return " ".join(tokens)
-
-
 def normalize_tweet(s: str) -> str:
     """Map URLs to HTTPURL, user mentions to @USER and known emoji to their
     name strings, each padded with spaces so that it stays one token beside
@@ -181,9 +177,6 @@ class Vocabulary:
     def __contains__(self, token: str) -> bool:
         return token in self._index
 
-    def id_of(self, token: str) -> int:
-        return self._index.get(token, UNK_ID)
-
     def encode(self, tokens: Sequence[str]) -> list[int]:
         idx = self._index
         return [idx.get(t, UNK_ID) for t in tokens]
@@ -207,11 +200,16 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
+        """Read what `save` wrote; DataError names the file if it is not a
+        vocabulary."""
         with open(path, encoding="utf-8") as f:
             tokens = [line.rstrip("\n") for line in f]
         while tokens and tokens[-1] == "":
             tokens.pop()
-        return cls(tuple(tokens))
+        try:
+            return cls(tuple(tokens))
+        except DataError as e:
+            raise DataError(f"{path}: {e}") from None
 
 
 def build_vocab(corpus: Iterable[Sequence[str]]) -> Vocabulary:

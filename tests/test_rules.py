@@ -270,8 +270,8 @@ def test_match_equals_brute_force(tokens, rules, w):
 def test_match_window_monotonicity(tokens, rules, w):
     small = match_rules(tokens, rules, w)
     large = match_rules(tokens, rules, w + 1)
-    assert [(m.rule_id, m.span, m.alternatives) for m in small] == [
-        (m.rule_id, m.span, m.alternatives) for m in large
+    assert [(m.rule_id, m.start, m.end, m.alternatives) for m in small] == [
+        (m.rule_id, m.start, m.end, m.alternatives) for m in large
     ]
     for a, b in zip(small, large):
         assert b.context_left[len(b.context_left) - len(a.context_left) :] == a.context_left

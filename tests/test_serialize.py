@@ -6,17 +6,16 @@ from rulefst.errors import DataError
 from rulefst.rules import RuleMatch, match_rules
 from rulefst.serialize import (
     CARI,
+    METHODS,
     NR,
+    RB,
+    RCAT,
     SEGMENT_MODES,
     SerializedExample,
     apply_rules_fcfs,
     read_examples_tsv,
-    serialize_cari,
     serialize_downstream,
     serialize_example,
-    serialize_nr,
-    serialize_rb,
-    serialize_rcat,
     write_examples_tsv,
 )
 from rulefst.rules import Rule, RuleSet, load_rules
@@ -34,28 +33,32 @@ def rules(demo_rules_path):
     return load_rules(demo_rules_path)
 
 
+def one_rule(pattern, replacement):
+    return RuleSet((Rule("r", tuple(pattern), (tuple(replacement),)),))
+
+
 # ---- NR --------------------------------------------------------------------
 
 
-def test_nr_identity():
-    ex = serialize_nr(["hello"], ["hello", "."])
+def test_nr_identity(rules):
+    ex = serialize_example(NR, ["hello"], ["hello", "."], rules, 2)
     assert ex.input == ("hello",)
     assert ex.target == ("hello", ".")
 
 
-def test_nr_ambiguous_sentence_unchanged():
-    ex = serialize_nr(X_TOKENS, [])
+def test_nr_ambiguous_sentence_unchanged(rules):
+    ex = serialize_example(NR, X_TOKENS, [], rules, 2)
     assert ex.input == tuple(X_TOKENS)
 
 
 @given(st.lists(st.sampled_from("abc"), min_size=1, max_size=8))
 def test_nr_is_identity_on_input(x):
-    assert serialize_nr(x, []).input == tuple(x)
+    assert serialize_example(NR, x, [], one_rule(["a"], ["b"]), 2).input == tuple(x)
 
 
-def test_nr_empty_source_rejected():
-    with pytest.raises(DataError):
-        serialize_nr([], ["y"])
+def test_nr_empty_source_rejected(rules):
+    with pytest.raises(DataError, match="source sentence is empty"):
+        serialize_example(NR, [], ["y"], rules, 2)
 
 
 # ---- FCFS ------------------------------------------------------------------
@@ -72,8 +75,6 @@ def test_fcfs_no_matches_is_identity(rules):
 
 
 def test_fcfs_overlap_earlier_wins():
-    from rulefst.rules import Rule, RuleSet
-
     rules = RuleSet(
         (
             Rule("r_ab", ("a", "b"), (("X",),)),
@@ -93,50 +94,46 @@ def test_fcfs_deterministic(rules):
 
 
 def test_rb_uses_fcfs_rewrite(rules):
-    matches = match_rules(X_TOKENS, rules, w=2)
-    ex = serialize_rb(X_TOKENS, matches, ["y"])
+    ex = serialize_example(RB, X_TOKENS, ["y"], rules, 2)
     assert ex.input == tuple(FCFS_WRONG)
 
 
 def test_rcat_format():
-    ex = serialize_rcat(["u", "ok"], ["you", "ok"], ["y"])
+    ex = serialize_example(RCAT, ["u", "ok"], ["y"], one_rule(["u"], ["you"]), 2)
     assert ex.input == ("u", "ok", SEP, "you", "ok")
     assert not ex.truncated
 
 
-def test_rcat_no_matches_duplicates_source():
-    ex = serialize_rcat(["x", "y"], ["x", "y"], [])
+def test_rcat_no_matches_duplicates_source(rules):
+    ex = serialize_example(RCAT, ["x", "y"], [], rules, 2)
     assert ex.input == ("x", "y", SEP, "x", "y")
 
 
 def test_rcat_ambiguous_sentence(rules):
-    matches = match_rules(X_TOKENS, rules, w=2)
-    x_prime = apply_rules_fcfs(X_TOKENS, matches)
-    ex = serialize_rcat(X_TOKENS, x_prime, [])
+    ex = serialize_example(RCAT, X_TOKENS, [], rules, 2)
     assert ex.input == tuple(X_TOKENS) + (SEP,) + tuple(FCFS_WRONG)
 
 
 def test_rb_rewrite_past_max_len_is_named_with_both_lengths():
     x = ["a"] * 125 + ["idk"]
-    rules = RuleSet((Rule("r_idk", ("idk",), (("i", "do", "not", "know"),)),))
     with pytest.raises(DataError, match=r"RB rewrite of 129 tokens \(source of 126\) exceeds max_len=128"):
-        serialize_rb(x, match_rules(x, rules), [], max_len=128)
+        serialize_example(RB, x, [], one_rule(["idk"], ["i", "do", "not", "know"]), 3, max_len=128)
     # max_len bounds the rewrite, the model's input, so a source that only
     # fits once rewritten is kept.
-    shortening = RuleSet((Rule("r_idk", ("i", "do", "not", "know"), (("idk",),)),))
+    shortening = one_rule(["i", "do", "not", "know"], ["idk"])
     y = ["a"] * 125 + ["i", "do", "not", "know"]
-    assert len(serialize_rb(y, match_rules(y, shortening), [], max_len=128).input) == 126
+    assert len(serialize_example(RB, y, [], shortening, 3, max_len=128).input) == 126
 
 
 def test_rcat_truncates_supplement_tail():
-    ex = serialize_rcat(["a", "b"], ["c", "d", "e"], [], max_len=5)
+    ex = serialize_example(RCAT, ["a", "b"], [], one_rule(["a", "b"], ["c", "d", "e"]), 2, max_len=5)
     assert ex.input == ("a", "b", SEP, "c", "d")
     assert ex.truncated
 
 
-def test_rcat_source_too_long_errors():
-    with pytest.raises(DataError):
-        serialize_rcat(["a"] * 6, ["b"], [], max_len=5)
+def test_rcat_source_too_long_errors(rules):
+    with pytest.raises(DataError, match="source of 6 tokens exceeds max_len=5"):
+        serialize_example(RCAT, ["a"] * 6, [], rules, 2, max_len=5)
 
 
 # ---- CARI ------------------------------------------------------------------
@@ -161,66 +158,63 @@ CARI_W0 = tuple(X_TOKENS + [SEP, "extra", SEP, "extrovert", SEP, "introduction",
 
 
 def test_cari_substituted_w2(rules):
-    matches = match_rules(X_TOKENS, rules, w=2)
-    ex = serialize_cari(X_TOKENS, matches)
+    ex = serialize_example(CARI, X_TOKENS, [], rules, 2)
     assert ex.input == CARI_W2_SUBSTITUTED
     assert not ex.truncated
 
 
 def test_cari_literal_w2(rules):
-    matches = match_rules(X_TOKENS, rules, w=2)
-    ex = serialize_cari(X_TOKENS, matches, segment_mode="literal")
+    ex = serialize_example(CARI, X_TOKENS, [], rules, 2, segment_mode="literal")
     assert ex.input == CARI_W2_LITERAL
 
 
 def test_cari_w0_segments_are_bare_alternatives(rules):
-    matches = match_rules(X_TOKENS, rules, w=0)
     for mode in ("substituted", "literal"):
-        ex = serialize_cari(X_TOKENS, matches, segment_mode=mode)
+        ex = serialize_example(CARI, X_TOKENS, [], rules, 0, segment_mode=mode)
         assert ex.input == CARI_W0
 
 
 def test_cari_no_matches_no_sep(rules):
-    tokens = ["plain", "words"]
-    ex = serialize_cari(tokens, match_rules(tokens, rules, 2))
+    ex = serialize_example(CARI, ["plain", "words"], [], rules, 2)
     assert ex.input == ("plain", "words")
     assert SEP not in ex.input
 
 
 def test_cari_segment_count(rules):
-    matches = match_rules(X_TOKENS, rules, w=2)
-    ex = serialize_cari(X_TOKENS, matches)
+    ex = serialize_example(CARI, X_TOKENS, [], rules, 2)
     n_segments = ex.input.count(SEP)
-    assert n_segments == sum(len(m.alternatives) for m in matches)
+    assert n_segments == sum(len(m.alternatives) for m in match_rules(X_TOKENS, rules, 2))
 
 
 def test_cari_truncation_drops_whole_tail_segments(rules):
-    matches = match_rules(X_TOKENS, rules, w=2)
     # room for the source (15 tokens) plus exactly two 6-token segments
-    ex = serialize_cari(X_TOKENS, matches, max_len=15 + 12)
+    ex = serialize_example(CARI, X_TOKENS, [], rules, 2, max_len=15 + 12)
     assert ex.truncated
     assert ex.input == CARI_W2_SUBSTITUTED[: 15 + 12]
     assert ex.input.count(SEP) == 2
 
 
 def test_cari_never_truncates_source(rules):
-    matches = match_rules(X_TOKENS, rules, w=2)
-    ex = serialize_cari(X_TOKENS, matches, max_len=len(X_TOKENS))
+    ex = serialize_example(CARI, X_TOKENS, [], rules, 2, max_len=len(X_TOKENS))
     assert ex.input == tuple(X_TOKENS)
     assert ex.truncated
-    with pytest.raises(DataError):
-        serialize_cari(X_TOKENS, matches, max_len=len(X_TOKENS) - 1)
+    with pytest.raises(DataError, match="source of 15 tokens exceeds max_len=14"):
+        serialize_example(CARI, X_TOKENS, [], rules, 2, max_len=len(X_TOKENS) - 1)
 
 
-def test_cari_unknown_segment_mode(rules):
-    with pytest.raises(DataError):
-        serialize_cari(X_TOKENS, match_rules(X_TOKENS, rules, 2), segment_mode="inline")
+def test_unknown_segment_mode_raises_for_every_method(rules, monkeypatch):
+    def no_match(*args, **kwargs):
+        raise AssertionError("matched with an unknown segment_mode")
+
+    monkeypatch.setattr(serialize, "match_rules", no_match)
+    for method in METHODS:
+        with pytest.raises(DataError, match="unknown segment_mode 'inline'"):
+            serialize_example(method, X_TOKENS, [], rules, 2, segment_mode="inline")
 
 
 def test_cari_prefix_preserves_source_all_windows(rules):
     for w in range(5):
-        matches = match_rules(X_TOKENS, rules, w=w)
-        ex = serialize_cari(X_TOKENS, matches)
+        ex = serialize_example(CARI, X_TOKENS, [], rules, w)
         head = ex.input[: ex.input.index(SEP)] if SEP in ex.input else ex.input
         assert head == tuple(X_TOKENS)
 
@@ -274,12 +268,25 @@ def test_serialize_example_unknown_method(rules, monkeypatch):
         serialize_example("XYZ", X_TOKENS, [], rules, w=2)
 
 
+def test_serialize_example_matches_once_except_for_nr(rules, monkeypatch):
+    calls = []
+
+    def counting_match(*args):
+        calls.append(args)
+        return match_rules(*args)
+
+    monkeypatch.setattr(serialize, "match_rules", counting_match)
+    for method in METHODS:
+        calls.clear()
+        serialize_example(method, X_TOKENS, [], rules, 2)
+        assert calls == ([] if method == NR else [(X_TOKENS, rules, 2)]), method
+
+
 def test_tsv_round_trip(tmp_path, rules):
-    matches = match_rules(X_TOKENS, rules, w=2)
     examples = [
-        serialize_cari(X_TOKENS, matches, y=["fine", "."]),
-        serialize_cari(X_TOKENS, matches, y=[], max_len=15 + 12),  # truncated, empty target
-        serialize_nr(["u", "ok"], ["are", "you", "ok"]),
+        serialize_example(CARI, X_TOKENS, ["fine", "."], rules, 2),
+        serialize_example(CARI, X_TOKENS, [], rules, 2, max_len=15 + 12),  # truncated, empty target
+        serialize_example(NR, ["u", "ok"], ["are", "you", "ok"], rules, 2),
     ]
     path = tmp_path / "data.tsv"
     write_examples_tsv(examples, path)
@@ -293,7 +300,7 @@ def test_tsv_round_trip(tmp_path, rules):
 
 def test_tsv_refuses_a_method_other_than_the_file_s(tmp_path):
     path = tmp_path / "nr.tsv"
-    write_examples_tsv([serialize_nr(["u"], ["you"])], path)
+    write_examples_tsv([SerializedExample(NR, ("u",), ("you",))], path)
     with pytest.raises(DataError, match=":1: method NR, expected CARI"):
         read_examples_tsv(path, CARI)
 
@@ -310,6 +317,14 @@ def test_tsv_malformed_lines_raise_with_the_line_number(tmp_path, line):
 def test_tsv_refuses_tokens_that_would_not_read_back(tmp_path, tokens):
     with pytest.raises(DataError, match="example 0"):
         write_examples_tsv([SerializedExample(NR, ("x",), tokens)], tmp_path / "x.tsv")
+
+
+def test_tsv_refuses_an_unknown_method_before_writing(tmp_path):
+    path = tmp_path / "x.tsv"
+    examples = [SerializedExample(NR, ("x",), ("y",)), SerializedExample("cari", ("x",), ("y",))]
+    with pytest.raises(DataError, match="example 1: unknown serialization method 'cari'"):
+        write_examples_tsv(examples, path)
+    assert not path.exists()
 
 
 # ---- properties --------------------------------------------------------------
@@ -378,7 +393,7 @@ def test_fcfs_equals_the_quadratic_reference_on_overlapping_match_sets(case):
 def test_cari_segments_appear_in_order_and_go_missing_only_when_truncated(case, max_len, mode):
     x, rule_set, w = case
     matches = match_rules(x, rule_set, w)
-    ex = serialize_cari(x, matches, max_len=max_len, segment_mode=mode)
+    ex = serialize_example(CARI, x, [], rule_set, w, max_len, mode)
     expected = [
         (m.context_left + alt + m.context_right) if mode == "substituted" else (alt + m.context_left + m.context_right)
         for m in matches
@@ -397,3 +412,38 @@ def test_cari_segments_appear_in_order_and_go_missing_only_when_truncated(case, 
         assert len(ex.input) <= max_len
         if ex.truncated:  # the first missing segment would not have fitted
             assert len(ex.input) + 1 + len(expected[len(segments)]) > max_len
+
+
+@given(sentences_and_rules())
+def test_nr_rb_and_rcat_inputs_are_the_source_and_its_fcfs_rewrite(case):
+    x, rule_set, w = case
+    rewrite = tuple(apply_rules_fcfs(x, match_rules(x, rule_set, w)))
+    for max_len in (None, *range(1, len(rewrite) + len(x) + 3)):
+        source_fits = max_len is None or len(x) <= max_len
+
+        if source_fits:
+            assert serialize_example(NR, x, [], rule_set, w, max_len).input == tuple(x)
+        else:
+            with pytest.raises(DataError, match=f"source of {len(x)} tokens exceeds max_len={max_len}"):
+                serialize_example(NR, x, [], rule_set, w, max_len)
+
+        if max_len is None or len(rewrite) <= max_len:
+            assert serialize_example(RB, x, [], rule_set, w, max_len).input == rewrite
+        else:
+            with pytest.raises(DataError, match=rf"RB rewrite of {len(rewrite)} tokens \(source of {len(x)}\)"):
+                serialize_example(RB, x, [], rule_set, w, max_len)
+
+        if not source_fits:
+            with pytest.raises(DataError, match=f"source of {len(x)} tokens exceeds max_len={max_len}"):
+                serialize_example(RCAT, x, [], rule_set, w, max_len)
+            continue
+        ex = serialize_example(RCAT, x, [], rule_set, w, max_len)
+        assert ex.input[: len(x)] == tuple(x)
+        supplement = ex.input[len(x) + 1 :]
+        assert ex.input[len(x) :] == ((SEP,) + supplement if supplement else ())
+        assert supplement == rewrite[: len(supplement)]
+        assert ex.truncated == (len(supplement) < len(rewrite))
+        if ex.truncated:  # the prefix fills the room after the source and [SEP]
+            assert len(supplement) == max(max_len - len(x) - 1, 0)
+        if max_len is not None:
+            assert len(ex.input) <= max_len

@@ -11,7 +11,6 @@ from rulefst.text import (
     SPECIAL_TOKENS,
     Vocabulary,
     build_vocab,
-    detokenize,
     normalize_tweet,
     tokenize,
 )
@@ -56,10 +55,10 @@ def test_normalize_tweet_plain_text_unchanged():
 
 
 @given(st.text(alphabet=st.characters(codec="utf-8"), max_size=80))
-def test_detokenize_round_trip_up_to_whitespace_and_case(s):
+def test_tokenize_reads_its_space_joined_output_back(s):
     tokens = tokenize(s)
-    assert tokenize(detokenize(tokens)) == tokens
-    stripped = "".join(detokenize(tokens).split())
+    assert tokenize(" ".join(tokens)) == tokens
+    stripped = "".join(" ".join(tokens).split())
     # Placeholders keep their casing; everything else lowercases.
     expected = "".join(tokenize(s)) if tokens else ""
     assert stripped == expected
@@ -234,7 +233,7 @@ def test_vocab_reserved_ids_fixed():
     vocab = build_vocab([["z"]])
     for i, tok in enumerate(SPECIAL_TOKENS):
         assert vocab.tokens[i] == tok
-        assert vocab.id_of(tok) == i
+        assert vocab.encode([tok]) == [i]
 
 
 def test_vocab_file_round_trip(tmp_path):
@@ -254,7 +253,14 @@ def test_build_vocab_refuses_a_token_that_would_not_read_back(token):
 def test_vocab_load_refuses_a_blank_line_between_tokens(tmp_path):
     path = tmp_path / "vocab.txt"
     path.write_text("\n".join([*SPECIAL_TOKENS, "a", "", "b"]) + "\n", encoding="utf-8")
-    with pytest.raises(DataError, match=r"token '' at id 7 is empty or holds a line break"):
+    with pytest.raises(DataError, match=re.escape(f"{path}: token '' at id 7 is empty or holds a line break")):
+        Vocabulary.load(path)
+
+
+def test_vocab_load_refuses_a_file_without_the_reserved_tokens(tmp_path):
+    path = tmp_path / "vocab.txt"
+    path.write_text("a\nb\n", encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(f"{path}: vocabulary must start with the reserved tokens")):
         Vocabulary.load(path)
 
 
