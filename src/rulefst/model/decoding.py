@@ -19,13 +19,9 @@ naming the value and its row.
 Greedy decoding is beam search with beam 1 and fanout 1, through the same
 top-k as every other fanout.
 
-The bookkeeping is array-backed: each step keeps only the (token, parent)
-arrays of its live hypotheses, and token lists are rebuilt from them for the
-winner and for exact score ties. Live hypotheses all have the same length
-and are kept in lexicographic order, so with each row's top tokens in
-ascending id order, a candidate's index in the flattened (live, fanout) grid
-is its lexicographic rank, and a stable sort by score alone gives the exact
-(score, tokens) order.
+The live hypotheses are one (live, length) array of their tokens, kept in
+lexicographic order, so a stable sort by score alone ranks the candidates by
+(score, tokens). Finished ones are (-score, length, tokens); the least wins.
 """
 
 from __future__ import annotations
@@ -44,16 +40,6 @@ from .seq2seq import DecoderCache, Seq2SeqTransformer
 # int arrays; parents never decreases, as `_top_k` returns rows in row-major
 # order and `beam_search` keeps np.sort of the kept candidates' indices.
 StepFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
-def _tokens(history: list[tuple[np.ndarray, np.ndarray]], length: int, row: int) -> list[int]:
-    """Tokens of row `row` of the live hypotheses of `length` tokens,
-    followed back through the parents."""
-    out = []
-    for tokens, parents in reversed(history[:length]):
-        out.append(int(tokens[row]))
-        row = parents[row]
-    return out[::-1]
 
 
 def _top_k(logprobs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -86,12 +72,9 @@ def beam_search(
         raise DataError("fanout must be >= 1")
     if max_len < 1:
         raise DataError("max_len must be >= 1")
-    history: list[tuple[np.ndarray, np.ndarray]] = []  # [n - 1]: (tokens, parents) of the live of n tokens
-    # Finished hypotheses, one entry per step that ends some: (scores,
-    # length, rows, eos); the hypotheses are the live of `length - eos`
-    # tokens at `rows`, followed by EOS if eos.
-    ended: list[tuple[np.ndarray, int, np.ndarray, bool]] = []
-    parents, last, logp = np.zeros(1, np.int64), np.full(1, BOS_ID, np.int64), np.zeros(1)
+    finished: list[tuple[float, int, list[int]]] = []
+    seqs, parents = np.zeros((1, 0), np.int64), np.zeros(1, np.int64)
+    last, logp = np.full(1, BOS_ID, np.int64), np.zeros(1)
     for step in range(max_len):
         logprobs = step_fn(parents, last)
         rows, top = _top_k(logprobs, min(fanout, logprobs.shape[-1]))
@@ -101,27 +84,18 @@ def beam_search(
         if len(top) > beam_size or np.count_nonzero(ends):
             order = np.argsort(-score, kind="stable")
             eos = ends[order]
-            if eos.any():
-                done = order[eos]
-                ended.append((score[done], step + 1, rows[done], True))
+            for i in order[eos].tolist():
+                finished.append((-float(score[i]), step + 1, seqs[rows[i]].tolist() + [EOS_ID]))
             keep = np.sort(order[~eos][:beam_size])
             if not keep.size:
                 break
             parents, last, logp, score = rows[keep], top[keep], cand_logp[keep], score[keep]
         else:  # every candidate stays live
             parents, last, logp = rows, top, cand_logp
-        history.append((last, parents))
+        seqs = np.concatenate((seqs.take(parents, 0), last[:, None]), 1)
     else:  # the live hypotheses ran into max_len
-        ended.append((score, max_len, np.arange(len(score)), False))
-    best = max(float(scores.max()) for scores, *_ in ended)
-    shortest = min(length for scores, length, *_ in ended if (scores == best).any())
-    ties = [
-        _tokens(history, length - eos, int(row)) + [EOS_ID] * eos
-        for scores, length, rows, eos in ended
-        if length == shortest
-        for row in rows[scores == best]
-    ]
-    tokens = min(ties)
+        finished += [(-s, max_len, tokens) for s, tokens in zip(score.tolist(), seqs.tolist())]
+    tokens = min(finished)[2]
     return tokens[:-1] if tokens[-1] == EOS_ID else tokens
 
 

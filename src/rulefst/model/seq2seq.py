@@ -505,19 +505,19 @@ class Seq2SeqTransformer:
             lt = max(int(tgt_len[rows].max()), 1)
             yield src_ids[rows, :ls], tgt_in_ids[rows, :lt], tgt_out_ids[rows, :lt]
 
-    def loss(self, src_ids: np.ndarray, tgt_in_ids: np.ndarray, tgt_out_ids: np.ndarray, train: bool = False) -> tuple[float, int]:
-        """Mean token cross-entropy over non-PAD target positions.
+    def loss(self, src_ids: np.ndarray, tgt_in_ids: np.ndarray, tgt_out_ids: np.ndarray) -> tuple[float, int]:
+        """Mean token cross-entropy over non-PAD target positions, without
+        dropout.
 
         Returns (loss, n_tokens); n_tokens == 0 yields loss 0.0. Runs on the
         length-sorted sub-batches of `loss_and_grads` (rows sorted by source
         length and cut so that no (rows, heads, L, L) attention score array
         exceeds SUB_BATCH_BYTES, 1 MiB, for the 2 MiB L2 cache; each trimmed
-        to its own longest rows), so with dropout on, masks are drawn per
-        sub-batch.
+        to its own longest rows).
         """
         total, n_tok = 0.0, 0
         for src, tgt_in, tgt_out in self._sub_batches(src_ids, tgt_in_ids, tgt_out_ids):
-            loss, _, n = self._ce(self.forward(src, tgt_in, train), tgt_out)
+            loss, _, n = self._ce(self.forward(src, tgt_in), tgt_out)
             total += loss * n
             n_tok += n
         return total / max(n_tok, 1), n_tok

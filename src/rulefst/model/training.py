@@ -20,8 +20,6 @@ CHECKPOINT_FORMAT_VERSION = 2
 
 # Adam's moment decay rates and denominator term, as in Kingma & Ba (2015).
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
-# Pairs per teacher-forced batch of `evaluate_loss`.
-EVAL_BATCH_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -77,7 +75,6 @@ class Checkpoint:
             "step": self.step,
             "seed": self.seed,
             "history": self.history,
-            "param_names": sorted(self.params),
         }
         arrays = {f"param/{k}": v for k, v in self.params.items()}
         with open(path, "wb") as f:
@@ -180,16 +177,11 @@ def _validate_pairs(pairs: list[Pair], config: ModelConfig, what: str) -> None:
 
 
 def evaluate_loss(model: Seq2SeqTransformer, pairs: list[Pair]) -> float:
-    """Token-weighted mean teacher-forced loss (no dropout), in batches of
-    EVAL_BATCH_SIZE pairs, checked as `train` checks its pairs."""
+    """Token-weighted mean teacher-forced loss (no dropout) of the pairs as
+    one batch, which `model.loss` runs in its memory-bounded sub-batches;
+    the pairs are checked as `train` checks its pairs."""
     _validate_pairs(pairs, model.config, "eval")
-    total, n = 0.0, 0
-    for i in range(0, len(pairs), EVAL_BATCH_SIZE):
-        src, tgt_in, tgt_out = make_batch(pairs[i : i + EVAL_BATCH_SIZE])
-        loss, n_tok = model.loss(src, tgt_in, tgt_out, train=False)
-        total += loss * n_tok
-        n += n_tok
-    return total / n  # every pair scores at least its [EOS]
+    return model.loss(*make_batch(pairs))[0]
 
 
 def train(

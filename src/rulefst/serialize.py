@@ -86,12 +86,14 @@ def serialize_example(
 ) -> SerializedExample:
     """The model input for source `x` and target `y` under `method`, with
     `max_len` applied as the module docstring states. An unknown method or
-    segment_mode raises DataError before any matching; RB, RCAT and CARI
-    call `match_rules(x, rules, w)` once, NR never."""
+    segment_mode, or a negative window w, raises DataError before any
+    matching; RB, RCAT and CARI call `match_rules(x, rules, w)` once, NR never."""
     if method not in METHODS:
         raise DataError(f"unknown serialization method {method!r}")
     if segment_mode not in SEGMENT_MODES:
         raise DataError(f"unknown segment_mode {segment_mode!r}")
+    if w < 0:
+        raise DataError(f"window size must be >= 0, not {w}")
     matches = () if method == NR else match_rules(x, rules, w)
     if not x:
         raise DataError("source sentence is empty")

@@ -37,7 +37,7 @@ def grad_check(
     analytic = {k: v.copy() for k, v in model.store.grads.items()}
 
     def loss_only() -> float:
-        loss, _ = model.loss(src_ids, tgt_in_ids, tgt_out_ids, train=False)
+        loss, _ = model.loss(src_ids, tgt_in_ids, tgt_out_ids)
         return loss
 
     errors: dict[str, float] = {}

@@ -37,7 +37,7 @@ def test_a_checkout_against_itself_reports_equal_ids_and_both_kinds():
 @pytest.mark.parametrize(
     "kind, old, new",
     [
-        ("beam", "    tokens = min(ties)\n", "    tokens = min(ties)[::-1]\n"),
+        ("beam", "    tokens = min(finished)[2]\n", "    tokens = min(finished)[2][::-1]\n"),
         ("greedy", "fanout=1, max_len=max_len)\n", "fanout=1, max_len=max_len)[::-1]\n"),
     ],
 )

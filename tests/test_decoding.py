@@ -254,6 +254,16 @@ def test_beam_cut_breaks_score_ties_lexicographically_across_parents():
     assert reference_beam_search(PrefixStep(table_scores(table)), **args) == [6, 5]
 
 
+def test_eos_ended_and_max_len_ended_hypotheses_tie_lexicographically():
+    # [a, 7] runs into max_len and [b, EOS] ends at EOS, both at mean -1.0
+    # over 2 tokens; the lexicographically smaller one wins either way round.
+    args = dict(beam_size=2, fanout=2, max_len=2)
+    for a, b, expected in [(5, 6, [5, 7]), (6, 5, [5])]:
+        table = {(BOS_ID,): {a: -1.0, b: -1.0}, (BOS_ID, a): {7: -1.0}, (BOS_ID, b): {EOS_ID: -1.0}}
+        assert beam_search(PrefixStep(table_scores(table)), **args) == expected
+        assert reference_beam_search(PrefixStep(table_scores(table)), **args) == expected
+
+
 def test_max_len_outside_the_output_range_raises_before_encoding(monkeypatch):
     model = tiny_model()
     limit = model.config.max_len - 1

@@ -694,6 +694,16 @@ def test_best_checkpoint_has_lowest_observed_val_loss():
     assert evaluate_loss(model, pairs[:8]) == pytest.approx(min(evals), abs=1e-6)
 
 
+def test_evaluate_loss_is_the_token_weighted_mean_of_per_pair_losses():
+    from rulefst.model import evaluate_loss
+
+    model = Seq2SeqTransformer(tiny_config(), seed=7)
+    pairs = toy_pairs(100, seed=6)
+    per_pair = [model.loss(*make_batch([pair])) for pair in pairs]
+    expected = sum(loss * n for loss, n in per_pair) / sum(n for _, n in per_pair)
+    assert evaluate_loss(model, pairs) == pytest.approx(expected, rel=1e-6)
+
+
 @pytest.mark.parametrize(
     "pairs, message",
     [
@@ -820,6 +830,22 @@ def test_checkpoint_without_a_metadata_key_is_refused_naming_file_and_key(tmp_pa
     np.savez(path, **arrays)
     with pytest.raises(DataError, match=rf"no_key\.npz: checkpoint metadata has no '{key}'"):
         Checkpoint.load(path)
+
+
+def test_checkpoint_written_with_param_names_still_loads(tmp_path):
+    path = tmp_path / "param_names.npz"
+    ck = _checkpoint_with_hash("abc123")
+    ck.save(path)
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files}
+    meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+    assert "param_names" not in meta
+    meta["param_names"] = sorted(ck.params)  # as files written before it was dropped hold
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    np.savez(path, **arrays)
+    loaded = Checkpoint.load(path)
+    assert loaded.params.keys() == ck.params.keys()
+    assert all(np.array_equal(loaded.params[k], v) for k, v in ck.params.items())
 
 
 def test_checkpoint_rejects_garbage(tmp_path):

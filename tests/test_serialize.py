@@ -212,6 +212,16 @@ def test_unknown_segment_mode_raises_for_every_method(rules, monkeypatch):
             serialize_example(method, X_TOKENS, [], rules, 2, segment_mode="inline")
 
 
+def test_negative_window_raises_for_every_method(rules, monkeypatch):
+    def no_match(*args, **kwargs):
+        raise AssertionError("matched with a negative window")
+
+    monkeypatch.setattr(serialize, "match_rules", no_match)
+    for method in METHODS:
+        with pytest.raises(DataError, match="window size must be >= 0, not -1"):
+            serialize_example(method, X_TOKENS, [], rules, -1)
+
+
 def test_cari_prefix_preserves_source_all_windows(rules):
     for w in range(5):
         ex = serialize_example(CARI, X_TOKENS, [], rules, w)
