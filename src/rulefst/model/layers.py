@@ -5,6 +5,14 @@ checkpointing and finite-difference checking can treat the model as a flat
 dict of arrays. Layers cache what they need on forward and accumulate
 gradients on backward; each layer instance is used once per forward pass.
 
+Cache lifetime: a layer's forward caches the arrays its backward reads, and
+its backward takes them (`take_cache`): once read, they are dropped, so a
+training step frees each layer's activations as its backward passes it,
+rather than holding them until the next forward overwrites them. A forward
+without a backward (evaluation, decoding) leaves its caches in place until
+the next forward replaces them. A backward without its forward raises
+RuntimeError at once, rather than reusing stale arrays.
+
 Attention projections are fused: a self-attention layer has one `.wqkv`
 Dense of shape (d, 3d) whose column blocks are the query, key and value
 projections, and a cross-attention layer has `.wq` plus one `.wkv` of shape
@@ -94,6 +102,17 @@ class ParamStore:
             self.values[k] = np.asarray(v, dtype=self.dtype).copy()
 
 
+def take_cache(layer, *names: str) -> list:
+    """The values that `layer`'s forward cached under `names`, removed from
+    the layer; RuntimeError if its forward has not cached one since its last
+    backward."""
+    cache = vars(layer)
+    missing = [name for name in names if name not in cache]
+    if missing:
+        raise RuntimeError(f"{type(layer).__name__}: a backward without its forward ({missing[0]} is not cached)")
+    return [cache.pop(name) for name in names]
+
+
 def axis_sum(x: np.ndarray) -> np.ndarray:
     """x summed over axis -2, keeping it as size 1. The sum is a matmul with
     a ones row: BLAS sums rows of a few dozen elements several times faster
@@ -125,7 +144,6 @@ class Dense:
         width = d_out // blocks
         store.add(self._w, np.concatenate([rng.normal(0.0, 0.02, size=(d_in, width)) for _ in range(blocks)], axis=1))
         store.add(self._b, np.zeros(d_out))
-        self._x2d: np.ndarray | None = None
 
     @property
     def weight(self) -> np.ndarray:
@@ -136,18 +154,18 @@ class Dense:
         return self.store.values[self._b]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._shape = x.shape
         self._x2d = x.reshape(-1, x.shape[-1])
         out = self._x2d @ self.store.values[self._w]
         out += self.store.values[self._b]
         return out.reshape(*x.shape[:-1], -1)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
+        (x2d,) = take_cache(self, "_x2d")
         d2d = dout.reshape(-1, dout.shape[-1])
         W = self.store.values[self._w]
-        self.store.accumulate(self._w, self._x2d.T @ d2d)
+        self.store.accumulate(self._w, x2d.T @ d2d)
         self.store.accumulate(self._b, axis_sum(d2d)[0])
-        return (d2d @ W.T).reshape(self._shape)
+        return (d2d @ W.T).reshape(*dout.shape[:-1], -1)
 
 
 class LayerNorm:
@@ -182,7 +200,7 @@ class LayerNorm:
         return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        norm = self._norm
+        norm, inv_std = take_cache(self, "_norm", "_inv_std")
         flat = (-1, norm.shape[-1])
         t = dout * norm
         self.store.accumulate(self._gamma, axis_sum(t.reshape(flat))[0])
@@ -194,7 +212,7 @@ class LayerNorm:
         np.multiply(norm, t @ self._mean, out=t)
         dx -= dx @ self._mean
         dx -= t
-        dx *= self._inv_std
+        dx *= inv_std
         return dx
 
 
@@ -232,43 +250,43 @@ class Embedding:
     def project_out(self, h: np.ndarray) -> np.ndarray:
         """Tied unembedding: logits = h @ E^T."""
         self._h2d = h.reshape(-1, h.shape[-1])
-        self._h_shape = h.shape
         return (self._h2d @ self.table.T).reshape(*h.shape[:-1], self.n)
 
     def project_out_backward(self, dlogits: np.ndarray) -> np.ndarray:
+        (h2d,) = take_cache(self, "_h2d")
         d2d = dlogits.reshape(-1, self.n)
-        self.store.accumulate(self.name + ".E", d2d.T @ self._h2d)
-        return (d2d @ self.table).reshape(self._h_shape)
+        self.store.accumulate(self.name + ".E", d2d.T @ h2d)
+        return (d2d @ self.table).reshape(*dlogits.shape[:-1], -1)
 
 
 class Dropout:
     """Inverted dropout. The uniforms are drawn in the input's dtype; `_mask`
-    is a bool array of the kept positions, and both passes scale by
-    dtype(1) / dtype(1 - rate) and then zero the dropped positions in place,
-    which gives the same bits as multiplying by a float mask of that scale
-    and 0 without building one."""
+    is a bool array of the kept positions (None when the forward dropped
+    nothing), and both passes scale by dtype(1) / dtype(1 - rate) and then
+    zero the dropped positions in place, which gives the same bits as
+    multiplying by a float mask of that scale and 0 without building one."""
 
     def __init__(self, rate: float):
         self.rate = rate
-        self._mask = None
-        self._scale = None
+
+    def _scaled(self, x: np.ndarray) -> np.ndarray:
+        return x * (x.dtype.type(1) / x.dtype.type(1.0 - self.rate))
 
     def forward(self, x: np.ndarray, train: bool, rng: np.random.Generator | None) -> np.ndarray:
         if not train or self.rate <= 0.0:
             self._mask = None
             return x
-        keep = 1.0 - self.rate
-        self._mask = rng.random(x.shape, dtype=x.dtype) < keep
-        self._scale = x.dtype.type(1) / x.dtype.type(keep)
-        out = x * self._scale
+        self._mask = rng.random(x.shape, dtype=x.dtype) < 1.0 - self.rate
+        out = self._scaled(x)
         out *= self._mask
         return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._mask is None:
+        (mask,) = take_cache(self, "_mask")
+        if mask is None:
             return dout
-        dx = dout * self._scale
-        dx *= self._mask
+        dx = self._scaled(dout)
+        dx *= mask
         return dx
 
 
@@ -331,12 +349,13 @@ class MultiHeadAttention:
 
     @property
     def last_attention(self) -> np.ndarray:
-        """Attention weights of the last forward, (B, heads, Lq, Lk): a
-        transposed view of the key-major weights."""
+        """Attention weights of the last forward, (B, heads, Lq, Lk), until
+        its backward drops them: a transposed view of the key-major
+        weights."""
         return self._attn.swapaxes(-1, -2)
 
     def backward(self, dout: np.ndarray) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-        q, k, v, attn, ctx = self._q, self._k, self._v, self._attn, self._ctx
+        q, k, v, attn, ctx = take_cache(self, "_q", "_k", "_v", "_attn", "_ctx")
         b, lq, heads, dh = ctx.shape
         lk = k.shape[2]
         dctx = self.wo.backward(dout).reshape(b, lq, heads, dh)
@@ -373,6 +392,7 @@ class FeedForward:
         return self.lin2.forward(h)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
+        (h,) = take_cache(self, "_h")
         dh = self.lin2.backward(dout)
-        dh *= self._h > 0
+        dh *= h > 0
         return self.lin1.backward(dh)

@@ -28,15 +28,21 @@ from .layers import (
     softmax,  # unused here, but the benchmark tracer patches seq2seq.softmax
 )
 
-# Largest (rows, heads, L, L) attention score array of one training sub-batch:
-# 1 MiB, so that a sub-batch's scores and softmax stay within a 2 MiB per-core
-# L2 cache. Measured on such a 2-CPU host, one float32 B=32 train step
-# (sources of 10-127 tokens, targets of 10-40, default ModelConfig, V=2000):
-# 150-157 ms unsplit, 103-109 at 2 MiB, 80-98 at 1 MiB, 83-92 at 512 KiB,
-# 109-124 at one row per sub-batch. With the in-place, key-major attention,
-# the median step over pipeline-cari's four B=32 CARI batches (sources up to
-# 128 tokens, V=335; two runs of 8 and 12 rounds) is 98-106 ms at 512 KiB,
-# 101-107 at 1 MiB, 103-106 at 2 MiB and 123-132 at 4 MiB.
+# Budget of one training sub-batch's widest arrays (`split_rows`): 1 MiB, so
+# that they stay within a 2 MiB per-core L2 cache. Measured on such a 2-CPU
+# host, one float32 B=32 train step (sources of 10-127 tokens, targets of
+# 10-40, default ModelConfig, V=2000), with the score array alone as the
+# cost: 150-157 ms unsplit, 103-109 at 2 MiB, 80-98 at 1 MiB, 83-92 at 512
+# KiB, 109-124 at one row per sub-batch. The score array alone let a
+# sub-batch of short sources hold 800-1,000 positions, whose per-position
+# arrays outgrew the cache and set the process's peak memory. The FFN term
+# of the cost caps the default float32 config at 512 positions. Position
+# caps on pipeline-cari's four B=32 steps, against the score array alone
+# (one process, CPU seconds, median of 30 alternating rounds, BLAS on one
+# thread): 0.95x as fast at 1,024 positions, 0.99x at 768, 1.03x at 512
+# (the cost's own cut, 1.03x in the same rounds), 1.01x at 384 and 0.94x
+# at 256. With each layer's cache dropped in its backward, pipeline-cari's
+# peak RSS fell from 70.9 to 59.4 MB (bench/run.py, seed 1).
 SUB_BATCH_BYTES = 1 << 20
 
 
@@ -47,23 +53,31 @@ def content_lengths(ids: np.ndarray) -> np.ndarray:
     return np.where(content.any(axis=1), ids.shape[1] - np.argmax(content[:, ::-1], axis=1), 0)
 
 
-def split_rows(src_len: np.ndarray, tgt_len: np.ndarray, heads: int, itemsize: int) -> list[np.ndarray]:
+def split_rows(
+    src_len: np.ndarray, tgt_len: np.ndarray, heads: int, ffn_dim: int, itemsize: int
+) -> list[np.ndarray]:
     """Row indices of each training sub-batch, in order.
 
     Rows are sorted by source length, longest first (stable), and cut
-    greedily: a row joins the current sub-batch while rows x heads x L x L x
-    itemsize stays within SUB_BATCH_BYTES, where L is the larger of the
-    sub-batch's longest source and longest target. A row that alone exceeds
-    the budget forms a sub-batch by itself.
+    greedily: a row joins the current sub-batch while its cost,
+    rows x L x max(heads x L, 2 x ffn_dim) x itemsize, stays within
+    SUB_BATCH_BYTES, where L is the larger of the sub-batch's longest source
+    and longest target. heads x L covers the (rows, heads, L, L) attention
+    score array; 2 x ffn_dim covers the FFN's hidden activation and its
+    gradient, the widest per-position arrays. A row that alone exceeds the
+    budget forms a sub-batch by itself.
     """
     src_len, tgt_len = np.asarray(src_len), np.asarray(tgt_len)
-    cell = heads * itemsize
+
+    def cost(rows: int, side: int) -> int:
+        return rows * side * max(heads * side, 2 * ffn_dim) * itemsize
+
     out: list[np.ndarray] = []
     rows: list[int] = []
     side = 0
     for r in np.argsort(-src_len, kind="stable"):
         grown = max(side, int(src_len[r]), int(tgt_len[r]), 1)
-        if rows and (len(rows) + 1) * cell * grown * grown > SUB_BATCH_BYTES:
+        if rows and cost(len(rows) + 1, grown) > SUB_BATCH_BYTES:
             out.append(np.asarray(rows))
             rows, grown = [], max(int(src_len[r]), int(tgt_len[r]), 1)
         rows.append(int(r))
@@ -500,7 +514,8 @@ class Seq2SeqTransformer:
         """Yield the (src, tgt_in, tgt_out) sub-batches of a padded batch, cut
         by `split_rows` and each trimmed to its own longest source and target."""
         src_len, tgt_len = content_lengths(src_ids), content_lengths(tgt_out_ids)
-        for rows in split_rows(src_len, tgt_len, self.config.heads, self.store.dtype.itemsize):
+        cfg = self.config
+        for rows in split_rows(src_len, tgt_len, cfg.heads, cfg.ffn_dim, self.store.dtype.itemsize):
             ls = max(int(src_len[rows].max()), 1)
             lt = max(int(tgt_len[rows].max()), 1)
             yield src_ids[rows, :ls], tgt_in_ids[rows, :lt], tgt_out_ids[rows, :lt]
@@ -510,10 +525,7 @@ class Seq2SeqTransformer:
         dropout.
 
         Returns (loss, n_tokens); n_tokens == 0 yields loss 0.0. Runs on the
-        length-sorted sub-batches of `loss_and_grads` (rows sorted by source
-        length and cut so that no (rows, heads, L, L) attention score array
-        exceeds SUB_BATCH_BYTES, 1 MiB, for the 2 MiB L2 cache; each trimmed
-        to its own longest rows).
+        sub-batches of `loss_and_grads` (see `split_rows`).
         """
         total, n_tok = 0.0, 0
         for src, tgt_in, tgt_out in self._sub_batches(src_ids, tgt_in_ids, tgt_out_ids):
@@ -554,14 +566,11 @@ class Seq2SeqTransformer:
         """Forward + backward; gradients accumulate into the param store.
 
         Returns the mean loss of the whole padded batch and leaves its mean
-        gradient in the store, but runs it in length-sorted sub-batches
-        (`split_rows`): the rows, sorted by source length, longest first, are
-        cut greedily so that no sub-batch's largest (rows, heads, L, L)
-        attention score array exceeds SUB_BATCH_BYTES (1 MiB, which keeps it
-        in a 2 MiB per-core L2 cache), and each sub-batch is trimmed to its
-        own longest source and target, so that no attention runs over another
-        row's padding. Each sub-batch's dlogits is weighted by its tokens / all
-        tokens before its backward pass.
+        gradient in the store, but runs it in the sub-batches that
+        `split_rows` cuts, each trimmed to its own longest source and target,
+        so that no attention runs over another row's padding. Each
+        sub-batch's dlogits is weighted by its tokens / all tokens before its
+        backward pass, which drops the forward's caches layer by layer.
 
         With dropout on, masks are drawn per sub-batch: training stays
         deterministic per seed, but draws differently from one pass over

@@ -20,7 +20,9 @@ from rulefst.model import (
     train,
 )
 from rulefst.model import training
-from rulefst.model.layers import LN_EPS, Dense, Dropout, LayerNorm, MultiHeadAttention, ParamStore, scatter_add_rows, softmax
+from rulefst.model.layers import (
+    LN_EPS, Dense, Dropout, FeedForward, LayerNorm, MultiHeadAttention, ParamStore, scatter_add_rows, softmax,
+)
 from rulefst.model.seq2seq import DecoderCache
 from rulefst.text import BOS_ID, CLS_ID, EOS_ID, PAD_ID, SEP_ID, UNK_ID, build_vocab, normalize_tweet, tokenize
 
@@ -405,15 +407,11 @@ def test_scatter_add_rows_matches_add_at(dtype, atol):
 # ---- dtype contract ----------------------------------------------------------
 
 
-def floating_values(obj, path, seen):
-    """(path, value) of every floating ndarray or NumPy scalar reachable from
-    obj through attributes, dicts, lists and tuples."""
-    if id(obj) in seen:
-        return
-    seen.add(id(obj))
-    if isinstance(obj, (np.ndarray, np.generic)):
-        if np.issubdtype(obj.dtype, np.floating):
-            yield path, obj
+def reachable(obj, path, seen):
+    """(path, value) of every value reachable from obj through attributes,
+    dicts, lists and tuples; each container and object is entered once."""
+    yield path, obj
+    if isinstance(obj, (np.ndarray, np.generic)) or id(obj) in seen:
         return
     if isinstance(obj, dict):
         items = obj.items()
@@ -423,8 +421,17 @@ def floating_values(obj, path, seen):
         items = vars(obj).items()
     else:
         return
+    seen.add(id(obj))
     for key, value in items:
-        yield from floating_values(value, f"{path}.{key}", seen)
+        yield from reachable(value, f"{path}.{key}", seen)
+
+
+def floating_values(obj, path, seen):
+    """(path, value) of every floating ndarray or NumPy scalar reachable from
+    obj."""
+    for p, value in reachable(obj, path, seen):
+        if isinstance(value, (np.ndarray, np.generic)) and np.issubdtype(value.dtype, np.floating):
+            yield p, value
 
 
 def assert_all_in_dtype(dtype, **roots):
@@ -438,10 +445,12 @@ def assert_all_in_dtype(dtype, **roots):
 def test_activations_caches_and_gradients_stay_in_model_dtype(dtype):
     model = Seq2SeqTransformer(tiny_config(dtype=dtype, dropout=0.1), seed=2)
     src, tgt_in, tgt_out = batch_from([([6, 7, 8, 9], [10, 11, 6]), ([7, 9], [8])])
-    model.loss_and_grads(src, tgt_in, tgt_out, train=True)
+    model.forward(src, tgt_in, train=True)  # caches live until their backward
     paths = assert_all_in_dtype(np.dtype(dtype), model=model)
     assert "model.enc_blocks.0.attn._attn" in paths
     assert model.dec_blocks[0].drop3._mask.dtype == bool
+    model.loss_and_grads(src, tgt_in, tgt_out, train=True)
+    assert_all_in_dtype(np.dtype(dtype), model=model)
     assert len(model.store.grads) == len(model.store.values)
 
     enc_out, src_mask = model.encode(src[:1])
@@ -454,6 +463,56 @@ def test_activations_caches_and_gradients_stay_in_model_dtype(dtype):
     buffers = {f"cache._{name}" for name in ("kv", "out", "sq", "xn", "ctx", "relu")}
     assert folded | buffers <= paths
     assert logprobs.dtype == np.float64 and logprobs.shape == (2, model.config.vocab_size)
+
+
+def layer_state(model):
+    """The paths of everything reachable from the model outside its
+    ParamStore, with the type of each value."""
+    return {(path, type(value)) for path, value in reachable(model, "model", set())
+            if not path.startswith("model.store.")}
+
+
+@pytest.mark.parametrize("train", [True, False])
+def test_no_layer_holds_a_forward_array_after_loss_and_grads(train):
+    model = Seq2SeqTransformer(tiny_config(dropout=0.1), seed=2)
+    built = layer_state(model)
+    batch = batch_from([([6, 7, 8, 9], [10, 11, 6]), ([7, 9], [8])])
+    model.forward(*batch[:2], train=train)
+    assert any(path.endswith("._attn") for path, _ in layer_state(model) - built)
+    model.loss_and_grads(*batch, train=train)
+    assert layer_state(model) == built
+
+
+def test_a_second_backward_without_a_forward_raises():
+    model = Seq2SeqTransformer(tiny_config(dropout=0.1), seed=2)
+    src, tgt_in, tgt_out = batch_from([([6, 7, 8, 9], [10, 11, 6]), ([7, 9], [8])])
+    _, dlogits, _ = model._ce(model.forward(src, tgt_in, train=True), tgt_out)
+    model._backward(src, tgt_in, dlogits)
+    with pytest.raises(RuntimeError, match=r"Embedding: a backward without its forward \(_h2d is not cached\)"):
+        model._backward(src, tgt_in, dlogits)
+
+
+@pytest.mark.parametrize("make", [
+    lambda store, rng: Dense(store, "dense", 8, 8, rng),
+    lambda store, rng: LayerNorm(store, "ln", 8),
+    lambda store, rng: MultiHeadAttention(store, "attn", 8, 2, rng),
+    lambda store, rng: FeedForward(store, "ffn", 8, 16, rng),
+    lambda store, rng: Dropout(0.0),
+], ids=["Dense", "LayerNorm", "MultiHeadAttention", "FeedForward", "Dropout"])
+def test_each_layer_backward_takes_what_its_forward_cached(make):
+    rng = np.random.default_rng(0)
+    layer = make(ParamStore(np.float64), rng)
+    x = rng.normal(size=(2, 3, 8))
+    forward = {
+        Dropout: lambda: layer.forward(x, train=True, rng=rng),
+        MultiHeadAttention: lambda: layer.forward(x, None),
+    }.get(type(layer), lambda: layer.forward(x))
+    dout = np.ones_like(forward())
+    layer.backward(dout)
+    with pytest.raises(RuntimeError, match=f"{type(layer).__name__}: a backward without its forward"):
+        layer.backward(dout)
+    forward()
+    layer.backward(dout)
 
 
 def test_float32_loss_and_gradients_agree_with_float64_twin():

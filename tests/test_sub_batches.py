@@ -16,11 +16,12 @@ from rulefst.text import BOS_ID, PAD_ID
 
 MAX_LEN = 16
 HEADS = 2
+FFN_DIM = 32
 
 
 def model(seed=0):
     cfg = ModelConfig(
-        vocab_size=12, d_model=16, heads=HEADS, enc_layers=1, dec_layers=2, ffn_dim=32,
+        vocab_size=12, d_model=16, heads=HEADS, enc_layers=1, dec_layers=2, ffn_dim=FFN_DIM,
         max_len=MAX_LEN, dropout=0.0, dtype="float64",
     )
     return Seq2SeqTransformer(cfg, seed=seed)
@@ -41,9 +42,15 @@ def mixed_batch(seed=0):
     return src, tgt_in, tgt_out
 
 
+def cost(rows, side, heads, ffn_dim, itemsize):
+    """The cost that `split_rows` gives `rows` rows of length `side`."""
+    return rows * side * max(heads * side, 2 * ffn_dim) * itemsize
+
+
 def budget_for(rows, side):
-    """A budget that lets `rows` rows of length `side` share a sub-batch."""
-    return rows * HEADS * 8 * side * side
+    """A budget that lets `rows` rows of length `side` share a sub-batch of
+    the float64 test model."""
+    return cost(rows, side, HEADS, FFN_DIM, 8)
 
 
 def run(budget, batch):
@@ -123,22 +130,49 @@ def test_content_lengths_stop_at_the_last_non_pad_id():
 @given(
     lengths=st.lists(st.tuples(st.integers(0, 127), st.integers(0, 127)), min_size=1, max_size=40),
     heads=st.integers(1, 8),
+    ffn_dim=st.integers(1, 512),
     itemsize=st.sampled_from([4, 8]),
     budget=st.integers(0, 1 << 21),
 )
-def test_split_covers_every_row_once_within_the_budget(lengths, heads, itemsize, budget):
+def test_split_covers_every_row_once_within_the_budget(lengths, heads, ffn_dim, itemsize, budget):
     src_len = np.array([s for s, _ in lengths])
     tgt_len = np.array([t for _, t in lengths])
     with mock.patch.object(seq2seq, "SUB_BATCH_BYTES", budget):
-        subs = split_rows(src_len, tgt_len, heads, itemsize)
+        subs = split_rows(src_len, tgt_len, heads, ffn_dim, itemsize)
     order = np.concatenate(subs)
     assert order.tolist() == np.argsort(-src_len, kind="stable").tolist()
 
     def size(rows):
         side = max(int(src_len[rows].max()), int(tgt_len[rows].max()), 1)
-        return len(rows) * heads * side * side * itemsize
+        return cost(len(rows), side, heads, ffn_dim, itemsize)
 
     for i, rows in enumerate(subs):
         assert len(rows) == 1 or size(rows) <= budget
         if i + 1 < len(subs):  # greedy: the next row would not have fitted
             assert size(np.append(rows, subs[i + 1][0])) > budget
+
+
+# Source and target lengths of the first B=32 training batch of the
+# benchmark's pipeline-cari workload at seed 1.
+CARI_SRC = [59, 57, 38, 72, 64, 127, 62, 124, 43, 52, 78, 47, 123, 123, 79, 54,
+            50, 120, 59, 124, 57, 45, 61, 54, 72, 42, 54, 36, 117, 71, 48, 58]
+CARI_TGT = [19, 16, 14, 21, 16, 31, 22, 28, 21, 20, 19, 14, 30, 33, 21, 19,
+            16, 28, 20, 32, 15, 14, 20, 16, 18, 13, 17, 12, 30, 22, 15, 15]
+
+
+def default_split(src_len, tgt_len):
+    """split_rows for the default float32 ModelConfig."""
+    cfg = ModelConfig(vocab_size=300)
+    return split_rows(np.array(src_len), np.array(tgt_len), cfg.heads, cfg.ffn_dim, np.dtype(cfg.dtype).itemsize)
+
+
+def test_a_default_float32_cari_batch_is_cut_into_sub_batches_of_at_most_512_positions():
+    subs = default_split(CARI_SRC, CARI_TGT)
+    positions = [len(rows) * max(max(CARI_SRC[r], CARI_TGT[r]) for r in rows) for rows in subs]
+    assert max(positions) <= 512 and sum(len(rows) for rows in subs) == 32
+    assert max(positions) > 512 - 128  # no smaller cap than the cost gives
+
+
+def test_rows_of_128_positions_still_go_four_to_a_sub_batch():
+    subs = default_split([128] * 32, [17] * 32)
+    assert [len(rows) for rows in subs] == [4] * 8
