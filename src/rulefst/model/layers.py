@@ -50,9 +50,13 @@ array; a NumPy float64 scalar would promote a float32 array to float64.
 In-place rule: to save the temporaries and the passes over memory that
 fresh arrays cost, a layer overwrites arrays that it allocated itself (a
 matmul result, a buffer from np.empty) while it builds its output or
-gradient. It never writes an input, an upstream gradient, anything saved
-for backward once saved, or a parameter. `softmax` normalises its
-argument in place, so callers pass it an array they own.
+gradient; attention scales its queries inside their block of its own
+projection's output. It never writes an input, an upstream gradient,
+anything saved for backward once saved, or a parameter. `softmax`
+normalises its argument in place, so callers pass it an array they own.
+The constants reused from call to call, `axis_sum`'s ones row and the
+decoder's causal mask, are read-only slices of one buffer per dtype
+(`shared_constant`) and are never written.
 """
 
 from __future__ import annotations
@@ -107,17 +111,36 @@ def take_cache(layer, *names: str) -> list:
     the layer; RuntimeError if its forward has not cached one since its last
     backward."""
     cache = vars(layer)
-    missing = [name for name in names if name not in cache]
-    if missing:
-        raise RuntimeError(f"{type(layer).__name__}: a backward without its forward ({missing[0]} is not cached)")
-    return [cache.pop(name) for name in names]
+    try:
+        return [cache.pop(name) for name in names]
+    except KeyError as err:
+        raise RuntimeError(
+            f"{type(layer).__name__}: a backward without its forward ({err.args[0]} is not cached)"
+        ) from None
+
+
+_CONSTANTS: dict[tuple[str, np.dtype], np.ndarray] = {}
+
+
+def shared_constant(kind: str, n: int, dtype: np.dtype, make) -> np.ndarray:
+    """The read-only array `make(size, dtype)` of `kind`, at a size of at
+    least n along each axis, for callers to slice to n. There is one per kind
+    and dtype, shared by every caller; a larger n replaces it with one of
+    that size, so it is only as large as the largest n served."""
+    key = (kind, dtype)
+    buf = _CONSTANTS.get(key)
+    if buf is None or len(buf) < n:
+        buf = _CONSTANTS[key] = make(n, dtype)
+        buf.flags.writeable = False
+    return buf
 
 
 def axis_sum(x: np.ndarray) -> np.ndarray:
     """x summed over axis -2, keeping it as size 1. The sum is a matmul with
     a ones row: BLAS sums rows of a few dozen elements several times faster
     than np.add.reduce does."""
-    return np.ones((1, x.shape[-2]), x.dtype) @ x
+    n = x.shape[-2]
+    return shared_constant("ones", n, x.dtype, np.ones)[None, :n] @ x
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
@@ -260,11 +283,34 @@ class Embedding:
 
 
 class Dropout:
-    """Inverted dropout. The uniforms are drawn in the input's dtype; `_mask`
-    is a bool array of the kept positions (None when the forward dropped
-    nothing), and both passes scale by dtype(1) / dtype(1 - rate) and then
-    zero the dropped positions in place, which gives the same bits as
-    multiplying by a float mask of that scale and 0 without building one."""
+    """Inverted dropout. `_mask` is a bool array of the kept positions (None
+    when the forward dropped nothing), and both passes scale by dtype(1) /
+    dtype(1 - rate) and then zero the dropped positions in place, which
+    gives the same bits as multiplying by a float mask of that scale and 0
+    without building one.
+
+    The mask equals `rng.random(x.shape, x.dtype) < 1 - rate` but is drawn
+    from the generator's raw 64-bit words, in about half the time, since no
+    uniform is made. NumPy makes a float64 uniform from a word as
+    (word >> 11) * 2**-53, and a float32 uniform from each 32-bit half of a
+    word, low half first, as (half >> 8) * 2**-24. With keep = 1 - rate
+    rounded to the dtype, as the comparison rounds it, a uniform is below
+    keep exactly when its integer is below ceil(keep * 2**53) or
+    ceil(keep * 2**24), that is, when its word or half is below that bound
+    shifted left by 11 or 8 bits. So the mask compares the words, or for
+    float32 their uint32 view (low half first on a little-endian host),
+    with that bound. This holds for PCG64, `default_rng`'s generator, whose
+    raw output is those 64-bit words.
+
+    One NumPy detail differs: after a float32 draw of an odd size, NumPy
+    keeps the unused high half of the last word and serves it first in the
+    next float32 draw, while this mask drops it. So masks equal
+    `rng.random`'s up to the first odd-sized float32 draw and differ after
+    it. The model never makes one: every activation it drops has d_model,
+    an even number, as its last axis. tests/test_model.py pins NumPy's
+    word-to-uniform rule at the words next to each bound, the equality with
+    `rng.random` over a stream of draws, and this odd-size difference.
+    """
 
     def __init__(self, rate: float):
         self.rate = rate
@@ -272,11 +318,23 @@ class Dropout:
     def _scaled(self, x: np.ndarray) -> np.ndarray:
         return x * (x.dtype.type(1) / x.dtype.type(1.0 - self.rate))
 
+    def _keep(self, shape: tuple, dtype: np.dtype, rng: np.random.Generator) -> np.ndarray:
+        """The kept positions of one draw (see the class docstring)."""
+        n = math.prod(shape)
+        keep = 1.0 - self.rate
+        if dtype == np.float32:
+            words = rng.bit_generator.random_raw((n + 1) // 2).view(np.uint32)[:n]
+            bound = math.ceil(float(np.float32(keep)) * 2**24) << 8
+        else:
+            words = rng.bit_generator.random_raw(n)
+            bound = math.ceil(keep * 2**53) << 11
+        return (words < bound).reshape(shape)
+
     def forward(self, x: np.ndarray, train: bool, rng: np.random.Generator | None) -> np.ndarray:
         if not train or self.rate <= 0.0:
             self._mask = None
             return x
-        self._mask = rng.random(x.shape, dtype=x.dtype) < 1.0 - self.rate
+        self._mask = self._keep(x.shape, x.dtype, rng)
         out = self._scaled(x)
         out *= self._mask
         return out
@@ -336,7 +394,7 @@ class MultiHeadAttention:
             k, v = self._split(self.wkv.forward(memory), 2)
         else:
             q, k, v = self._split(self.wqkv.forward(x), 3)
-        q = q * self.scale
+        q *= self.scale  # in the projection's output, which this layer owns
         attn = k @ q.swapaxes(-1, -2)
         if mask is not None:
             attn += mask.swapaxes(-1, -2)

@@ -25,6 +25,7 @@ from .layers import (
     MultiHeadAttention,
     ParamStore,
     scatter_add_rows,
+    shared_constant,
     softmax,  # unused here, but the benchmark tracer patches seq2seq.softmax
 )
 
@@ -44,6 +45,10 @@ from .layers import (
 # at 256. With each layer's cache dropped in its backward, pipeline-cari's
 # peak RSS fell from 70.9 to 59.4 MB (bench/run.py, seed 1).
 SUB_BATCH_BYTES = 1 << 20
+
+
+def _causal(n: int, dtype) -> np.ndarray:
+    return np.triu(np.full((n, n), NEG_INF, dtype), k=1)
 
 
 def content_lengths(ids: np.ndarray) -> np.ndarray:
@@ -465,9 +470,10 @@ class Seq2SeqTransformer:
 
     @staticmethod
     def causal_mask(length: int, dtype) -> np.ndarray:
-        """(1, 1, length, length) additive mask: query i sees keys 0..i."""
-        m = np.triu(np.full((length, length), NEG_INF), k=1)
-        return m[None, None].astype(dtype)
+        """(1, 1, length, length) additive mask: query i sees keys 0..i. A
+        read-only view of one mask per dtype, as large as the longest asked
+        for (`layers.shared_constant`)."""
+        return shared_constant("causal", length, np.dtype(dtype), _causal)[None, None, :length, :length]
 
     # ---- forward / backward -------------------------------------------
 
@@ -543,14 +549,14 @@ class Seq2SeqTransformer:
         dlogits = np.zeros_like(logits)
         if n_tok == 0:
             return 0.0, dlogits, 0
-        rows = logits[mask]
-        shifted = rows - rows.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        total = e.sum(axis=-1, keepdims=True)
-        gold = tgt_out[mask]
-        at_gold = (np.arange(n_tok), gold)
-        loss = -float((shifted[at_gold] - np.log(total[:, 0])).sum(dtype=np.float64)) / n_tok
-        probs = e / total
+        probs = logits[mask]  # a copy: shifted, exponentiated and normalised in place
+        probs -= probs.max(axis=-1, keepdims=True)
+        at_gold = (np.arange(n_tok), tgt_out[mask])
+        shifted_gold = probs[at_gold]
+        np.exp(probs, out=probs)
+        total = probs.sum(axis=-1, keepdims=True)
+        loss = -float((shifted_gold - np.log(total[:, 0])).sum(dtype=np.float64)) / n_tok
+        probs /= total
         probs[at_gold] -= 1.0
         probs /= n_tok
         dlogits[mask] = probs
@@ -591,8 +597,8 @@ class Seq2SeqTransformer:
         gradients to the store."""
         self.store.accumulate("out.bias", dlogits.reshape(-1, dlogits.shape[-1]).sum(axis=0))
         dx = self.dec_ln.backward(self.tok.project_out_backward(dlogits))
-        denc_total = np.zeros((*src_ids.shape, self.config.d_model), self.store.dtype)
-        for block in reversed(self.dec_blocks):
+        dx, denc_total = self.dec_blocks[-1].backward(dx)
+        for block in reversed(self.dec_blocks[:-1]):
             dx, denc = block.backward(dx)
             denc_total += denc
         self._embed_backward(tgt_in_ids, dx, self.emb_drop_tgt)

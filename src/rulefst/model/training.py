@@ -115,6 +115,14 @@ class Checkpoint:
 
 
 class Adam:
+    """Adam over a ParamStore's gradients. `step` updates the moments and the
+    parameters in place, in two scratch arrays per parameter, with the
+    operations of the textbook expression in its order:
+    m = b1 * m + (1 - b1) * g, v = b2 * v + (1 - b2) * g^2, and
+    p -= lr * (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps), each product
+    and quotient rounded as the expression rounds it, so the bits are those
+    of that expression evaluated with temporaries."""
+
     def __init__(self, store, lr: float):
         self.store = store
         self.lr = lr
@@ -130,10 +138,19 @@ class Adam:
             m = self.m[k]
             v = self.v[k]
             m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
+            num = np.multiply(g, 1.0 - ADAM_BETA1)
+            m += num
             v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * np.square(g)
-            self.store.values[k] -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)
+            np.square(g, out=num)
+            num *= 1.0 - ADAM_BETA2
+            v += num
+            den = np.divide(v, b2t)
+            np.sqrt(den, out=den)
+            den += ADAM_EPS
+            np.divide(m, b1t, out=num)
+            num *= self.lr
+            num /= den
+            self.store.values[k] -= num
 
 
 Pair = tuple[list[int], list[int]]

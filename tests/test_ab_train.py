@@ -17,11 +17,13 @@ def ab_train(parent, change):
 
 
 def test_a_checkout_against_itself_reports_bit_equal_gradients_and_both_shapes():
+    """With dropout 0 and with the default dropout."""
     proc = ab_train(REPO, REPO)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     (line,) = [line for line in lines if line.startswith('{"round": ')]
     assert "dropout-0 loss and gradients bit-equal" in proc.stdout
+    assert "default-dropout (0.1) loss and gradients bit-equal" in proc.stdout
     assert "verdicts against the bound 0.25 of train_pairs_per_s" in proc.stdout
     times = json.loads(line)
     for shape in ("NR", "CARI"):

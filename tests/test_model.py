@@ -227,6 +227,18 @@ def test_causal_masking():
     assert not np.allclose(l1[0, 2], l2[0, 2])
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_causal_masks_are_read_only_views_of_one_buffer_per_dtype(dtype):
+    """Each mask is the triangle of NEG_INF it always was, whichever longer
+    mask its buffer was cut for."""
+    for length in (5, 9, 3, 9, 1):
+        mask = Seq2SeqTransformer.causal_mask(length, dtype)
+        expected = np.triu(np.full((length, length), -1e9), k=1)[None, None].astype(dtype)
+        assert mask.dtype == dtype and mask.shape == expected.shape and mask.tobytes() == expected.tobytes()
+        assert not mask.flags.writeable
+    assert np.shares_memory(Seq2SeqTransformer.causal_mask(3, dtype), Seq2SeqTransformer.causal_mask(9, dtype))
+
+
 def test_attention_rows_sum_to_one():
     model = Seq2SeqTransformer(tiny_config(), seed=4)
     pairs = [([6, 7, 8], [9, 10]), ([11], [6])]
@@ -315,6 +327,76 @@ def test_dropout_equals_the_float_mask_formula_bit_for_bit(dtype):
         assert out.tobytes() == (x * mask).tobytes()
         assert dx.tobytes() == (dout * mask).tobytes()
         assert np.signbit(out[(mask == 0) & (x < 0)]).all() and ((mask == 0) & (x < 0)).any()
+
+
+DROPOUT_RATES = (0.1, 0.25, 0.7, 0.9)  # at 0.9, float32(0.1) * 2**24 is not an integer: the bound's ceiling counts
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dropout_masks_drawn_in_turn_equal_rng_random_in_turn(dtype):
+    """Masks of mixed even sizes, drawn one after another from one generator,
+    equal the same sequence of `rng.random(shape, dtype) < 1 - rate` drawn
+    from a generator of the same seed."""
+    shapes = [(4, 6), (2, 3, 8), (10,), (64, 64), (1, 2), (3, 2, 16)]
+    for rate in DROPOUT_RATES:
+        drop = Dropout(rate)
+        ours, numpy_stream = np.random.default_rng(4), np.random.default_rng(4)
+        for shape in shapes:
+            drop.forward(np.ones(shape, dtype), True, ours)
+            assert np.array_equal(drop._mask, numpy_stream.random(shape, dtype=dtype) < 1.0 - rate), (rate, shape)
+
+
+class RawWords:
+    """A stand-in generator whose bit generator returns the given 64-bit words."""
+
+    def __init__(self, words):
+        self.bit_generator = self
+        self.words = np.asarray(words, np.uint64)
+
+    def random_raw(self, n):
+        assert n == len(self.words)
+        return self.words.copy()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dropout_keeps_a_word_exactly_when_numpys_uniform_of_it_is_below_keep(dtype):
+    """The words next to each rate's bound, against the uniforms NumPy makes
+    of them: (word >> 11) * 2**-53, or for float32 (half >> 8) * 2**-24 of
+    each 32-bit half, low half first."""
+    assert float(np.float32(1 - 0.9)) * 2**24 % 1 != 0
+    bits, shift, raw = (24, 8, np.uint32) if dtype == np.float32 else (53, 11, np.uint64)
+    for rate in DROPOUT_RATES:
+        x = float(dtype(1.0 - rate)) * 2**bits  # the bound before its ceiling
+        # the integers around it, each with the bits below the shift clear and set
+        near = [i << shift | low for i in range(int(x) - 2, int(x) + 3) for low in (0, (1 << shift) - 1)]
+        words = [lo | hi << 32 for lo, hi in zip(near[::2], near[1::2])] if dtype == np.float32 else near
+        uniforms = (np.array(near, raw) >> shift).astype(dtype) * dtype(2.0**-bits)
+        drop = Dropout(rate)
+        drop.forward(np.ones(len(uniforms), dtype), True, RawWords(words))
+        expected = uniforms < 1.0 - rate
+        assert expected.any() and not expected.all()
+        assert np.array_equal(drop._mask, expected), rate
+
+
+def test_an_odd_sized_float32_mask_drops_the_unused_half_of_its_last_word():
+    """NumPy serves the unused half of an odd-sized float32 draw first in the
+    next draw; the mask drops it. So an odd-sized mask equals rng.random's,
+    and the next one equals what rng.random gives after a draw one larger,
+    not after the odd one. float64 draws take whole words, so odd sizes
+    stay in step with rng.random."""
+    drop = Dropout(0.25)
+    ours, numpy_stream, one_larger = (np.random.default_rng(6) for _ in range(3))
+    drop.forward(np.ones((3, 5), np.float32), True, ours)
+    assert np.array_equal(drop._mask, numpy_stream.random((3, 5), dtype=np.float32) < 0.75)
+    assert np.array_equal(drop._mask.reshape(-1), one_larger.random(16, dtype=np.float32)[:15] < 0.75)
+    drop.forward(np.ones((8, 8), np.float32), True, ours)
+    assert np.array_equal(drop._mask, one_larger.random((8, 8), dtype=np.float32) < 0.75)
+    assert not np.array_equal(drop._mask, numpy_stream.random((8, 8), dtype=np.float32) < 0.75)
+
+    ours, numpy_stream = np.random.default_rng(6), np.random.default_rng(6)
+    for shape in ((3, 5), (7,), (8, 8)):
+        drop.forward(np.ones(shape), True, ours)
+        assert np.array_equal(drop._mask, numpy_stream.random(shape) < 0.75)
 
 
 class UnfusedAttention:
@@ -621,6 +703,44 @@ def test_train_deterministic_same_seed():
     assert ck1.history == ck2.history
     for k in ck1.params:
         assert np.array_equal(ck1.params[k], ck2.params[k])
+
+
+def adam_step_with_temporaries(adam):
+    """`Adam.step` as it was before it ran in place, verbatim."""
+    adam.t += 1
+    b1t = 1.0 - training.ADAM_BETA1**adam.t
+    b2t = 1.0 - training.ADAM_BETA2**adam.t
+    for k, g in adam.store.grads.items():
+        m = adam.m[k]
+        v = adam.v[k]
+        m *= training.ADAM_BETA1
+        m += (1.0 - training.ADAM_BETA1) * g
+        v *= training.ADAM_BETA2
+        v += (1.0 - training.ADAM_BETA2) * np.square(g)
+        adam.store.values[k] -= adam.lr * (m / b1t) / (np.sqrt(v / b2t) + training.ADAM_EPS)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_step_in_place_equals_the_step_with_temporaries_bit_for_bit(dtype):
+    rng = np.random.default_rng(8)
+    stores = [ParamStore(dtype) for _ in range(2)]
+    for name, shape in (("w", (5, 7)), ("b", (7,)), ("e", (3, 4, 2))):
+        value = rng.normal(size=shape)
+        for store in stores:
+            store.add(name, value)
+    ours, reference = (training.Adam(store, lr=3e-3) for store in stores)
+    for _ in range(3):
+        grads = {name: rng.normal(0.0, 10.0 ** rng.integers(-6, 2), size=v.shape).astype(dtype)
+                 for name, v in stores[0].values.items()}
+        for store in stores:
+            store.grads = {name: g.copy() for name, g in grads.items()}
+        ours.step()
+        adam_step_with_temporaries(reference)
+        assert ours.t == reference.t
+        for name in grads:
+            for a, b in ((ours.m, reference.m), (ours.v, reference.v), (stores[0].values, stores[1].values)):
+                assert a[name].dtype == dtype and a[name].tobytes() == b[name].tobytes(), name
+            assert stores[0].grads[name].tobytes() == grads[name].tobytes()  # the step leaves the gradient
 
 
 def test_train_overfits_small_corpus():

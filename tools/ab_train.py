@@ -23,7 +23,11 @@ every gradient must agree within RTOL relative (a gradient's largest
 difference against its largest magnitude): a change that cuts the batch
 differently sums in another order. If not, the run stops with exit status
 1, naming the shape, the batch and the first parameter that differs. The
-report says whether they were bit-equal.
+report says whether they were bit-equal. Then such models with the default
+dropout, each built at SEED so that both sides draw the same dropout
+stream, run one `loss_and_grads` per shape and batch; the report says
+whether those losses and gradients were bit-equal too, and this check does
+not stop the run.
 
 Then each round runs, for each shape and on each side, --steps training
 steps over that shape's batches in turn; which side runs first alternates
@@ -85,14 +89,14 @@ def model(package, params, dropout: float):
     return m
 
 
-def compare(packages, params, shape, batch_list) -> tuple[str | None, bool]:
+def compare(packages, params, shape, batch_list, dropout: float) -> tuple[str | None, bool]:
     """(the first disagreement beyond RTOL, or None; whether every loss and
-    gradient was bit-equal) of both sides' dropout-0 `loss_and_grads`."""
+    gradient was bit-equal) of both sides' `loss_and_grads` at `dropout`."""
     bit_equal = True
     for i, batch in enumerate(batch_list):
         out = {}
         for side, package in packages.items():
-            m = model(package, params, 0.0)
+            m = model(package, params, dropout)
             out[side] = m.loss_and_grads(*batch), m.store.grads
         (p_loss, _), p_grads = out["parent"]
         (c_loss, _), c_grads = out["change"]
@@ -138,11 +142,14 @@ def main(argv=None) -> int:
 
     bit_equal = True
     for shape, batch_list in data.items():
-        problem, equal = compare(packages, params, shape, batch_list)
+        problem, equal = compare(packages, params, shape, batch_list, 0.0)
         if problem:
             print(f"ab_train: loss or gradients differ with dropout 0 on {problem}", file=sys.stderr)
             return 1
         bit_equal &= equal
+    dropout = parent.model.ModelConfig.dropout
+    dropout_equal = all(compare(packages, params, shape, batch_list, dropout)[1]
+                        for shape, batch_list in data.items())
 
     trainers = {}
     for side, package in packages.items():
@@ -168,6 +175,7 @@ def main(argv=None) -> int:
     agreement = "bit-equal" if bit_equal else f"equal within {RTOL:g} relative, not bit-equal"
     print(f"{args.rounds} rounds of {args.steps} steps, {args.batches} batches of {args.batch} pairs per shape, "
           f"vocab {args.vocab}, seed {SEED}: dropout-0 loss and gradients {agreement}")
+    print(f"default-dropout ({dropout:g}) loss and gradients {'bit-equal' if dropout_equal else 'not bit-equal'}")
     print(f"verdicts against the bound {bound:g} of {BOUND_METRIC} in {args.parent}/BENCHMARK.json")
     print(f"{'shape':8s} {'clock':5s} {'parent q1 / median / q3 s':>30s} {'change q1 / median / q3 s':>30s} "
           f"{'change/parent':>13s} {'wins':>6s}  verdict")
