@@ -306,10 +306,13 @@ class Dropout:
     keeps the unused high half of the last word and serves it first in the
     next float32 draw, while this mask drops it. So masks equal
     `rng.random`'s up to the first odd-sized float32 draw and differ after
-    it. The model never makes one: every activation it drops has d_model,
-    an even number, as its last axis. tests/test_model.py pins NumPy's
-    word-to-uniform rule at the words next to each bound, the equality with
-    `rng.random` over a stream of draws, and this odd-size difference.
+    it. Every activation the model drops has d_model as its last axis, so
+    the model makes one only when d_model is odd: with an even d_model, as
+    in the default config, its masks are `rng.random`'s. tests/test_model.py
+    pins NumPy's word-to-uniform rule at the words next to each bound, the
+    equality with `rng.random` over a stream of draws, this odd-size
+    difference, and a model's loss and gradients against those of masks
+    drawn by `rng.random`.
     """
 
     def __init__(self, rate: float):

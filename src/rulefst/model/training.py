@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import zipfile
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -82,17 +83,33 @@ class Checkpoint:
 
     @classmethod
     def load(cls, path) -> "Checkpoint":
-        """Read a checkpoint; DataError names the file if it cannot be used."""
-        with np.load(path) as data:
+        """Read a checkpoint; DataError names the file if it cannot be used,
+        and a missing file raises FileNotFoundError."""
+        try:
+            data = np.load(path)
+        except (EOFError, ValueError, zipfile.BadZipFile) as err:  # empty, neither .npy nor .npz, cut short
+            raise DataError(f"{path}: not a checkpoint file: {err}") from err
+        if not isinstance(data, np.lib.npyio.NpzFile):  # one .npy array
+            raise DataError(f"{path}: not a checkpoint file: one array")
+        with data:
             if "meta" not in data:
-                raise DataError(f"{path}: not a checkpoint file")
-            meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-            if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-                raise DataError(f"{path}: unsupported checkpoint version {meta.get('format_version')}")
-            missing = next((k for k in ("config", "vocab_hash", "step", "seed", "history") if k not in meta), None)
-            if missing is not None:
-                raise DataError(f"{path}: checkpoint metadata has no {missing!r}")
-            params = {k[len("param/"):]: data[k] for k in data.files if k.startswith("param/")}
+                raise DataError(f"{path}: not a checkpoint file: no metadata")
+            try:
+                raw = bytes(data["meta"])
+                params = {k[len("param/"):]: data[k] for k in data.files if k.startswith("param/")}
+            except zipfile.BadZipFile as err:  # a member whose bytes fail its CRC
+                raise DataError(f"{path}: damaged checkpoint file: {err}") from err
+        try:
+            meta = json.loads(raw.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as err:
+            raise DataError(f"{path}: checkpoint metadata is not UTF-8 JSON: {err}") from err
+        if not isinstance(meta, dict):
+            raise DataError(f"{path}: checkpoint metadata is not a JSON object")
+        if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
+            raise DataError(f"{path}: unsupported checkpoint version {meta.get('format_version')}")
+        missing = next((k for k in ("config", "vocab_hash", "step", "seed", "history") if k not in meta), None)
+        if missing is not None:
+            raise DataError(f"{path}: checkpoint metadata has no {missing!r}")
         try:
             config = ModelConfig(**meta["config"])
         except (DataError, TypeError) as err:  # TypeError: a field ModelConfig does not have

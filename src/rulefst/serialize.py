@@ -147,18 +147,22 @@ def read_examples_tsv(path, method: str | None = None) -> list[SerializedExample
     skipped. A line of any other shape, and a given method that differs from
     a line's own, raise DataError naming the line."""
     out: list[SerializedExample] = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise DataError(f"{path}:{lineno}: expected input<TAB>target<TAB>method<TAB>truncated")
-            src, tgt, line_method, truncated = parts
-            if line_method not in METHODS or truncated not in ("0", "1"):
-                raise DataError(f"{path}:{lineno}: bad method {line_method!r} or truncated flag {truncated!r}")
-            if method is not None and line_method != method:
-                raise DataError(f"{path}:{lineno}: method {line_method}, expected {method}")
-            out.append(SerializedExample(line_method, tuple(src.split()), tuple(tgt.split()), truncated == "1"))
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.readlines()
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not valid UTF-8: {e}") from None
+    for lineno, line in enumerate(lines, start=1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 4:
+            raise DataError(f"{path}:{lineno}: expected input<TAB>target<TAB>method<TAB>truncated")
+        src, tgt, line_method, truncated = parts
+        if line_method not in METHODS or truncated not in ("0", "1"):
+            raise DataError(f"{path}:{lineno}: bad method {line_method!r} or truncated flag {truncated!r}")
+        if method is not None and line_method != method:
+            raise DataError(f"{path}:{lineno}: method {line_method}, expected {method}")
+        out.append(SerializedExample(line_method, tuple(src.split()), tuple(tgt.split()), truncated == "1"))
     return out

@@ -202,8 +202,11 @@ class Vocabulary:
     def load(cls, path) -> "Vocabulary":
         """Read what `save` wrote; DataError names the file if it is not a
         vocabulary."""
-        with open(path, encoding="utf-8") as f:
-            tokens = [line.rstrip("\n") for line in f]
+        try:
+            with open(path, encoding="utf-8") as f:
+                tokens = [line.rstrip("\n") for line in f]
+        except UnicodeDecodeError as e:
+            raise DataError(f"{path}: not valid UTF-8: {e}") from None
         while tokens and tokens[-1] == "":
             tokens.pop()
         try:

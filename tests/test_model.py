@@ -399,6 +399,26 @@ def test_an_odd_sized_float32_mask_drops_the_unused_half_of_its_last_word():
         assert np.array_equal(drop._mask, numpy_stream.random(shape) < 0.75)
 
 
+@pytest.mark.parametrize("d_model, heads, ffn_dim, equal", [(64, 4, 256, True), (5, 1, 8, False)],
+                         ids=["even", "odd"])
+def test_a_model_with_an_even_d_model_drops_as_rng_random_masks_would(monkeypatch, d_model, heads, ffn_dim, equal):
+    """Every activation the model drops has d_model as its last axis. With an
+    even d_model, as in the default config, loss and gradients with dropout
+    on equal, bit for bit, those of a model of the same seed whose masks come
+    from `rng.random`; with an odd one, the odd-sized float32 draws (here 12
+    of 3 positions by 5) put the two streams out of step."""
+    config = ModelConfig(vocab_size=12, d_model=d_model, heads=heads, ffn_dim=ffn_dim, dropout=0.1)
+    batch = batch_from([([6, 7, 8], [9, 10])])
+    results = []
+    for keep in (Dropout._keep, lambda self, shape, dtype, rng: rng.random(shape, dtype=dtype) < 1.0 - self.rate):
+        monkeypatch.setattr(Dropout, "_keep", keep)
+        model = Seq2SeqTransformer(config, seed=5)
+        loss, _ = model.loss_and_grads(*batch, train=True)
+        results.append((loss, model.store.grads))
+    (loss_a, grads_a), (loss_b, grads_b) = results
+    assert (loss_a == loss_b and all(np.array_equal(grads_a[k], grads_b[k]) for k in grads_a)) == equal
+
+
 class UnfusedAttention:
     """Reference attention with separate wq, wk, wv and wo Dense layers."""
 
@@ -1031,6 +1051,48 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "junk.npz"
     np.savez(path, foo=np.zeros(3))
     with pytest.raises(DataError):
+        Checkpoint.load(path)
+
+
+def _with_meta(raw: bytes):
+    """An edit that writes a saved checkpoint again with `raw` as its metadata bytes."""
+    def write(path):
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        arrays["meta"] = np.frombuffer(raw, dtype=np.uint8)
+        np.savez(path, **arrays)
+    return write
+
+
+def _one_array(path):
+    with open(path, "wb") as f:
+        np.save(f, np.zeros(3))
+
+
+def _one_bit_flipped(path):
+    raw = bytearray(path.read_bytes())
+    raw[raw.index(b'"config"')] ^= 1  # inside the metadata member, whose CRC then fails
+    path.write_bytes(raw)
+
+
+NOT_CHECKPOINTS = {
+    "empty": lambda path: path.write_bytes(b""),
+    "first_half": lambda path: path.write_bytes(path.read_bytes()[: path.stat().st_size // 2]),
+    "text": lambda path: path.write_text("step\t1\n", encoding="utf-8"),
+    "npy": _one_array,
+    "damaged": _one_bit_flipped,
+    "meta_not_utf8": _with_meta(b"\xff\xfe"),
+    "meta_not_json": _with_meta(b"{format_version: 2}"),
+    "meta_a_list": _with_meta(b"[2]"),
+}
+
+
+@pytest.mark.parametrize("edit", NOT_CHECKPOINTS)
+def test_a_file_that_is_not_a_checkpoint_is_refused_naming_it(tmp_path, edit):
+    path = tmp_path / "not_a_checkpoint.npz"
+    _checkpoint_with_hash("abc123").save(path)
+    NOT_CHECKPOINTS[edit](path)
+    with pytest.raises(DataError, match=r"not_a_checkpoint\.npz: "):
         Checkpoint.load(path)
 
 

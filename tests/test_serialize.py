@@ -323,6 +323,13 @@ def test_tsv_malformed_lines_raise_with_the_line_number(tmp_path, line):
         read_examples_tsv(path)
 
 
+def test_tsv_refuses_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "bad.tsv"
+    path.write_bytes(b"a\tb\tNR\t0\n\xff\xfe\tb\tNR\t0\n")
+    with pytest.raises(DataError, match=r"bad\.tsv: not valid UTF-8: "):
+        read_examples_tsv(path)
+
+
 @pytest.mark.parametrize("tokens", [("a b",), ("",), ("a\tb",), ("a\n",)])
 def test_tsv_refuses_tokens_that_would_not_read_back(tmp_path, tokens):
     with pytest.raises(DataError, match="example 0"):

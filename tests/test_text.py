@@ -264,6 +264,13 @@ def test_vocab_load_refuses_a_file_without_the_reserved_tokens(tmp_path):
         Vocabulary.load(path)
 
 
+def test_vocab_load_refuses_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "vocab.txt"
+    path.write_bytes("\n".join(SPECIAL_TOKENS).encode("utf-8") + b"\n\xff\xfe\n")
+    with pytest.raises(DataError, match=re.escape(f"{path}: not valid UTF-8: ")):
+        Vocabulary.load(path)
+
+
 def test_vocab_deterministic_order():
     a = build_vocab([["x", "y", "x", "z"]])
     b = build_vocab([["x", "y", "x", "z"]])

@@ -88,20 +88,28 @@ def run_once(checkout: str, command: list[str], workload: str, seed: int, second
     return result
 
 
+COLUMNS = (f"{'parent q1 / median / q3':>30s} {'change q1 / median / q3':>30s} "
+           f"{'change/parent':>13s} {'wins':>6s}  verdict")
+
+
+def row(label: str, parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """One report line under COLUMNS: each side's quartiles, the median
+    over pairs of change / parent, the change's wins and the verdict."""
+    ratios = [b / a for a, b in zip(parent, change) if a]
+    ratio = statistics.median(ratios) if ratios else math.nan
+    result, wins = verdict(parent, change, better, bound)
+    sides = ["{:9.4g} {:9.4g} {:9.4g}".format(*quartiles(v)) for v in (parent, change)]
+    return f"{label:24s} {sides[0]:>30s} {sides[1]:>30s} {ratio:13.4f} {wins:>3d}/{len(parent):<2d}  {result}"
+
+
 def report(metrics: list[dict], parent_runs: list[dict], change_runs: list[dict]) -> list[str]:
     """One line per end-to-end metric."""
-    lines = [f"{'metric':24s} {'parent q1 / median / q3':>30s} {'change q1 / median / q3':>30s} "
-             f"{'change/parent':>13s} {'wins':>6s}  verdict"]
-    n = len(parent_runs)
+    lines = [f"{'metric':24s} {COLUMNS}"]
     for m in metrics:
         name = m["name"]
         p = [r["metrics"][name]["value"] for r in parent_runs]
         c = [r["metrics"][name]["value"] for r in change_runs]
-        ratios = [b / a for a, b in zip(p, c) if a]
-        ratio = statistics.median(ratios) if ratios else math.nan
-        result, wins = verdict(p, c, m["better"], m["bound"])
-        sides = ["{:9.4g} {:9.4g} {:9.4g}".format(*quartiles(v)) for v in (p, c)]
-        lines.append(f"{name:24s} {sides[0]:>30s} {sides[1]:>30s} {ratio:13.4f} {wins:>3d}/{n:<2d}  {result}")
+        lines.append(row(name, p, c, m["better"], m["bound"]))
     return lines
 
 
