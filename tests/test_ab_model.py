@@ -1,38 +1,13 @@
-"""tools/ab_model.py at a tiny size, in this process: this checkout against
-itself, with a wall and a CPU row for each training shape and decode, and
-against copies whose gradients, beam decode or greedy decode differ."""
+"""tools/ab_model.py at a tiny size, in this process, against copies of this
+checkout whose gradients, beam decode or greedy decode differ. Its A/A run is
+in test_ab_decode.py and test_ab_train.py."""
 
 import os
 import shutil
-import sys
 
 import pytest
 
 REPO = os.path.join(os.path.dirname(__file__), "..")
-sys.path.insert(0, os.path.join(REPO, "tools"))
-import ab_model  # noqa: E402
-
-TINY = {"VOCAB": 40, "BATCHES": 1, "BATCH": 4, "STEPS": 1, "SOURCES": 2, "SRC_LEN": 12, "MAX_LEN": 8}
-
-
-@pytest.fixture
-def tiny(monkeypatch):
-    for name, value in TINY.items():
-        monkeypatch.setattr(ab_model, name, value)
-
-
-def test_a_checkout_against_itself_is_bit_equal_with_equal_ids_and_eight_rows(tiny, capsys):
-    assert ab_model.main([REPO, REPO, "--rounds", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "dropout-0 loss and gradients bit-equal; default-dropout (0.1) loss and gradients bit-equal" in out
-    assert "equal ids on every source" in out
-    assert "bounds of train_pairs_per_s (0.25) and decode_sent_ms_p50 (0.25)" in out
-    lines = out.splitlines()
-    assert sum(line.startswith('{"round": ') for line in lines) == 2
-    for name in ("NR", "CARI", "beam", "greedy"):
-        for clock in ("wall", "cpu"):
-            (line,) = [line for line in lines if line.split()[:2] == [name, clock]]
-            assert "/2 " in line and line.endswith(("no gain", "unresolved", "worse than bound"))
 
 
 @pytest.mark.parametrize(
@@ -47,7 +22,7 @@ def test_a_checkout_against_itself_is_bit_equal_with_equal_ids_and_eight_rows(ti
     ],
     ids=["gradient", "beam", "greedy"],
 )
-def test_a_copy_that_differs_fails_naming_the_row(tiny, capsys, tmp_path, module, old, new, error):
+def test_a_copy_that_differs_fails_naming_the_row(ab_model, capsys, tmp_path, module, old, new, error):
     shutil.copytree(os.path.join(REPO, "src"), tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
     path = tmp_path / "src" / "rulefst" / "model" / f"{module}.py"
     code = path.read_text()
