@@ -32,6 +32,7 @@ import numpy as np
 
 from ..errors import DataError
 from ..text import BOS_ID, EOS_ID, reserved_token_error
+from .layers import scoring
 from .seq2seq import DecoderCache, Seq2SeqTransformer
 
 # step_fn(parents, tokens) -> (n, V) next-token log-probs. Hypothesis i is the
@@ -100,7 +101,8 @@ def beam_search(
 
 
 def model_step_fn(model: Seq2SeqTransformer, src_ids: Sequence[int]) -> StepFn:
-    """Encode once and build the source's DecoderCache; each step reorders
+    """Encode once, in `layers.scoring()`, and build the source's
+    DecoderCache; each step reorders
     the cache by the back-pointers and feeds one new position per hypothesis
     through the decoder.
 
@@ -117,7 +119,8 @@ def model_step_fn(model: Seq2SeqTransformer, src_ids: Sequence[int]) -> StepFn:
     bad = reserved_token_error(src[0].tolist(), model.config.vocab_size)
     if bad:
         raise DataError(f"source {bad}")
-    enc_out, src_mask = model.encode(src, train=False)
+    with scoring():  # no layer keeps an array: the decoder runs on the cache
+        enc_out, src_mask = model.encode(src, train=False)
     cache = DecoderCache(model, enc_out, src_mask)
 
     def step(parents: np.ndarray, tokens: np.ndarray) -> np.ndarray:

@@ -5,13 +5,16 @@ checkpointing and finite-difference checking can treat the model as a flat
 dict of arrays. Layers cache what they need on forward and accumulate
 gradients on backward; each layer instance is used once per forward pass.
 
-Cache lifetime: a layer's forward caches the arrays its backward reads, and
-its backward takes them (`take_cache`): once read, they are dropped, so a
-training step frees each layer's activations as its backward passes it,
-rather than holding them until the next forward overwrites them. A forward
-without a backward (evaluation, decoding) leaves its caches in place until
-the next forward replaces them. A backward without its forward raises
-RuntimeError at once, rather than reusing stale arrays.
+Cache lifetime: a layer's forward caches the arrays its backward reads
+(`put_cache`), and its backward takes them (`take_cache`): once read, they
+are dropped, so a training step frees each layer's activations as its
+backward passes it. A forward that no backward follows runs inside
+`scoring()`, where no layer caches anything, as inference under PyTorch's
+no_grad (Paszke et al. 2019) keeps no graph: `Seq2SeqTransformer.forward`
+and `loss` and the decoders' encode do, so evaluation and decoding leave no
+array on a layer, and each activation is freed as soon as the next layer has
+read it. A backward without its forward raises RuntimeError at once, rather
+than reusing stale arrays.
 
 Attention projections are fused: a self-attention layer has one `.wqkv`
 Dense of shape (d, 3d) whose column blocks are the query, key and value
@@ -61,7 +64,9 @@ decoder's causal mask, are read-only slices of one buffer per dtype
 
 from __future__ import annotations
 
+import contextlib
 import math
+import threading
 
 import numpy as np
 
@@ -72,16 +77,33 @@ LN_EPS = 1e-5
 
 
 class ParamStore:
-    def __init__(self, dtype=np.float32):
+    """Parameters by name, in one dtype. Given `params`, every parameter a
+    layer adds takes its value from there instead of from its initialiser,
+    so a model can be rebuilt from saved arrays without drawing weights
+    that would be overwritten."""
+
+    def __init__(self, dtype=np.float32, params: dict[str, np.ndarray] | None = None):
         self.dtype = np.dtype(dtype)
+        self.params = params
         self.values: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
 
-    def add(self, name: str, value: np.ndarray) -> np.ndarray:
+    def add(self, name: str, shape: tuple[int, ...], init) -> np.ndarray:
+        """Add parameter `name` of `shape`: a copy of params[name] in the
+        dtype, or without params, init(shape) in the dtype. ValueError if
+        params has no such array, or one of another shape."""
         if name in self.values:
             raise ValueError(f"duplicate parameter {name!r}")
-        self.values[name] = np.asarray(value, dtype=self.dtype)
-        return self.values[name]
+        if self.params is None:
+            value = np.asarray(init(shape), dtype=self.dtype)
+        elif name not in self.params:
+            raise ValueError(f"missing parameter {name}")
+        elif np.shape(self.params[name]) != shape:
+            raise ValueError(f"shape mismatch for {name}: {np.shape(self.params[name])} vs {shape}")
+        else:
+            value = np.array(self.params[name], dtype=self.dtype)
+        self.values[name] = value
+        return value
 
     def zero_grads(self) -> None:
         self.grads = {}
@@ -104,6 +126,41 @@ class ParamStore:
             if v.shape != self.values[k].shape:
                 raise ValueError(f"shape mismatch for {k}: {v.shape} vs {self.values[k].shape}")
             self.values[k] = np.asarray(v, dtype=self.dtype).copy()
+
+
+class _Forward(threading.local):
+    """What layer forwards keep in this thread, as `scoring()` sets it:
+    `cache`, whether they cache what a backward reads, and `attention`, a
+    dict that each attention layer puts its weights in, or None. Per thread,
+    as PyTorch keeps its grad mode, so that scoring in one thread leaves a
+    training step in another caching."""
+
+    cache = True
+    attention: dict | None = None
+
+
+_FORWARD = _Forward()
+
+
+@contextlib.contextmanager
+def scoring(attention: dict | None = None):
+    """A block of forwards that no backward follows: no layer caches
+    anything in it. Given a dict, each attention layer that runs in it puts
+    its weights there under its parameter prefix, (B, heads, Lq, Lk), a
+    transposed view of its key-major weights. The mode before it is
+    restored on leaving it."""
+    saved = _FORWARD.cache, _FORWARD.attention
+    _FORWARD.cache, _FORWARD.attention = False, attention
+    try:
+        yield
+    finally:
+        _FORWARD.cache, _FORWARD.attention = saved
+
+
+def put_cache(layer, **arrays) -> None:
+    """Cache `arrays` on `layer` for its backward, unless in `scoring()`."""
+    if _FORWARD.cache:
+        vars(layer).update(arrays)
 
 
 def take_cache(layer, *names: str) -> list:
@@ -165,8 +222,12 @@ class Dense:
         self.name = name
         self._w, self._b = name + ".W", name + ".b"
         width = d_out // blocks
-        store.add(self._w, np.concatenate([rng.normal(0.0, 0.02, size=(d_in, width)) for _ in range(blocks)], axis=1))
-        store.add(self._b, np.zeros(d_out))
+
+        def init(shape):
+            return np.concatenate([rng.normal(0.0, 0.02, size=(d_in, width)) for _ in range(blocks)], axis=1)
+
+        store.add(self._w, (d_in, d_out), init)
+        store.add(self._b, (d_out,), np.zeros)
 
     @property
     def weight(self) -> np.ndarray:
@@ -177,8 +238,9 @@ class Dense:
         return self.store.values[self._b]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x2d = x.reshape(-1, x.shape[-1])
-        out = self._x2d @ self.store.values[self._w]
+        x2d = x.reshape(-1, x.shape[-1])
+        put_cache(self, _x2d=x2d)
+        out = x2d @ self.store.values[self._w]
         out += self.store.values[self._b]
         return out.reshape(*x.shape[:-1], -1)
 
@@ -200,8 +262,8 @@ class LayerNorm:
         self.store = store
         self.name = name
         self._gamma, self._beta = name + ".gamma", name + ".beta"
-        store.add(self._gamma, np.ones(d))
-        store.add(self._beta, np.zeros(d))
+        store.add(self._gamma, (d,), np.ones)
+        store.add(self._beta, (d,), np.zeros)
         self._mean = np.full((d, 1), 1.0 / d, store.dtype)
 
     @property
@@ -215,9 +277,9 @@ class LayerNorm:
     def forward(self, x: np.ndarray) -> np.ndarray:
         xc = x - x @ self._mean
         out = np.square(xc)  # the output's buffer, first used for the variance
-        self._inv_std = 1.0 / np.sqrt(out @ self._mean + LN_EPS)
-        xc *= self._inv_std
-        self._norm = xc
+        inv_std = 1.0 / np.sqrt(out @ self._mean + LN_EPS)
+        xc *= inv_std
+        put_cache(self, _norm=xc, _inv_std=inv_std)
         np.multiply(xc, self.store.values[self._gamma], out=out)
         out += self.store.values[self._beta]
         return out
@@ -264,7 +326,7 @@ class Embedding:
         self.store = store
         self.name = name
         self.n = n
-        store.add(name + ".E", rng.normal(0.0, 0.02, size=(n, d)))
+        store.add(name + ".E", (n, d), lambda shape: rng.normal(0.0, 0.02, size=shape))
 
     @property
     def table(self) -> np.ndarray:
@@ -272,8 +334,9 @@ class Embedding:
 
     def project_out(self, h: np.ndarray) -> np.ndarray:
         """Tied unembedding: logits = h @ E^T."""
-        self._h2d = h.reshape(-1, h.shape[-1])
-        return (self._h2d @ self.table.T).reshape(*h.shape[:-1], self.n)
+        h2d = h.reshape(-1, h.shape[-1])
+        put_cache(self, _h2d=h2d)
+        return (h2d @ self.table.T).reshape(*h.shape[:-1], self.n)
 
     def project_out_backward(self, dlogits: np.ndarray) -> np.ndarray:
         (h2d,) = take_cache(self, "_h2d")
@@ -335,11 +398,12 @@ class Dropout:
 
     def forward(self, x: np.ndarray, train: bool, rng: np.random.Generator | None) -> np.ndarray:
         if not train or self.rate <= 0.0:
-            self._mask = None
+            put_cache(self, _mask=None)
             return x
-        self._mask = self._keep(x.shape, x.dtype, rng)
+        mask = self._keep(x.shape, x.dtype, rng)
+        put_cache(self, _mask=mask)
         out = self._scaled(x)
-        out *= self._mask
+        out *= mask
         return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
@@ -366,6 +430,11 @@ class MultiHeadAttention:
     heads, d_head) layout that `.wo` reads, and backward writes dq, dk and dv
     straight into the (B, L, parts, heads, d_head) layout that the fused
     projection's backward reads.
+
+    Forward caches q, k, v, the weights and the context for backward. Inside
+    `scoring(attention)` it caches nothing and, given a dict, puts its
+    weights there under its parameter prefix, `name`; that is the only way
+    the weights leave the layer.
     """
 
     def __init__(
@@ -373,6 +442,7 @@ class MultiHeadAttention:
     ):
         if d_model % heads:
             raise ValueError("d_model must be divisible by heads")
+        self.name = name
         self.heads = heads
         self.d_head = d_model // heads
         self.cross = cross
@@ -405,15 +475,10 @@ class MultiHeadAttention:
         b, _, _, lq = attn.shape
         ctx = np.empty((b, lq, self.heads, self.d_head), attn.dtype)
         np.matmul(attn.swapaxes(-1, -2), v, out=ctx.transpose(0, 2, 1, 3))
-        self._q, self._k, self._v, self._attn, self._ctx = q, k, v, attn, ctx
+        put_cache(self, _q=q, _k=k, _v=v, _attn=attn, _ctx=ctx)
+        if _FORWARD.attention is not None:
+            _FORWARD.attention[self.name] = attn.swapaxes(-1, -2)
         return self.wo.forward(ctx.reshape(b, lq, -1))
-
-    @property
-    def last_attention(self) -> np.ndarray:
-        """Attention weights of the last forward, (B, heads, Lq, Lk), until
-        its backward drops them: a transposed view of the key-major
-        weights."""
-        return self._attn.swapaxes(-1, -2)
 
     def backward(self, dout: np.ndarray) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
         q, k, v, attn, ctx = take_cache(self, "_q", "_k", "_v", "_attn", "_ctx")
@@ -449,7 +514,7 @@ class FeedForward:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         h = self.lin1.forward(x)
-        self._h = np.maximum(h, 0, out=h)  # ReLU in place; h > 0 where the input was
+        put_cache(self, _h=np.maximum(h, 0, out=h))  # ReLU in place; h > 0 where the input was
         return self.lin2.forward(h)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:

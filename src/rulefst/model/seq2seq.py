@@ -25,6 +25,7 @@ from .layers import (
     MultiHeadAttention,
     ParamStore,
     scatter_add_rows,
+    scoring,
     shared_constant,
     softmax,  # unused here, but the benchmark tracer patches seq2seq.softmax
 )
@@ -422,16 +423,22 @@ class DecoderCache:
 
 
 class Seq2SeqTransformer:
-    def __init__(self, config: ModelConfig, seed: int = 0):
+    def __init__(self, config: ModelConfig, seed: int = 0, params: dict[str, np.ndarray] | None = None):
+        """A model of `config`'s shapes. Its parameters are drawn from `seed`,
+        or given `params`, copies of those, in the config's dtype, with
+        nothing drawn: the names and shapes must be exactly the config's, or
+        ValueError names a parameter that does not fit. Either way the
+        dropout stream is `seed`'s, which `spawn` makes independent of the
+        draws."""
         self.config = config
-        self.store = ParamStore(np.dtype(config.dtype))
+        self.store = ParamStore(np.dtype(config.dtype), params)
         root = np.random.default_rng(seed)
         init_rng, dropout_rng = root.spawn(2)
         self._dropout_rng = dropout_rng
         cfg = config
 
         self.tok = Embedding(self.store, "embed.tok", cfg.vocab_size, cfg.d_model, init_rng)
-        self.store.add("embed.pos", init_rng.normal(0.0, 0.02, size=(cfg.max_len, cfg.d_model)))
+        self.store.add("embed.pos", (cfg.max_len, cfg.d_model), lambda shape: init_rng.normal(0.0, 0.02, size=shape))
         self.emb_drop_src = Dropout(cfg.dropout)
         self.emb_drop_tgt = Dropout(cfg.dropout)
         self.enc_blocks = [
@@ -442,7 +449,11 @@ class Seq2SeqTransformer:
             _DecoderBlock(self.store, f"dec{i}", cfg, init_rng) for i in range(cfg.dec_layers)
         ]
         self.dec_ln = LayerNorm(self.store, "dec.ln_f", cfg.d_model)
-        self.store.add("out.bias", np.zeros(cfg.vocab_size))
+        self.store.add("out.bias", (cfg.vocab_size,), np.zeros)
+        extra = sorted(set(params or ()) - set(self.store.values))
+        if extra:
+            raise ValueError(f"parameters the config has no place for: {extra}")
+        self.store.params = None  # copied; the model holds no reference to them
 
     # ---- helpers -------------------------------------------------------
 
@@ -511,10 +522,22 @@ class Seq2SeqTransformer:
             x = block.forward(x, enc_out, self_mask, src_mask, train, self._dropout_rng)
         return self.tok.project_out(self.dec_ln.forward(x)) + self.store.values["out.bias"]
 
-    def forward(self, src_ids: np.ndarray, tgt_in_ids: np.ndarray, train: bool = False) -> np.ndarray:
-        """Logits over the vocabulary at every target position, (B, T, V)."""
-        enc_out, src_mask = self.encode(src_ids, train)
-        return self.decode(enc_out, src_mask, tgt_in_ids, train)
+    def forward(
+        self, src_ids: np.ndarray, tgt_in_ids: np.ndarray, train: bool = False, attention: bool = False
+    ) -> np.ndarray | tuple[np.ndarray, dict[str, np.ndarray]]:
+        """Logits over the vocabulary at every target position, (B, T, V).
+
+        A scoring forward (`layers.scoring`): no backward follows it, so no
+        layer keeps an array after it. With attention, returns (logits,
+        weights), weights holding every attention layer's (B, heads, Lq, Lk)
+        weights under its parameter prefix (`enc0.attn`, `dec0.self`,
+        `dec0.cross`, ...), the rows of each summing to 1 over the keys.
+        """
+        weights = {} if attention else None
+        with scoring(weights):
+            enc_out, src_mask = self.encode(src_ids, train)
+            logits = self.decode(enc_out, src_mask, tgt_in_ids, train)
+        return (logits, weights) if attention else logits
 
     def _sub_batches(self, src_ids: np.ndarray, tgt_in_ids: np.ndarray, tgt_out_ids: np.ndarray):
         """Yield the (src, tgt_in, tgt_out) sub-batches of a padded batch, cut
@@ -528,38 +551,51 @@ class Seq2SeqTransformer:
 
     def loss(self, src_ids: np.ndarray, tgt_in_ids: np.ndarray, tgt_out_ids: np.ndarray) -> tuple[float, int]:
         """Mean token cross-entropy over non-PAD target positions, without
-        dropout.
+        dropout: the loss of `loss_and_grads(train=False)`, bit for bit,
+        without its gradient.
 
         Returns (loss, n_tokens); n_tokens == 0 yields loss 0.0. Runs on the
-        sub-batches of `loss_and_grads` (see `split_rows`).
+        sub-batches of `loss_and_grads` (see `split_rows`), each a scoring
+        `forward`, so no layer keeps an array after it.
         """
         total, n_tok = 0.0, 0
         for src, tgt_in, tgt_out in self._sub_batches(src_ids, tgt_in_ids, tgt_out_ids):
-            loss, _, n = self._ce(self.forward(src, tgt_in), tgt_out)
+            loss, n, _ = self._nll(self.forward(src, tgt_in), tgt_out)
             total += loss * n
             n_tok += n
         return total / max(n_tok, 1), n_tok
 
     @staticmethod
-    def _ce(logits: np.ndarray, tgt_out: np.ndarray) -> tuple[float, np.ndarray, int]:
-        """(mean loss, dloss/dlogits, n_tokens): a log-softmax over the non-PAD
-        rows only, in the logits' dtype; dlogits is zero on PAD rows."""
+    def _nll(logits: np.ndarray, tgt_out: np.ndarray) -> tuple[float, int, tuple]:
+        """(mean loss, n_tokens, softmax state): a log-softmax over the
+        non-PAD rows only, in the logits' dtype. The state, which `_ce` turns
+        into the gradient, is (mask, gold indices, exp of the rows less their
+        maxima, their sums), or () if no row is non-PAD."""
         mask = tgt_out != PAD_ID
         n_tok = int(mask.sum())
-        dlogits = np.zeros_like(logits)
         if n_tok == 0:
-            return 0.0, dlogits, 0
-        probs = logits[mask]  # a copy: shifted, exponentiated and normalised in place
-        probs -= probs.max(axis=-1, keepdims=True)
+            return 0.0, 0, ()
+        exp = logits[mask]  # a copy: shifted and exponentiated in place
+        exp -= exp.max(axis=-1, keepdims=True)
         at_gold = (np.arange(n_tok), tgt_out[mask])
-        shifted_gold = probs[at_gold]
-        np.exp(probs, out=probs)
-        total = probs.sum(axis=-1, keepdims=True)
+        shifted_gold = exp[at_gold]
+        np.exp(exp, out=exp)
+        total = exp.sum(axis=-1, keepdims=True)
         loss = -float((shifted_gold - np.log(total[:, 0])).sum(dtype=np.float64)) / n_tok
-        probs /= total
-        probs[at_gold] -= 1.0
-        probs /= n_tok
-        dlogits[mask] = probs
+        return loss, n_tok, (mask, at_gold, exp, total)
+
+    @staticmethod
+    def _ce(logits: np.ndarray, tgt_out: np.ndarray) -> tuple[float, np.ndarray, int]:
+        """(mean loss, dloss/dlogits, n_tokens) of `_nll`; dlogits is zero on
+        PAD rows."""
+        loss, n_tok, state = Seq2SeqTransformer._nll(logits, tgt_out)
+        dlogits = np.zeros_like(logits)
+        if n_tok:
+            mask, at_gold, probs, total = state
+            probs /= total
+            probs[at_gold] -= 1.0
+            probs /= n_tok
+            dlogits[mask] = probs
         return loss, dlogits, n_tok
 
     def loss_and_grads(
@@ -575,8 +611,10 @@ class Seq2SeqTransformer:
         gradient in the store, but runs it in the sub-batches that
         `split_rows` cuts, each trimmed to its own longest source and target,
         so that no attention runs over another row's padding. Each
-        sub-batch's dlogits is weighted by its tokens / all tokens before its
-        backward pass, which drops the forward's caches layer by layer.
+        sub-batch's `encode` and `decode` cache what the backward reads (the
+        scoring `forward` does not), and its dlogits is weighted by its
+        tokens / all tokens before its backward pass, which drops those
+        caches layer by layer.
 
         With dropout on, masks are drawn per sub-batch: training stays
         deterministic per seed, but draws differently from one pass over
@@ -586,15 +624,16 @@ class Seq2SeqTransformer:
         n_total = int((tgt_out_ids != PAD_ID).sum())
         total = 0.0
         for src, tgt_in, tgt_out in self._sub_batches(src_ids, tgt_in_ids, tgt_out_ids):
-            loss, dlogits, n = self._ce(self.forward(src, tgt_in, train), tgt_out)
+            enc_out, src_mask = self.encode(src, train)
+            loss, dlogits, n = self._ce(self.decode(enc_out, src_mask, tgt_in, train), tgt_out)
             total += loss * n
             dlogits *= n / max(n_total, 1)
             self._backward(src, tgt_in, dlogits)
         return total / max(n_total, 1), n_total
 
     def _backward(self, src_ids: np.ndarray, tgt_in_ids: np.ndarray, dlogits: np.ndarray) -> None:
-        """Backpropagate dlogits through the last forward call, adding the
-        gradients to the store."""
+        """Backpropagate dlogits through the last `encode` and `decode` calls
+        outside `scoring()`, adding the gradients to the store."""
         self.store.accumulate("out.bias", dlogits.reshape(-1, dlogits.shape[-1]).sum(axis=0))
         dx = self.dec_ln.backward(self.tok.project_out_backward(dlogits))
         dx, denc_total = self.dec_blocks[-1].backward(dx)

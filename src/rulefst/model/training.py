@@ -58,15 +58,16 @@ class Checkpoint:
     history: list = field(default_factory=list)
 
     def restore_model(self, vocab_hash: str | None = None) -> Seq2SeqTransformer:
-        """Rebuild the trained model. Given the hash of the vocabulary it will
-        be used with, refuse a vocabulary other than the one it was trained on."""
+        """Rebuild the trained model from copies of `params`, drawing no
+        weights; its dropout stream is that of a model built at `seed`.
+        Given the hash of the vocabulary it will be used with, refuse a
+        vocabulary other than the one it was trained on. Parameters whose
+        names or shapes do not fit `config` raise ValueError."""
         if vocab_hash is not None and vocab_hash != self.vocab_hash:
             raise DataError(
                 f"checkpoint was trained with vocabulary {self.vocab_hash!r}, not {vocab_hash!r}"
             )
-        model = Seq2SeqTransformer(self.config, seed=self.seed)
-        model.store.load(self.params)
-        return model
+        return Seq2SeqTransformer(self.config, seed=self.seed, params=self.params)
 
     def save(self, path) -> None:
         meta = {
@@ -84,7 +85,9 @@ class Checkpoint:
     @classmethod
     def load(cls, path) -> "Checkpoint":
         """Read a checkpoint; DataError names the file if it cannot be used,
-        and a missing file raises FileNotFoundError."""
+        and a missing file raises FileNotFoundError. The parameters are
+        checked against the stored config by building a model from them,
+        which draws no weights."""
         try:
             data = np.load(path)
         except (EOFError, ValueError, zipfile.BadZipFile) as err:  # empty, neither .npy nor .npz, cut short
@@ -97,7 +100,9 @@ class Checkpoint:
             try:
                 raw = bytes(data["meta"])
                 params = {k[len("param/"):]: data[k] for k in data.files if k.startswith("param/")}
-            except zipfile.BadZipFile as err:  # a member whose bytes fail its CRC
+            # A member whose bytes fail its CRC, or whose header names a
+            # compression method zipfile lacks, or encryption.
+            except (zipfile.BadZipFile, NotImplementedError, RuntimeError) as err:
                 raise DataError(f"{path}: damaged checkpoint file: {err}") from err
         try:
             meta = json.loads(raw.decode("utf-8"))
@@ -115,7 +120,7 @@ class Checkpoint:
         except (DataError, TypeError) as err:  # TypeError: a field ModelConfig does not have
             raise DataError(f"{path}: {err}") from err
         try:
-            Seq2SeqTransformer(config).store.load(params)
+            Seq2SeqTransformer(config, params=params)
         except ValueError as err:
             raise DataError(f"{path}: parameters do not fit the stored config: {err}") from err
         bad = next((k for k in sorted(params) if not np.isfinite(params[k]).all()), None)
@@ -212,8 +217,9 @@ def _validate_pairs(pairs: list[Pair], config: ModelConfig, what: str) -> None:
 
 def evaluate_loss(model: Seq2SeqTransformer, pairs: list[Pair]) -> float:
     """Token-weighted mean teacher-forced loss (no dropout) of the pairs as
-    one batch, which `model.loss` runs in its memory-bounded sub-batches;
-    the pairs are checked as `train` checks its pairs."""
+    one batch, which `model.loss` runs in its memory-bounded sub-batches,
+    with no gradient and no layer keeping an array; the pairs are checked
+    as `train` checks its pairs."""
     _validate_pairs(pairs, model.config, "eval")
     return model.loss(*make_batch(pairs))[0]
 

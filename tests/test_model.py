@@ -1,7 +1,10 @@
 import functools
 import json
 import os
+import re
 import tempfile
+import threading
+import zipfile
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -16,12 +19,15 @@ from rulefst.model import (
     Seq2SeqTransformer,
     TrainSpec,
     beam_decode,
+    evaluate_loss,
+    greedy_decode,
     make_batch,
     train,
 )
 from rulefst.model import training
 from rulefst.model.layers import (
-    LN_EPS, Dense, Dropout, FeedForward, LayerNorm, MultiHeadAttention, ParamStore, scatter_add_rows, softmax,
+    LN_EPS, Dense, Dropout, FeedForward, LayerNorm, MultiHeadAttention, ParamStore, scatter_add_rows, scoring,
+    softmax,
 )
 from rulefst.model.seq2seq import DecoderCache
 from rulefst.text import BOS_ID, CLS_ID, EOS_ID, PAD_ID, SEP_ID, UNK_ID, build_vocab, normalize_tweet, tokenize
@@ -240,19 +246,30 @@ def test_causal_masks_are_read_only_views_of_one_buffer_per_dtype(dtype):
 
 
 def test_attention_rows_sum_to_one():
-    model = Seq2SeqTransformer(tiny_config(), seed=4)
+    """forward(attention=True) returns every attention layer's weights, equal
+    to those that a caching forward holds for its backward, rows summing to
+    1 with no weight on a [PAD] key, and leaves no array on a layer."""
+    model = Seq2SeqTransformer(tiny_config(enc_layers=2, dec_layers=2), seed=4)
     pairs = [([6, 7, 8], [9, 10]), ([11], [6])]
     src, tgt_in, tgt_out = batch_from(pairs)
-    model.forward(src, tgt_in)
-    for block in model.enc_blocks:
-        attn = block.attn.last_attention
+    built = layer_state(model)
+    logits, weights = model.forward(src, tgt_in, attention=True)
+    assert layer_state(model) == built
+    assert np.array_equal(logits, model.forward(src, tgt_in))
+    layers = {f"enc{i}.attn": block.attn for i, block in enumerate(model.enc_blocks)}
+    for i, block in enumerate(model.dec_blocks):
+        layers.update({f"dec{i}.self": block.self_attn, f"dec{i}.cross": block.cross_attn})
+    assert weights.keys() == layers.keys()
+    model.decode(*model.encode(src), tgt_in)  # caches, as for a backward
+    ls, lt = src.shape[1], tgt_in.shape[1]
+    for name, attn in weights.items():
+        lq, lk = (lt, lt) if name.endswith(".self") else (lt if name.startswith("dec") else ls, ls)
+        assert attn.shape == (2, model.config.heads, lq, lk)
+        assert np.array_equal(attn, layers[name]._attn.swapaxes(-1, -2))
         assert np.all(attn >= 0)
         np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-6)
-    for block in model.dec_blocks:
-        for mha in (block.self_attn, block.cross_attn):
-            attn = mha.last_attention
-            assert np.all(attn >= 0)
-            np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-6)
+        if not name.endswith(".self"):
+            assert np.all(attn[1, :, :, 1:] < 1e-6)  # the second source is [11] and two [PAD]
 
 
 def test_length_overflow_errors():
@@ -547,7 +564,7 @@ def assert_all_in_dtype(dtype, **roots):
 def test_activations_caches_and_gradients_stay_in_model_dtype(dtype):
     model = Seq2SeqTransformer(tiny_config(dtype=dtype, dropout=0.1), seed=2)
     src, tgt_in, tgt_out = batch_from([([6, 7, 8, 9], [10, 11, 6]), ([7, 9], [8])])
-    model.forward(src, tgt_in, train=True)  # caches live until their backward
+    model.decode(*model.encode(src, train=True), tgt_in, train=True)  # caches live until their backward
     paths = assert_all_in_dtype(np.dtype(dtype), model=model)
     assert "model.enc_blocks.0.attn._attn" in paths
     assert model.dec_blocks[0].drop3._mask.dtype == bool
@@ -576,20 +593,57 @@ def layer_state(model):
 
 @pytest.mark.parametrize("train", [True, False])
 def test_no_layer_holds_a_forward_array_after_loss_and_grads(train):
+    """encode and decode, the forward of `loss_and_grads`, cache for its
+    backward, which drops every cache; a forward that no backward follows
+    (`loss`, `evaluate_loss`, `forward`, the encode of a decode) caches
+    nothing."""
     model = Seq2SeqTransformer(tiny_config(dropout=0.1), seed=2)
     built = layer_state(model)
-    batch = batch_from([([6, 7, 8, 9], [10, 11, 6]), ([7, 9], [8])])
-    model.forward(*batch[:2], train=train)
+    pairs = [([6, 7, 8, 9], [10, 11, 6]), ([7, 9], [8])]
+    batch = batch_from(pairs)
+    model.decode(*model.encode(batch[0], train), batch[1], train)
     assert any(path.endswith("._attn") for path, _ in layer_state(model) - built)
     model.loss_and_grads(*batch, train=train)
     assert layer_state(model) == built
+    calls = {
+        "loss": lambda: model.loss(*batch),
+        "evaluate_loss": lambda: evaluate_loss(model, pairs),
+        "forward": lambda: model.forward(*batch[:2], train=train),
+        "beam_decode": lambda: beam_decode(model, pairs[0][0], beam_size=2, fanout=3, max_len=4),
+        "greedy_decode": lambda: greedy_decode(model, pairs[0][0], max_len=4),
+    }
+    for name, call in calls.items():
+        call()
+        assert layer_state(model) == built, name
+
+
+def test_scoring_leaves_layers_in_other_threads_and_after_it_caching():
+    layer = Dense(ParamStore(np.float64), "dense", 4, 4, np.random.default_rng(0))
+    x = np.ones((2, 4))
+    with pytest.raises(RuntimeError, match="leaves the block"):
+        with scoring():
+            layer.forward(x)
+            assert "_x2d" not in vars(layer)
+            thread = threading.Thread(target=layer.forward, args=(x,))
+            thread.start()
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+            assert "_x2d" in vars(layer)  # the other thread's forward cached
+            vars(layer).pop("_x2d")
+            raise RuntimeError("leaves the block")
+    layer.forward(x)
+    assert "_x2d" in vars(layer)
 
 
 def test_a_second_backward_without_a_forward_raises():
     model = Seq2SeqTransformer(tiny_config(dropout=0.1), seed=2)
     src, tgt_in, tgt_out = batch_from([([6, 7, 8, 9], [10, 11, 6]), ([7, 9], [8])])
-    _, dlogits, _ = model._ce(model.forward(src, tgt_in, train=True), tgt_out)
+    enc_out, src_mask = model.encode(src, train=True)
+    _, dlogits, _ = model._ce(model.decode(enc_out, src_mask, tgt_in, train=True), tgt_out)
     model._backward(src, tgt_in, dlogits)
+    with pytest.raises(RuntimeError, match=r"Embedding: a backward without its forward \(_h2d is not cached\)"):
+        model._backward(src, tgt_in, dlogits)
+    model.forward(src, tgt_in, train=True)  # a scoring forward, which caches nothing for a backward
     with pytest.raises(RuntimeError, match=r"Embedding: a backward without its forward \(_h2d is not cached\)"):
         model._backward(src, tgt_in, dlogits)
 
@@ -747,7 +801,7 @@ def test_adam_step_in_place_equals_the_step_with_temporaries_bit_for_bit(dtype):
     for name, shape in (("w", (5, 7)), ("b", (7,)), ("e", (3, 4, 2))):
         value = rng.normal(size=shape)
         for store in stores:
-            store.add(name, value)
+            store.add(name, shape, lambda _: value)
     ours, reference = (training.Adam(store, lr=3e-3) for store in stores)
     for _ in range(3):
         grads = {name: rng.normal(0.0, 10.0 ** rng.integers(-6, 2), size=v.shape).astype(dtype)
@@ -887,15 +941,12 @@ def test_best_checkpoint_has_lowest_observed_val_loss():
     spec = TrainSpec(learning_rate=2e-3, batch_size=8, max_steps=60, eval_every=20, seed=5)
     ck = train(pairs, pairs[:8], cfg, spec)
     evals = [h["val_loss"] for h in ck.history if "val_loss" in h]
-    from rulefst.model import evaluate_loss
 
     model = ck.restore_model()
     assert evaluate_loss(model, pairs[:8]) == pytest.approx(min(evals), abs=1e-6)
 
 
 def test_evaluate_loss_is_the_token_weighted_mean_of_per_pair_losses():
-    from rulefst.model import evaluate_loss
-
     model = Seq2SeqTransformer(tiny_config(), seed=7)
     pairs = toy_pairs(100, seed=6)
     per_pair = [model.loss(*make_batch([pair])) for pair in pairs]
@@ -913,8 +964,6 @@ def test_evaluate_loss_is_the_token_weighted_mean_of_per_pair_losses():
     ids=["negative-id", "pad-in-target", "empty"],
 )
 def test_evaluate_loss_refuses_pairs_that_train_refuses(pairs, message):
-    from rulefst.model import evaluate_loss
-
     with pytest.raises(DataError, match=message):
         evaluate_loss(Seq2SeqTransformer(tiny_config(), seed=0), pairs)
 
@@ -1075,6 +1124,27 @@ def _one_bit_flipped(path):
     path.write_bytes(raw)
 
 
+def _first_member_header(edit):
+    """An edit of a saved checkpoint's first central directory header, the
+    bytes from which zipfile reads a member's flags and compression method."""
+    def write(path):
+        with zipfile.ZipFile(path) as z:
+            at = z.start_dir
+        raw = bytearray(path.read_bytes())
+        assert raw[at : at + 4] == b"PK\x01\x02"
+        edit(raw, at)
+        path.write_bytes(raw)
+    return write
+
+
+def _unsupported_compression(raw, at):
+    raw[at + 10 : at + 12] = (99).to_bytes(2, "little")  # zipfile: NotImplementedError
+
+
+def _encrypted(raw, at):
+    raw[at + 8] |= 1  # the encryption flag bit; zipfile: RuntimeError, password required
+
+
 NOT_CHECKPOINTS = {
     "empty": lambda path: path.write_bytes(b""),
     "first_half": lambda path: path.write_bytes(path.read_bytes()[: path.stat().st_size // 2]),
@@ -1084,6 +1154,8 @@ NOT_CHECKPOINTS = {
     "meta_not_utf8": _with_meta(b"\xff\xfe"),
     "meta_not_json": _with_meta(b"{format_version: 2}"),
     "meta_a_list": _with_meta(b"[2]"),
+    "unsupported_compression": _first_member_header(_unsupported_compression),
+    "encrypted": _first_member_header(_encrypted),
 }
 
 
@@ -1132,13 +1204,66 @@ def test_restore_model_accepts_same_vocabulary():
     [
         (lambda p: p.__setitem__("dec0.ffn.lin9.W", p.pop("dec0.ffn.lin1.W")), "dec0.ffn.lin1.W"),
         (lambda p: p.__setitem__("enc0.attn.wqkv.b", np.zeros(3)), "enc0.attn.wqkv.b"),
+        (lambda p: p.pop("enc.ln_f.beta"), "enc.ln_f.beta"),
+        (lambda p: p.__setitem__("dec0.extra.W", np.zeros(3)), "dec0.extra.W"),
     ],
-    ids=["renamed", "reshaped"],
+    ids=["renamed", "reshaped", "missing", "extra"],
 )
 def test_checkpoint_load_checks_parameters_against_config(tmp_path, edit, name):
     ck = _checkpoint_with_hash("abc123")
     edit(ck.params)
     path = tmp_path / "bad.npz"
     ck.save(path)
-    with pytest.raises(DataError, match=name.replace(".", r"\.")):
+    with pytest.raises(DataError, match=rf"bad\.npz: parameters do not fit the stored config: .*{re.escape(name)}"):
         Checkpoint.load(path)
+    with pytest.raises(ValueError, match=re.escape(name)):
+        ck.restore_model()
+
+
+@functools.lru_cache(maxsize=2)
+def trained_checkpoint(dtype):
+    """A checkpoint of a `dtype` model trained with dropout 0.1."""
+    pairs = toy_pairs(16, seed=5)
+    spec = TrainSpec(learning_rate=3e-3, batch_size=8, max_steps=20, eval_every=10, seed=4)
+    ck = train(pairs, pairs[:4], tiny_config(dtype=dtype, dropout=0.1), spec)
+    assert ck.step > 0
+    return ck
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_restore_model_equals_a_seeded_model_with_the_parameters_loaded(dtype):
+    """The restored model holds copies of the checkpoint's parameters, in its
+    dtype, bit-equal to those that a model built at the checkpoint's seed
+    holds after `store.load`, and draws the same dropout stream."""
+    ck = trained_checkpoint(dtype)
+    restored = ck.restore_model()
+    seeded = Seq2SeqTransformer(ck.config, seed=ck.seed)
+    seeded.store.load(ck.params)
+    assert restored.store.values.keys() == seeded.store.values.keys()
+    for name, value in seeded.store.values.items():
+        ours = restored.store.values[name]
+        assert ours.dtype == value.dtype == np.dtype(dtype), name
+        assert ours.tobytes() == value.tobytes(), name
+        assert not np.shares_memory(ours, ck.params[name]), name
+    batch = batch_from(toy_pairs(6, seed=9))
+    assert restored.loss_and_grads(*batch) == seeded.loss_and_grads(*batch)  # with dropout 0.1
+    assert restored.store.grads.keys() == seeded.store.grads.keys()
+    for name, grad in seeded.store.grads.items():
+        assert restored.store.grads[name].tobytes() == grad.tobytes(), name
+
+
+class _NoDraws(np.random.Generator):
+    def normal(self, *args, **kwargs):
+        raise AssertionError("a weight was drawn")
+
+
+def test_restore_model_and_checkpoint_load_draw_no_weights(tmp_path, monkeypatch):
+    ck = trained_checkpoint("float32")
+    path = tmp_path / "model.npz"
+    ck.save(path)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: _NoDraws(np.random.PCG64(seed)))
+    with pytest.raises(AssertionError, match="a weight was drawn"):
+        Seq2SeqTransformer(ck.config, seed=ck.seed)  # a new model does draw
+    loaded = Checkpoint.load(path)
+    for model in (ck.restore_model(), loaded.restore_model()):
+        assert all(np.array_equal(model.store.values[k], v) for k, v in ck.params.items())

@@ -19,10 +19,10 @@ HEADS = 2
 FFN_DIM = 32
 
 
-def model(seed=0):
+def model(seed=0, dtype="float64"):
     cfg = ModelConfig(
         vocab_size=12, d_model=16, heads=HEADS, enc_layers=1, dec_layers=2, ffn_dim=FFN_DIM,
-        max_len=MAX_LEN, dropout=0.0, dtype="float64",
+        max_len=MAX_LEN, dropout=0.0, dtype=dtype,
     )
     return Seq2SeqTransformer(cfg, seed=seed)
 
@@ -88,6 +88,21 @@ def test_split_loss_equals_cross_entropy_of_the_full_padded_forward():
     assert n_tok == n_full
     assert loss == pytest.approx(full, abs=1e-10)
     assert grad_loss == pytest.approx(full, abs=1e-10)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("budget", [math.inf, budget_for(3, 10), 1], ids=["whole", "mid", "one-row"])
+def test_loss_is_the_loss_of_loss_and_grads_bit_for_bit(budget, dtype):
+    """`loss`, which computes no gradient, gives the loss of
+    `loss_and_grads(train=False)` bit for bit, also when a sub-batch holds
+    only the all-[PAD] target row, as at one row per sub-batch."""
+    batch = mixed_batch(seed=3)
+    m = model(seed=6, dtype=dtype)
+    with mock.patch.object(seq2seq, "SUB_BATCH_BYTES", budget):
+        tokens = [int((tgt_out != PAD_ID).sum()) for _, _, tgt_out in m._sub_batches(*batch)]
+        if budget == 1:
+            assert 0 in tokens  # the all-[PAD] row's own sub-batch
+        assert m.loss(*batch) == m.loss_and_grads(*batch, train=False)
 
 
 def test_grad_check_passes_across_sub_batches():

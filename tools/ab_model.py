@@ -27,7 +27,9 @@ and the first parameter that differs. The report says whether they were
 bit-equal. Then such models with the default dropout, each built at SEED so
 that both sides draw the same dropout stream, run one `loss_and_grads` per
 shape and batch; the report says whether those were bit-equal too, and this
-check does not stop the run.
+check does not stop the run. Last, `Seq2SeqTransformer.loss`, the scoring
+loss without gradients, must be bit-equal on every shape and batch, or the
+run stops with exit status 1, naming the shape and the batch.
 
 Then each round times four rows on both sides; which side runs first
 alternates from round to round:
@@ -210,6 +212,13 @@ def main(argv=None) -> int:
     dropout = parent.model.ModelConfig.dropout
     dropout_equal = all(compare(packages, params, shape, batch_list, dropout)[1]
                         for shape, batch_list in data.items())
+    for shape, batch_list in data.items():
+        for i, batch in enumerate(batch_list):
+            p, c = (model(packages[side], params, 0.0).loss(*batch)[0] for side in ("parent", "change"))
+            if c != p:
+                print(f"ab_model: loss differs on {shape} batch {i}: {c!r} against the parent's {p!r}",
+                      file=sys.stderr)
+                return 1
 
     rows = {side: work(package, params, decode_params, data, sources) for side, package in packages.items()}
     clocks = ("wall", "cpu")
@@ -236,7 +245,8 @@ def main(argv=None) -> int:
     agreement = "bit-equal" if bit_equal else f"equal within {RTOL:g} relative, not bit-equal"
     print(f"{args.rounds} rounds, vocab {VOCAB}, seed {SEED}")
     print(f"training: {STEPS} steps per round over {BATCHES} batches of {BATCH} pairs per shape; "
-          f"dropout-0 loss and gradients {agreement}; default-dropout ({dropout:g}) loss and gradients "
+          f"scoring loss bit-equal; dropout-0 loss and gradients {agreement}; "
+          f"default-dropout ({dropout:g}) loss and gradients "
           f"{'bit-equal' if dropout_equal else 'not bit-equal'}")
     print(f"decoding: {SOURCES} sources of {SRC_LEN} ids, max_len {MAX_LEN}, beam {BEAM} / fanout {FANOUT} "
           f"and greedy: equal ids on every source")
