@@ -3,7 +3,7 @@
 A desk-scale toolkit: declarative rewrite rules with context windows, four
 input-serialization methods (NR, RB, RCAT, CARI) behind one entry point,
 `serialize_example`, a from-scratch numpy seq2seq transformer with beam
-decoding (`rulefst.model`), and corpus BLEU / macro-F1 / Pearson metrics.
+decoding (`rulefst.model`), and corpus BLEU.
 """
 
 from .errors import DataError, RuleFstError, TrainingError
@@ -24,7 +24,6 @@ from .serialize import (
     RCAT,
     SerializedExample,
     apply_rules_fcfs,
-    serialize_downstream,
     serialize_example,
 )
 from .text import (
@@ -35,14 +34,6 @@ from .text import (
     normalize_tweet,
     tokenize,
 )
-from .metrics import (
-    EvalReport,
-    accuracy,
-    corpus_bleu,
-    corpus_bleu_report,
-    macro_f1,
-    macro_f1_report,
-    pearson_r,
-)
+from .metrics import EvalReport, corpus_bleu, corpus_bleu_report
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Evaluation metrics: multi-reference corpus BLEU, macro-F1 and Pearson r.
+"""Evaluation metric: multi-reference corpus BLEU.
 
 BLEU is BLEU-4 in the original corpus-level definition (Papineni et al.
 2002): geometric mean of clipped modified n-gram precisions for n = 1..4
@@ -112,66 +112,3 @@ def corpus_bleu_report(hypotheses: Sequence[Tokens], reference_sets: Sequence[Se
             "ref_len": stats["ref_len"],
         },
     )
-
-
-def macro_f1(predictions: Sequence, golds: Sequence, labels: Sequence) -> float:
-    """Unweighted mean of per-class F1 over `labels`; classes absent from both
-    predictions and golds contribute 0."""
-    report = macro_f1_report(predictions, golds, labels)
-    return report.value
-
-
-def macro_f1_report(predictions: Sequence, golds: Sequence, labels: Sequence) -> EvalReport:
-    if len(predictions) != len(golds):
-        raise DataError(f"length mismatch: {len(predictions)} predictions vs {len(golds)} golds")
-    labels = list(labels)
-    observed = set(predictions) | set(golds)
-    missing = observed - set(labels)
-    if missing:
-        raise DataError(f"labels {sorted(missing)} observed but not declared")
-    f1s = []
-    absent = []
-    for lab in labels:
-        tp = sum(1 for p, g in zip(predictions, golds) if p == lab and g == lab)
-        fp = sum(1 for p, g in zip(predictions, golds) if p == lab and g != lab)
-        fn = sum(1 for p, g in zip(predictions, golds) if p != lab and g == lab)
-        if tp == fp == fn == 0:
-            absent.append(lab)
-            f1s.append(0.0)
-            continue
-        precision = tp / (tp + fp) if tp + fp else 0.0
-        recall = tp / (tp + fn) if tp + fn else 0.0
-        f1s.append(2 * precision * recall / (precision + recall) if precision + recall else 0.0)
-    return EvalReport(
-        metric="macro_f1",
-        value=sum(f1s) / len(f1s) if f1s else 0.0,
-        n_examples=len(golds),
-        config={"labels": labels, "absent_classes": absent, "per_class_f1": f1s},
-    )
-
-
-def pearson_r(x: Sequence[float], y: Sequence[float]) -> float:
-    """Sample Pearson correlation. Constant input is an error, not a silent 0."""
-    if len(x) != len(y):
-        raise DataError(f"length mismatch: {len(x)} vs {len(y)}")
-    n = len(x)
-    if n < 2:
-        raise DataError("pearson_r needs at least 2 points")
-    mx = sum(x) / n
-    my = sum(y) / n
-    dx = [v - mx for v in x]
-    dy = [v - my for v in y]
-    sxx = sum(v * v for v in dx)
-    syy = sum(v * v for v in dy)
-    if sxx == 0.0 or syy == 0.0:
-        raise DataError("pearson_r undefined for constant input")
-    sxy = sum(a * b for a, b in zip(dx, dy))
-    return sxy / math.sqrt(sxx * syy)
-
-
-def accuracy(predictions: Sequence, golds: Sequence) -> float:
-    if len(predictions) != len(golds):
-        raise DataError(f"length mismatch: {len(predictions)} vs {len(golds)}")
-    if not golds:
-        raise DataError("accuracy needs at least one example")
-    return sum(1 for p, g in zip(predictions, golds) if p == g) / len(golds)

@@ -117,16 +117,6 @@ class ParamStore:
     def snapshot(self) -> dict[str, np.ndarray]:
         return {k: v.copy() for k, v in self.values.items()}
 
-    def load(self, params: dict[str, np.ndarray]) -> None:
-        if set(params) != set(self.values):
-            missing = set(self.values) - set(params)
-            extra = set(params) - set(self.values)
-            raise ValueError(f"parameter name mismatch (missing={sorted(missing)}, extra={sorted(extra)})")
-        for k, v in params.items():
-            if v.shape != self.values[k].shape:
-                raise ValueError(f"shape mismatch for {k}: {v.shape} vs {self.values[k].shape}")
-            self.values[k] = np.asarray(v, dtype=self.dtype).copy()
-
 
 class _Forward(threading.local):
     """What layer forwards keep in this thread, as `scoring()` sets it:

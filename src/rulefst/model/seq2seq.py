@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from ..errors import DataError
-from ..text import PAD_ID
+from ..text import PAD_ID, SPECIAL_TOKENS
 from .layers import (
     LN_EPS,
     NEG_INF,
@@ -121,7 +121,7 @@ class ModelConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
-        check_size("vocab_size", self.vocab_size, 7)  # the reserved tokens and one more
+        check_size("vocab_size", self.vocab_size, len(SPECIAL_TOKENS) + 1)  # the reserved tokens and one more
         for name in ("d_model", "heads", "enc_layers", "dec_layers", "ffn_dim", "max_len"):
             check_size(name, getattr(self, name))
         dropout = self.dropout

@@ -88,22 +88,25 @@ class Checkpoint:
         and a missing file raises FileNotFoundError. The parameters are
         checked against the stored config by building a model from them,
         which draws no weights."""
-        try:
-            data = np.load(path)
-        except (EOFError, ValueError, zipfile.BadZipFile) as err:  # empty, neither .npy nor .npz, cut short
-            raise DataError(f"{path}: not a checkpoint file: {err}") from err
-        if not isinstance(data, np.lib.npyio.NpzFile):  # one .npy array
-            raise DataError(f"{path}: not a checkpoint file: one array")
-        with data:
-            if "meta" not in data:
-                raise DataError(f"{path}: not a checkpoint file: no metadata")
+        # np.load given a path leaves its file open when zipfile refuses it;
+        # given a file, it never closes it, so this `with` closes it always.
+        with open(path, "rb") as f:
             try:
-                raw = bytes(data["meta"])
-                params = {k[len("param/"):]: data[k] for k in data.files if k.startswith("param/")}
-            # A member whose bytes fail its CRC, or whose header names a
-            # compression method zipfile lacks, or encryption.
-            except (zipfile.BadZipFile, NotImplementedError, RuntimeError) as err:
-                raise DataError(f"{path}: damaged checkpoint file: {err}") from err
+                data = np.load(f)
+            except (EOFError, ValueError, zipfile.BadZipFile) as err:  # empty, neither .npy nor .npz, cut short
+                raise DataError(f"{path}: not a checkpoint file: {err}") from err
+            if not isinstance(data, np.lib.npyio.NpzFile):  # one .npy array
+                raise DataError(f"{path}: not a checkpoint file: one array")
+            with data:
+                if "meta" not in data:
+                    raise DataError(f"{path}: not a checkpoint file: no metadata")
+                try:
+                    raw = bytes(data["meta"])
+                    params = {k[len("param/"):]: data[k] for k in data.files if k.startswith("param/")}
+                # A member whose bytes fail its CRC, or whose header names a
+                # compression method zipfile lacks, or encryption.
+                except (zipfile.BadZipFile, NotImplementedError, RuntimeError) as err:
+                    raise DataError(f"{path}: damaged checkpoint file: {err}") from err
         try:
             meta = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as err:

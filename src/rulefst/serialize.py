@@ -6,9 +6,8 @@ RCAT  : source [SEP] FCFS rewrite.
 CARI  : source [SEP] one segment per (match, alternative) pair, in
         (match position, alternative order) order. Each segment takes its
         context window from the match, so the window is the one
-        `match_rules` was called with: substituted mode renders the
-        alternative inside it (left + alternative + right), literal mode
-        puts the alternative first (alternative + left + right).
+        `match_rules` was called with, and renders the alternative inside
+        it (left + alternative + right).
 
 `max_len`, when given, bounds the model input:
 
@@ -38,8 +37,6 @@ from .text import SEP
 NR, RB, RCAT, CARI = "NR", "RB", "RCAT", "CARI"
 METHODS = (NR, RB, RCAT, CARI)
 
-SEGMENT_MODES = ("substituted", "literal")
-
 
 @dataclass(frozen=True)
 class SerializedExample:
@@ -68,13 +65,6 @@ def apply_rules_fcfs(x: Sequence[str], matches: Sequence[RuleMatch]) -> list[str
     return out
 
 
-def serialize_downstream(d_ori: Sequence[str], d_fst: Sequence[str]) -> tuple[str, ...]:
-    """Input format for downstream classification: original [SEP] FST output."""
-    if not d_ori or not d_fst:
-        raise DataError("downstream serialization needs non-empty inputs")
-    return tuple(d_ori) + (SEP,) + tuple(d_fst)
-
-
 def serialize_example(
     method: str,
     x: Sequence[str],
@@ -82,16 +72,13 @@ def serialize_example(
     rules: RuleSet,
     w: int,
     max_len: int | None = None,
-    segment_mode: str = "substituted",
 ) -> SerializedExample:
     """The model input for source `x` and target `y` under `method`, with
     `max_len` applied as the module docstring states. An unknown method or
-    segment_mode, or a negative window w, raises DataError before any
-    matching; RB, RCAT and CARI call `match_rules(x, rules, w)` once, NR never."""
+    a negative window w raises DataError before any matching; RB, RCAT and
+    CARI call `match_rules(x, rules, w)` once, NR never."""
     if method not in METHODS:
         raise DataError(f"unknown serialization method {method!r}")
-    if segment_mode not in SEGMENT_MODES:
-        raise DataError(f"unknown segment_mode {segment_mode!r}")
     if w < 0:
         raise DataError(f"window size must be >= 0, not {w}")
     matches = () if method == NR else match_rules(x, rules, w)
@@ -102,12 +89,11 @@ def serialize_example(
     if method == NR:
         return SerializedExample(NR, tuple(x), tuple(y))
     if method == CARI:
-        substituted = segment_mode == "substituted"
         input_tokens = list(x)
         for m in matches:
             left, right = m.context_left, m.context_right
             for alt in m.alternatives:
-                seg = left + alt + right if substituted else alt + left + right
+                seg = left + alt + right
                 if max_len is not None and len(input_tokens) + 1 + len(seg) > max_len:
                     return SerializedExample(CARI, tuple(input_tokens), tuple(y), True)
                 input_tokens.append(SEP)

@@ -15,9 +15,9 @@ from typing import Iterable, Sequence
 
 from .errors import DataError
 
-PAD, BOS, EOS, SEP, UNK, CLS = "[PAD]", "[BOS]", "[EOS]", "[SEP]", "[UNK]", "[CLS]"
-SPECIAL_TOKENS = (PAD, BOS, EOS, SEP, UNK, CLS)
-PAD_ID, BOS_ID, EOS_ID, SEP_ID, UNK_ID, CLS_ID = range(6)
+PAD, BOS, EOS, SEP, UNK = "[PAD]", "[BOS]", "[EOS]", "[SEP]", "[UNK]"
+SPECIAL_TOKENS = (PAD, BOS, EOS, SEP, UNK)
+PAD_ID, BOS_ID, EOS_ID, SEP_ID, UNK_ID = range(5)
 
 # Tokens that survive tokenization verbatim (case preserved, never split).
 # Of the reserved tokens only [SEP], which the serializers insert, is one:
@@ -30,8 +30,8 @@ def reserved_token_error(ids: Sequence[int], vocab_size: int) -> str | None:
     the model may hold, or None if there is none: an id outside the
     vocabulary, "id X at position j is outside the vocabulary 0..V-1", or a
     [PAD], [BOS] or [EOS] (ids 0..EOS_ID), "position j holds the reserved
-    token X". These three give batches and decoding their structure; [SEP],
-    [UNK] and [CLS] may appear."""
+    token X". These three give batches and decoding their structure; [SEP]
+    and [UNK] may appear."""
     if not ids or (min(ids) > EOS_ID and max(ids) < vocab_size):  # C-level passes for the usual case
         return None
     for j, tok_id in enumerate(ids):
@@ -155,7 +155,7 @@ def normalize_tweet(s: str) -> str:
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Token <-> id map with reserved ids 0..5 for the special tokens; a
+    """Token <-> id map with reserved ids 0..4 for the special tokens; a
     token that would not read back from `save`'s file raises DataError."""
 
     tokens: tuple[str, ...]

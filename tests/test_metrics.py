@@ -2,17 +2,9 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
 
 from rulefst.errors import DataError
-from rulefst.metrics import (
-    accuracy,
-    corpus_bleu,
-    corpus_bleu_report,
-    macro_f1,
-    macro_f1_report,
-    pearson_r,
-)
+from rulefst.metrics import corpus_bleu, corpus_bleu_report
 
 
 def oracle_bleu(hyps, ref_sets, max_n=4):
@@ -131,96 +123,7 @@ def test_bleu_length_mismatch_errors():
         corpus_bleu([["a"]], [])
 
 
-# ---- macro F1 --------------------------------------------------------------
-
-
-def test_macro_f1_perfect():
-    assert macro_f1([0, 1, 2], [0, 1, 2], labels=[0, 1, 2]) == 1.0
-
-
-def test_macro_f1_total_disagreement():
-    assert macro_f1([1, 0], [0, 1], labels=[0, 1]) == 0.0
-
-
-def test_macro_f1_three_class_hand_computed():
-    preds = [0, 0, 1, 1, 2, 2, 0, 1]
-    golds = [0, 1, 1, 2, 2, 2, 0, 0]
-    # class 0: tp=2 fp=1 fn=1 -> P=2/3 R=2/3 F1=2/3
-    # class 1: tp=1 fp=2 fn=1 -> P=1/3 R=1/2 F1=0.4
-    # class 2: tp=2 fp=0 fn=1 -> P=1 R=2/3 F1=0.8
-    expected = (2 / 3 + 0.4 + 0.8) / 3
-    assert macro_f1(preds, golds, labels=[0, 1, 2]) == pytest.approx(expected)
-
-
-def test_macro_f1_absent_class_noted():
-    report = macro_f1_report([0, 0], [0, 0], labels=[0, 1])
-    assert report.value == pytest.approx(0.5)
-    assert report.config["absent_classes"] == [1]
-
-
-def test_macro_f1_length_mismatch():
-    with pytest.raises(DataError):
-        macro_f1([0], [0, 1], labels=[0, 1])
-
-
-def test_macro_f1_undeclared_label():
-    with pytest.raises(DataError):
-        macro_f1([2], [0], labels=[0, 1])
-
-
-# ---- Pearson ---------------------------------------------------------------
-
-
-def test_pearson_perfect_linear():
-    x = [1.0, 2.0, 3.0, 4.0]
-    assert pearson_r(x, [2 * v + 1 for v in x]) == pytest.approx(1.0)
-
-
-def test_pearson_perfect_negative():
-    x = [1.0, 2.0, 3.0]
-    assert pearson_r(x, [-v for v in x]) == pytest.approx(-1.0)
-
-
-def test_pearson_matches_direct_formula():
-    rng = random.Random(5)
-    x = [rng.uniform(-3, 3) for _ in range(100)]
-    y = [rng.uniform(-3, 3) for _ in range(100)]
-    n = len(x)
-    mx, my = sum(x) / n, sum(y) / n
-    cov = sum((a - mx) * (b - my) for a, b in zip(x, y)) / n
-    sx = math.sqrt(sum((a - mx) ** 2 for a in x) / n)
-    sy = math.sqrt(sum((b - my) ** 2 for b in y) / n)
-    assert pearson_r(x, y) == pytest.approx(cov / (sx * sy), abs=1e-12)
-
-
-def test_pearson_constant_input_errors():
-    with pytest.raises(DataError):
-        pearson_r([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
-
-
-@given(
-    st.lists(st.floats(min_value=-100, max_value=100), min_size=3, max_size=20),
-    st.floats(min_value=0.1, max_value=5),
-    st.floats(min_value=-10, max_value=10),
-)
-def test_pearson_affine_invariance(x, scale, shift):
-    y = [2.0 * v + 0.5 for v in x]
-    if max(x) - min(x) < 1e-6:
-        return
-    base = pearson_r(x, y)
-    assert pearson_r([scale * v + shift for v in x], y) == pytest.approx(base, abs=1e-9)
-
-
-# ---- report plumbing -------------------------------------------------------
-
-
 def test_report_json_line():
     report = corpus_bleu_report([["a", "b", "c", "d"]], [[["a", "b", "c", "d"]]])
     line = report.to_json_line()
     assert '"metric": "bleu"' in line
-
-
-def test_accuracy():
-    assert accuracy([1, 0, 1], [1, 1, 1]) == pytest.approx(2 / 3)
-    with pytest.raises(DataError):
-        accuracy([1], [])

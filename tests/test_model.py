@@ -30,7 +30,9 @@ from rulefst.model.layers import (
     softmax,
 )
 from rulefst.model.seq2seq import DecoderCache
-from rulefst.text import BOS_ID, CLS_ID, EOS_ID, PAD_ID, SEP_ID, UNK_ID, build_vocab, normalize_tweet, tokenize
+from rulefst.text import (
+    BOS_ID, EOS_ID, PAD_ID, SEP_ID, SPECIAL_TOKENS, UNK_ID, Vocabulary, build_vocab, normalize_tweet, tokenize,
+)
 
 
 def tiny_config(**overrides):
@@ -678,8 +680,7 @@ def test_float32_loss_and_gradients_agree_with_float64_twin():
     rng = np.random.default_rng(4)
     for value in m32.store.values.values():  # move away from the near-uniform init
         value += rng.normal(0.0, 0.3, size=value.shape).astype(value.dtype)
-    m64 = Seq2SeqTransformer(replace(cfg, dtype="float64"), seed=4)
-    m64.store.load(m32.store.values)
+    m64 = Seq2SeqTransformer(replace(cfg, dtype="float64"), seed=4, params=m32.store.values)
     pairs = toy_pairs(6, seed=4, vocab=40)
     src, tgt_in, tgt_out = batch_from(pairs)
     loss32, n32 = m32.loss_and_grads(src, tgt_in, tgt_out, train=False)
@@ -818,7 +819,7 @@ def test_adam_step_in_place_equals_the_step_with_temporaries_bit_for_bit(dtype):
 
 
 def test_train_overfits_small_corpus():
-    def token_accuracy(model, pairs):
+    def token_hit_rate(model, pairs):
         """Teacher-forced argmax accuracy over the non-[PAD] target positions."""
         src, tgt_in, tgt_out = make_batch(pairs)
         mask = tgt_out != PAD_ID
@@ -830,7 +831,7 @@ def test_train_overfits_small_corpus():
     spec = TrainSpec(learning_rate=2e-3, batch_size=32, max_steps=200, eval_every=20, seed=3)
     ck = train(pairs, pairs, cfg, spec)
     model = ck.restore_model()
-    assert token_accuracy(model, pairs) >= 0.99
+    assert token_hit_rate(model, pairs) >= 0.99
 
 
 def test_train_runs_the_budget_and_evaluates_on_one_schedule(monkeypatch):
@@ -875,7 +876,7 @@ def test_train_refuses_pad_bos_and_eos_in_a_pair(which, side, tok_id, message):
     cfg = tiny_config(dtype="float32")  # vocab_size 12
     spec = TrainSpec(batch_size=8, max_steps=1, eval_every=1)
     sets = {"train": toy_pairs(8, seed=2), "valid": toy_pairs(4, seed=3)}
-    sets["train"][0] = ([6, SEP_ID, UNK_ID], [CLS_ID, 7])  # the other reserved tokens are legal
+    sets["train"][0] = ([6, SEP_ID, UNK_ID], [5, 7])  # the other reserved tokens and id 5, a content id, are legal
     train(sets["train"], sets["valid"], cfg, spec)
     pair = [list(seq) for seq in sets[which][3]]
     pair[side][1] = tok_id
@@ -1032,7 +1033,7 @@ def test_checkpoint_of_an_older_format_is_refused(tmp_path, monkeypatch):
     "field, value",
     [("dropout", -0.5), ("dropout", 1.0), ("heads", 0), ("ffn_dim", 0), ("enc_layers", -1), ("dec_layers", 0),
      ("d_model", 0), ("max_len", 0), ("dropout", float("nan")), ("dropout", True), ("d_model", 16.0),
-     ("heads", True), ("vocab_size", 12.0), ("vocab_size", 6), ("dtype", "int32")],
+     ("heads", True), ("vocab_size", 12.0), ("vocab_size", 5), ("dtype", "int32")],
 )
 def test_config_with_a_bad_value_is_refused_also_from_a_checkpoint(tmp_path, field, value):
     with pytest.raises(DataError, match=rf"\b{field}={value}"):
@@ -1191,6 +1192,22 @@ def test_restore_model_rejects_other_vocabulary():
     assert "def456" in str(err.value)
 
 
+def test_a_vocabulary_file_with_the_old_cls_token_loads_and_a_new_checkpoint_refuses_it(tmp_path):
+    """A vocabulary file saved when [CLS] was a sixth reserved token still
+    loads, with "[CLS]" as content id 5; its hash is not that of the
+    vocabulary built from the same text today, so a checkpoint trained on
+    the new one refuses it."""
+    path = tmp_path / "vocab.txt"
+    path.write_text("\n".join([*SPECIAL_TOKENS, "[CLS]", "hello", "world"]) + "\n", encoding="utf-8")
+    old = Vocabulary.load(path)
+    assert old.encode(["[CLS]", "hello", "world"]) == [5, 6, 7]
+    new = build_vocab([["hello", "world"]])
+    ck = _checkpoint_with_hash(new.content_hash())
+    ck.restore_model(vocab_hash=new.content_hash())
+    with pytest.raises(DataError, match=f"not {old.content_hash()!r}"):
+        ck.restore_model(vocab_hash=old.content_hash())
+
+
 def test_restore_model_accepts_same_vocabulary():
     ck = _checkpoint_with_hash("abc123")
     src, tgt_in, _ = batch_from(toy_pairs(3, seed=1))
@@ -1234,11 +1251,13 @@ def trained_checkpoint(dtype):
 def test_restore_model_equals_a_seeded_model_with_the_parameters_loaded(dtype):
     """The restored model holds copies of the checkpoint's parameters, in its
     dtype, bit-equal to those that a model built at the checkpoint's seed
-    holds after `store.load`, and draws the same dropout stream."""
+    holds once they are written into its values in place, and draws the same
+    dropout stream."""
     ck = trained_checkpoint(dtype)
     restored = ck.restore_model()
     seeded = Seq2SeqTransformer(ck.config, seed=ck.seed)
-    seeded.store.load(ck.params)
+    for name, value in seeded.store.values.items():
+        value[...] = ck.params[name]
     assert restored.store.values.keys() == seeded.store.values.keys()
     for name, value in seeded.store.values.items():
         ours = restored.store.values[name]

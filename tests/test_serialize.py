@@ -10,11 +10,9 @@ from rulefst.serialize import (
     NR,
     RB,
     RCAT,
-    SEGMENT_MODES,
     SerializedExample,
     apply_rules_fcfs,
     read_examples_tsv,
-    serialize_downstream,
     serialize_example,
     write_examples_tsv,
 )
@@ -146,14 +144,6 @@ CARI_W2_SUBSTITUTED = tuple(
     + [SEP, "a", "big", "introvert", "actually"]
 )
 
-CARI_W2_LITERAL = tuple(
-    X_TOKENS
-    + [SEP, "extra", "i", "an", ",", "but"]
-    + [SEP, "extrovert", "i", "an", ",", "but"]
-    + [SEP, "introduction", "a", "big", "actually"]
-    + [SEP, "introvert", "a", "big", "actually"]
-)
-
 CARI_W0 = tuple(X_TOKENS + [SEP, "extra", SEP, "extrovert", SEP, "introduction", SEP, "introvert"])
 
 
@@ -163,15 +153,9 @@ def test_cari_substituted_w2(rules):
     assert not ex.truncated
 
 
-def test_cari_literal_w2(rules):
-    ex = serialize_example(CARI, X_TOKENS, [], rules, 2, segment_mode="literal")
-    assert ex.input == CARI_W2_LITERAL
-
-
 def test_cari_w0_segments_are_bare_alternatives(rules):
-    for mode in ("substituted", "literal"):
-        ex = serialize_example(CARI, X_TOKENS, [], rules, 0, segment_mode=mode)
-        assert ex.input == CARI_W0
+    ex = serialize_example(CARI, X_TOKENS, [], rules, 0)
+    assert ex.input == CARI_W0
 
 
 def test_cari_no_matches_no_sep(rules):
@@ -202,16 +186,6 @@ def test_cari_never_truncates_source(rules):
         serialize_example(CARI, X_TOKENS, [], rules, 2, max_len=len(X_TOKENS) - 1)
 
 
-def test_unknown_segment_mode_raises_for_every_method(rules, monkeypatch):
-    def no_match(*args, **kwargs):
-        raise AssertionError("matched with an unknown segment_mode")
-
-    monkeypatch.setattr(serialize, "match_rules", no_match)
-    for method in METHODS:
-        with pytest.raises(DataError, match="unknown segment_mode 'inline'"):
-            serialize_example(method, X_TOKENS, [], rules, 2, segment_mode="inline")
-
-
 def test_negative_window_raises_for_every_method(rules, monkeypatch):
     def no_match(*args, **kwargs):
         raise AssertionError("matched with a negative window")
@@ -227,30 +201,6 @@ def test_cari_prefix_preserves_source_all_windows(rules):
         ex = serialize_example(CARI, X_TOKENS, [], rules, w)
         head = ex.input[: ex.input.index(SEP)] if SEP in ex.input else ex.input
         assert head == tuple(X_TOKENS)
-
-
-# ---- downstream ------------------------------------------------------------
-
-
-def test_downstream_format():
-    assert serialize_downstream(["u", "ok"], ["are", "you", "ok", "?"]) == (
-        "u",
-        "ok",
-        SEP,
-        "are",
-        "you",
-        "ok",
-        "?",
-    )
-
-
-def test_downstream_same_text():
-    assert serialize_downstream(["x"], ["x"]) == ("x", SEP, "x")
-
-
-def test_downstream_empty_rejected():
-    with pytest.raises(DataError):
-        serialize_downstream([], ["x"])
 
 
 # ---- dispatch + tsv --------------------------------------------------------
@@ -406,16 +356,12 @@ def test_fcfs_equals_the_quadratic_reference_on_overlapping_match_sets(case):
     assert apply_rules_fcfs(x, matches) == quadratic_fcfs(x, matches)
 
 
-@given(sentences_and_rules(), st.one_of(st.none(), st.integers(12, 40)), st.sampled_from(SEGMENT_MODES))
-def test_cari_segments_appear_in_order_and_go_missing_only_when_truncated(case, max_len, mode):
+@given(sentences_and_rules(), st.one_of(st.none(), st.integers(12, 40)))
+def test_cari_segments_appear_in_order_and_go_missing_only_when_truncated(case, max_len):
     x, rule_set, w = case
     matches = match_rules(x, rule_set, w)
-    ex = serialize_example(CARI, x, [], rule_set, w, max_len, mode)
-    expected = [
-        (m.context_left + alt + m.context_right) if mode == "substituted" else (alt + m.context_left + m.context_right)
-        for m in matches
-        for alt in m.alternatives
-    ]
+    ex = serialize_example(CARI, x, [], rule_set, w, max_len)
+    expected = [m.context_left + alt + m.context_right for m in matches for alt in m.alternatives]
     assert ex.input[: len(x)] == tuple(x)
     segments, rest = [], ex.input[len(x) :]
     while rest:

@@ -6,12 +6,16 @@ from hypothesis import given, settings, strategies as st
 from rulefst.errors import DataError
 from rulefst.text import (
     EMOJI_NAMES,
+    EOS_ID,
     PLACEHOLDERS,
     SEP,
+    SEP_ID,
     SPECIAL_TOKENS,
+    UNK_ID,
     Vocabulary,
     build_vocab,
     normalize_tweet,
+    reserved_token_error,
     tokenize,
 )
 
@@ -190,7 +194,7 @@ def test_fast_paths_equal_the_reference_on_every_pair_of_pieces(f, reference):
 @given(TWEETS)
 def test_no_tweet_tokenizes_to_a_reserved_token_other_than_sep(s):
     """[PAD], [BOS] and [EOS] would break batching and decoding, and [UNK]
-    and [CLS] mean something else, so raw text never yields them."""
+    means something else, so raw text never yields them."""
     assert not set(tokenize(normalize_tweet(s))) & (set(SPECIAL_TOKENS) - {SEP})
 
 
@@ -236,6 +240,16 @@ def test_vocab_reserved_ids_fixed():
         assert vocab.encode([tok]) == [i]
 
 
+def test_id_5_is_the_first_content_id_and_legal_in_a_sentence():
+    """[SEP] and [UNK] may appear, and so may id 5, the first id after the
+    five reserved tokens; [EOS] and an id outside the vocabulary may not."""
+    assert SPECIAL_TOKENS == ("[PAD]", "[BOS]", "[EOS]", "[SEP]", "[UNK]")
+    assert build_vocab([["z"]]).encode(["z"]) == [5]
+    assert reserved_token_error([SEP_ID, UNK_ID, 5], 6) is None
+    assert reserved_token_error([5, EOS_ID], 6) == "position 1 holds the reserved token [EOS]"
+    assert reserved_token_error([5, 6], 6) == "id 6 at position 1 is outside the vocabulary 0..5"
+
+
 def test_vocab_file_round_trip(tmp_path):
     vocab = build_vocab([["gamma", "alpha", "beta", "alpha"]])
     path = tmp_path / "vocab.txt"
@@ -245,7 +259,7 @@ def test_vocab_file_round_trip(tmp_path):
 
 @pytest.mark.parametrize("token", ["", "x\ny", "x\ry"])
 def test_build_vocab_refuses_a_token_that_would_not_read_back(token):
-    message = rf"token {re.escape(repr(token))} at id 7 is empty or holds a line break"
+    message = rf"token {re.escape(repr(token))} at id {len(SPECIAL_TOKENS) + 1} is empty or holds a line break"
     with pytest.raises(DataError, match=message):
         build_vocab([["a", "a", token]])
 
@@ -253,7 +267,8 @@ def test_build_vocab_refuses_a_token_that_would_not_read_back(token):
 def test_vocab_load_refuses_a_blank_line_between_tokens(tmp_path):
     path = tmp_path / "vocab.txt"
     path.write_text("\n".join([*SPECIAL_TOKENS, "a", "", "b"]) + "\n", encoding="utf-8")
-    with pytest.raises(DataError, match=re.escape(f"{path}: token '' at id 7 is empty or holds a line break")):
+    message = f"{path}: token '' at id {len(SPECIAL_TOKENS) + 1} is empty or holds a line break"
+    with pytest.raises(DataError, match=re.escape(message)):
         Vocabulary.load(path)
 
 

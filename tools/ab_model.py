@@ -8,6 +8,9 @@ swapped out around each import and restored after it. Both sides then run on
 the same interpreter, the same BLAS (on one thread) and the same inputs. The
 parameters, batches and sources come from the fixed SEED, so every run times
 the same work; every model has the default ModelConfig shapes and VOCAB ids.
+Each model is built from given arrays, `Seq2SeqTransformer(config, seed,
+params=...)`, so a checkout whose constructor takes no `params` cannot be
+timed.
 
 Training batches: for each of SHAPES, BATCHES batches of BATCH pairs whose
 ids are drawn above the reserved ones. Each length is drawn from a normal
@@ -119,12 +122,11 @@ def batches(package, source: tuple[float, float], rng: np.random.Generator) -> l
 
 
 def model(package, params, dropout: float):
-    """A model of `package`'s code, default shapes but `dropout`, holding
-    `params`."""
+    """A model of `package`'s code, default shapes but `dropout`, built at
+    SEED from copies of `params`."""
     model_mod = package.model
-    m = model_mod.Seq2SeqTransformer(model_mod.ModelConfig(vocab_size=VOCAB, dropout=dropout), seed=SEED)
-    m.store.load(params)
-    return m
+    return model_mod.Seq2SeqTransformer(model_mod.ModelConfig(vocab_size=VOCAB, dropout=dropout), seed=SEED,
+                                        params=params)
 
 
 def compare(packages, params, shape, batch_list, dropout: float) -> tuple[str | None, bool]:
