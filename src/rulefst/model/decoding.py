@@ -33,7 +33,7 @@ import numpy as np
 from ..errors import DataError
 from ..text import BOS_ID, EOS_ID, reserved_token_error
 from .layers import scoring
-from .seq2seq import DecoderCache, Seq2SeqTransformer
+from .seq2seq import DecoderCache, Seq2SeqTransformer, check_size
 
 # step_fn(parents, tokens) -> (n, V) next-token log-probs. Hypothesis i is the
 # prefix that row parents[i] of the previous call scored, extended by
@@ -66,13 +66,10 @@ def beam_search(
     """Generic beam search over a next-token log-probability callback.
 
     Returns the generated ids without BOS, with the trailing EOS stripped.
+    beam_size, fanout and max_len must be integers of at least 1
+    (`seq2seq.check_size`), or DataError names the first that is not.
     """
-    if beam_size < 1:
-        raise DataError("beam_size must be >= 1")
-    if fanout < 1:
-        raise DataError("fanout must be >= 1")
-    if max_len < 1:
-        raise DataError("max_len must be >= 1")
+    _check_sizes(beam_size, fanout, max_len)
     finished: list[tuple[float, int, list[int]]] = []
     seqs, parents = np.zeros((1, 0), np.int64), np.zeros(1, np.int64)
     last, logp = np.full(1, BOS_ID, np.int64), np.zeros(1)
@@ -100,6 +97,11 @@ def beam_search(
     return tokens[:-1] if tokens[-1] == EOS_ID else tokens
 
 
+def _check_sizes(beam_size, fanout, max_len) -> None:
+    for name, value in (("beam_size", beam_size), ("fanout", fanout), ("max_len", max_len)):
+        check_size(name, value)
+
+
 def model_step_fn(model: Seq2SeqTransformer, src_ids: Sequence[int]) -> StepFn:
     """Encode once, in `layers.scoring()`, and build the source's
     DecoderCache; each step reorders
@@ -120,7 +122,7 @@ def model_step_fn(model: Seq2SeqTransformer, src_ids: Sequence[int]) -> StepFn:
     if bad:
         raise DataError(f"source {bad}")
     with scoring():  # no layer keeps an array: the decoder runs on the cache
-        enc_out, src_mask = model.encode(src, train=False)
+        enc_out, src_mask = model.encode(src)
     cache = DecoderCache(model, enc_out, src_mask)
 
     def step(parents: np.ndarray, tokens: np.ndarray) -> np.ndarray:
@@ -141,15 +143,18 @@ def beam_decode(
     """Beam-search translation of one source sentence.
 
     max_len defaults to, and may not exceed, model.config.max_len - 1, so
-    that [BOS] + output fits the model's positions; a bad max_len raises
-    DataError before the source is encoded.
+    that [BOS] + output fits the model's positions. A beam_size, fanout or
+    max_len that is not an integer of at least 1, a fanout below beam_size
+    and a max_len above that limit raise DataError before the source is
+    encoded.
     """
-    if fanout < beam_size:
-        raise DataError("fanout must be >= beam_size")
     limit = model.config.max_len - 1
     if max_len is None:
         max_len = limit
-    elif not 1 <= max_len <= limit:
+    _check_sizes(beam_size, fanout, max_len)
+    if fanout < beam_size:
+        raise DataError("fanout must be >= beam_size")
+    if max_len > limit:
         raise DataError(f"max_len={max_len} is outside 1..{limit}, the model's output length range")
     return beam_search(model_step_fn(model, src_ids), beam_size=beam_size, fanout=fanout, max_len=max_len)
 

@@ -5,16 +5,20 @@ checkpointing and finite-difference checking can treat the model as a flat
 dict of arrays. Layers cache what they need on forward and accumulate
 gradients on backward; each layer instance is used once per forward pass.
 
-Cache lifetime: a layer's forward caches the arrays its backward reads
-(`put_cache`), and its backward takes them (`take_cache`): once read, they
-are dropped, so a training step frees each layer's activations as its
-backward passes it. A forward that no backward follows runs inside
-`scoring()`, where no layer caches anything, as inference under PyTorch's
-no_grad (Paszke et al. 2019) keeps no graph: `Seq2SeqTransformer.forward`
-and `loss` and the decoders' encode do, so evaluation and decoding leave no
-array on a layer, and each activation is freed as soon as the next layer has
-read it. A backward without its forward raises RuntimeError at once, rather
-than reusing stale arrays.
+Forward mode: `scoring()` is the one switch. A forward outside it trains:
+each layer caches the arrays its backward reads (`put_cache`) and Dropout
+drops. A forward that no backward follows runs inside it, where no layer
+caches anything and Dropout passes its input through, as inference under
+PyTorch's no_grad and eval() together (Paszke et al. 2019):
+`Seq2SeqTransformer.forward`, `loss` and `next_token_logprobs` and the
+decoders' encode do, so evaluation and decoding neither leave an array on a
+layer nor draw from the dropout stream, and each activation is freed as soon
+as the next layer has read it.
+
+Cache lifetime: a layer's backward takes what its forward cached
+(`take_cache`): once read, the arrays are dropped, so a training step frees
+each layer's activations as its backward passes it. A backward without its
+forward raises RuntimeError at once, rather than reusing stale arrays.
 
 Attention projections are fused: a self-attention layer has one `.wqkv`
 Dense of shape (d, 3d) whose column blocks are the query, key and value
@@ -119,11 +123,11 @@ class ParamStore:
 
 
 class _Forward(threading.local):
-    """What layer forwards keep in this thread, as `scoring()` sets it:
-    `cache`, whether they cache what a backward reads, and `attention`, a
-    dict that each attention layer puts its weights in, or None. Per thread,
-    as PyTorch keeps its grad mode, so that scoring in one thread leaves a
-    training step in another caching."""
+    """The forward mode of this thread, as `scoring()` sets it: `cache`,
+    whether layer forwards train, that is, cache what a backward reads and
+    drop units, and `attention`, a dict that each attention layer puts its
+    weights in, or None. Per thread, as PyTorch keeps its grad mode, so that
+    scoring in one thread leaves a training step in another training."""
 
     cache = True
     attention: dict | None = None
@@ -135,10 +139,10 @@ _FORWARD = _Forward()
 @contextlib.contextmanager
 def scoring(attention: dict | None = None):
     """A block of forwards that no backward follows: no layer caches
-    anything in it. Given a dict, each attention layer that runs in it puts
-    its weights there under its parameter prefix, (B, heads, Lq, Lk), a
-    transposed view of its key-major weights. The mode before it is
-    restored on leaving it."""
+    anything in it, and no Dropout drops or draws. Given a dict, each
+    attention layer that runs in it puts its weights there under its
+    parameter prefix, (B, heads, Lq, Lk), a transposed view of its key-major
+    weights. The mode before it is restored on leaving it."""
     saved = _FORWARD.cache, _FORWARD.attention
     _FORWARD.cache, _FORWARD.attention = False, attention
     try:
@@ -336,11 +340,15 @@ class Embedding:
 
 
 class Dropout:
-    """Inverted dropout. `_mask` is a bool array of the kept positions (None
-    when the forward dropped nothing), and both passes scale by dtype(1) /
-    dtype(1 - rate) and then zero the dropped positions in place, which
-    gives the same bits as multiplying by a float mask of that scale and 0
-    without building one.
+    """Inverted dropout, drawing its masks from `rng`, the generator it is
+    built with. It drops exactly when layers cache: in a forward outside
+    `scoring()`, which a backward follows. Inside `scoring()`, or at rate 0,
+    it passes its input through and draws nothing.
+
+    `_mask` is a bool array of the kept positions (None when the forward
+    dropped nothing), and both passes scale by dtype(1) / dtype(1 - rate)
+    and then zero the dropped positions in place, which gives the same bits
+    as multiplying by a float mask of that scale and 0 without building one.
 
     The mask equals `rng.random(x.shape, x.dtype) < 1 - rate` but is drawn
     from the generator's raw 64-bit words, in about half the time, since no
@@ -368,29 +376,31 @@ class Dropout:
     drawn by `rng.random`.
     """
 
-    def __init__(self, rate: float):
+    def __init__(self, rate: float, rng: np.random.Generator):
         self.rate = rate
+        self.rng = rng
 
     def _scaled(self, x: np.ndarray) -> np.ndarray:
         return x * (x.dtype.type(1) / x.dtype.type(1.0 - self.rate))
 
-    def _keep(self, shape: tuple, dtype: np.dtype, rng: np.random.Generator) -> np.ndarray:
+    def _keep(self, shape: tuple, dtype: np.dtype) -> np.ndarray:
         """The kept positions of one draw (see the class docstring)."""
         n = math.prod(shape)
         keep = 1.0 - self.rate
+        raw = self.rng.bit_generator.random_raw
         if dtype == np.float32:
-            words = rng.bit_generator.random_raw((n + 1) // 2).view(np.uint32)[:n]
+            words = raw((n + 1) // 2).view(np.uint32)[:n]
             bound = math.ceil(float(np.float32(keep)) * 2**24) << 8
         else:
-            words = rng.bit_generator.random_raw(n)
+            words = raw(n)
             bound = math.ceil(keep * 2**53) << 11
         return (words < bound).reshape(shape)
 
-    def forward(self, x: np.ndarray, train: bool, rng: np.random.Generator | None) -> np.ndarray:
-        if not train or self.rate <= 0.0:
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        if not _FORWARD.cache or self.rate <= 0.0:
             put_cache(self, _mask=None)
             return x
-        mask = self._keep(x.shape, x.dtype, rng)
+        mask = self._keep(x.shape, x.dtype)
         put_cache(self, _mask=mask)
         out = self._scaled(x)
         out *= mask

@@ -137,18 +137,18 @@ class ModelConfig:
 
 
 class _EncoderBlock:
-    def __init__(self, store, prefix, cfg, rng):
+    def __init__(self, store, prefix, cfg, rng, dropout_rng):
         self.ln1 = LayerNorm(store, prefix + ".ln1", cfg.d_model)
         self.attn = MultiHeadAttention(store, prefix + ".attn", cfg.d_model, cfg.heads, rng)
-        self.drop1 = Dropout(cfg.dropout)
+        self.drop1 = Dropout(cfg.dropout, dropout_rng)
         self.ln2 = LayerNorm(store, prefix + ".ln2", cfg.d_model)
         self.ffn = FeedForward(store, prefix + ".ffn", cfg.d_model, cfg.ffn_dim, rng)
-        self.drop2 = Dropout(cfg.dropout)
+        self.drop2 = Dropout(cfg.dropout, dropout_rng)
 
-    def forward(self, x, mask, train, rng):
+    def forward(self, x, mask):
         h = self.ln1.forward(x)
-        x = x + self.drop1.forward(self.attn.forward(h, mask), train, rng)
-        x = x + self.drop2.forward(self.ffn.forward(self.ln2.forward(x)), train, rng)
+        x = x + self.drop1.forward(self.attn.forward(h, mask))
+        x = x + self.drop2.forward(self.ffn.forward(self.ln2.forward(x)))
         return x
 
     def backward(self, dx):
@@ -159,22 +159,22 @@ class _EncoderBlock:
 
 
 class _DecoderBlock:
-    def __init__(self, store, prefix, cfg, rng):
+    def __init__(self, store, prefix, cfg, rng, dropout_rng):
         self.ln1 = LayerNorm(store, prefix + ".ln1", cfg.d_model)
         self.self_attn = MultiHeadAttention(store, prefix + ".self", cfg.d_model, cfg.heads, rng)
-        self.drop1 = Dropout(cfg.dropout)
+        self.drop1 = Dropout(cfg.dropout, dropout_rng)
         self.ln2 = LayerNorm(store, prefix + ".ln2", cfg.d_model)
         self.cross_attn = MultiHeadAttention(store, prefix + ".cross", cfg.d_model, cfg.heads, rng, cross=True)
-        self.drop2 = Dropout(cfg.dropout)
+        self.drop2 = Dropout(cfg.dropout, dropout_rng)
         self.ln3 = LayerNorm(store, prefix + ".ln3", cfg.d_model)
         self.ffn = FeedForward(store, prefix + ".ffn", cfg.d_model, cfg.ffn_dim, rng)
-        self.drop3 = Dropout(cfg.dropout)
+        self.drop3 = Dropout(cfg.dropout, dropout_rng)
 
-    def forward(self, x, enc_out, self_mask, cross_mask, train, rng):
+    def forward(self, x, enc_out, self_mask, cross_mask):
         h = self.ln1.forward(x)
-        x = x + self.drop1.forward(self.self_attn.forward(h, self_mask), train, rng)
-        x = x + self.drop2.forward(self.cross_attn.forward(self.ln2.forward(x), cross_mask, enc_out), train, rng)
-        x = x + self.drop3.forward(self.ffn.forward(self.ln3.forward(x)), train, rng)
+        x = x + self.drop1.forward(self.self_attn.forward(h, self_mask))
+        x = x + self.drop2.forward(self.cross_attn.forward(self.ln2.forward(x), cross_mask, enc_out))
+        x = x + self.drop3.forward(self.ffn.forward(self.ln3.forward(x)))
         return x
 
     def backward(self, dx):
@@ -434,19 +434,18 @@ class Seq2SeqTransformer:
         self.store = ParamStore(np.dtype(config.dtype), params)
         root = np.random.default_rng(seed)
         init_rng, dropout_rng = root.spawn(2)
-        self._dropout_rng = dropout_rng
         cfg = config
 
         self.tok = Embedding(self.store, "embed.tok", cfg.vocab_size, cfg.d_model, init_rng)
         self.store.add("embed.pos", (cfg.max_len, cfg.d_model), lambda shape: init_rng.normal(0.0, 0.02, size=shape))
-        self.emb_drop_src = Dropout(cfg.dropout)
-        self.emb_drop_tgt = Dropout(cfg.dropout)
+        self.emb_drop_src = Dropout(cfg.dropout, dropout_rng)
+        self.emb_drop_tgt = Dropout(cfg.dropout, dropout_rng)
         self.enc_blocks = [
-            _EncoderBlock(self.store, f"enc{i}", cfg, init_rng) for i in range(cfg.enc_layers)
+            _EncoderBlock(self.store, f"enc{i}", cfg, init_rng, dropout_rng) for i in range(cfg.enc_layers)
         ]
         self.enc_ln = LayerNorm(self.store, "enc.ln_f", cfg.d_model)
         self.dec_blocks = [
-            _DecoderBlock(self.store, f"dec{i}", cfg, init_rng) for i in range(cfg.dec_layers)
+            _DecoderBlock(self.store, f"dec{i}", cfg, init_rng, dropout_rng) for i in range(cfg.dec_layers)
         ]
         self.dec_ln = LayerNorm(self.store, "dec.ln_f", cfg.d_model)
         self.store.add("out.bias", (cfg.vocab_size,), np.zeros)
@@ -461,10 +460,9 @@ class Seq2SeqTransformer:
         if length > self.config.max_len:
             raise DataError(f"{what} length {length} exceeds max_len={self.config.max_len}")
 
-    def _embed(self, ids: np.ndarray, drop: Dropout, train: bool) -> np.ndarray:
+    def _embed(self, ids: np.ndarray, drop: Dropout) -> np.ndarray:
         pos = self.store.values["embed.pos"][: ids.shape[1]]
-        x = self.tok.table[ids] + pos
-        return drop.forward(x, train, self._dropout_rng)
+        return drop.forward(self.tok.table[ids] + pos)
 
     def _embed_backward(self, ids: np.ndarray, dx: np.ndarray, drop: Dropout) -> None:
         dx = drop.backward(dx)
@@ -488,12 +486,14 @@ class Seq2SeqTransformer:
 
     # ---- forward / backward -------------------------------------------
 
-    def encode(self, src_ids: np.ndarray, train: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    def encode(self, src_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(encoder output, source [PAD] mask). Outside `layers.scoring()`
+        the layers cache for a backward and dropout drops."""
         self._check_len(src_ids.shape[1], "source")
         mask = self.pad_mask(src_ids, self.store.dtype)
-        x = self._embed(src_ids, self.emb_drop_src, train)
+        x = self._embed(src_ids, self.emb_drop_src)
         for block in self.enc_blocks:
-            x = block.forward(x, mask, train, self._dropout_rng)
+            x = block.forward(x, mask)
         return self.enc_ln.forward(x), mask
 
     def decode(
@@ -501,11 +501,12 @@ class Seq2SeqTransformer:
         enc_out: np.ndarray,
         src_mask: np.ndarray,
         tgt_in_ids: np.ndarray,
-        train: bool = False,
         cache: DecoderCache | None = None,
     ) -> np.ndarray:
         """Logits at each position of tgt_in_ids, (B, T, V), under a causal
         self-attention mask alone: a [PAD] is attended like any other token.
+        Outside `layers.scoring()` the layers cache for a backward and
+        dropout drops, as in `encode`.
 
         With a cache (inference only), tgt_in_ids hold one new position per
         row, after the cache's length; enc_out and src_mask are those the
@@ -517,26 +518,27 @@ class Seq2SeqTransformer:
         t = tgt_in_ids.shape[1]
         self._check_len(t, "target")
         self_mask = self.causal_mask(t, self.store.dtype)
-        x = self._embed(tgt_in_ids, self.emb_drop_tgt, train)
+        x = self._embed(tgt_in_ids, self.emb_drop_tgt)
         for block in self.dec_blocks:
-            x = block.forward(x, enc_out, self_mask, src_mask, train, self._dropout_rng)
+            x = block.forward(x, enc_out, self_mask, src_mask)
         return self.tok.project_out(self.dec_ln.forward(x)) + self.store.values["out.bias"]
 
     def forward(
-        self, src_ids: np.ndarray, tgt_in_ids: np.ndarray, train: bool = False, attention: bool = False
+        self, src_ids: np.ndarray, tgt_in_ids: np.ndarray, attention: bool = False
     ) -> np.ndarray | tuple[np.ndarray, dict[str, np.ndarray]]:
         """Logits over the vocabulary at every target position, (B, T, V).
 
-        A scoring forward (`layers.scoring`): no backward follows it, so no
-        layer keeps an array after it. With attention, returns (logits,
-        weights), weights holding every attention layer's (B, heads, Lq, Lk)
-        weights under its parameter prefix (`enc0.attn`, `dec0.self`,
-        `dec0.cross`, ...), the rows of each summing to 1 over the keys.
+        A scoring forward (`layers.scoring`): no backward follows it, so it
+        drops nothing and no layer keeps an array after it. With attention,
+        returns (logits, weights), weights holding every attention layer's
+        (B, heads, Lq, Lk) weights under its parameter prefix (`enc0.attn`,
+        `dec0.self`, `dec0.cross`, ...), the rows of each summing to 1 over
+        the keys.
         """
         weights = {} if attention else None
         with scoring(weights):
-            enc_out, src_mask = self.encode(src_ids, train)
-            logits = self.decode(enc_out, src_mask, tgt_in_ids, train)
+            enc_out, src_mask = self.encode(src_ids)
+            logits = self.decode(enc_out, src_mask, tgt_in_ids)
         return (logits, weights) if attention else logits
 
     def _sub_batches(self, src_ids: np.ndarray, tgt_in_ids: np.ndarray, tgt_out_ids: np.ndarray):
@@ -551,8 +553,8 @@ class Seq2SeqTransformer:
 
     def loss(self, src_ids: np.ndarray, tgt_in_ids: np.ndarray, tgt_out_ids: np.ndarray) -> tuple[float, int]:
         """Mean token cross-entropy over non-PAD target positions, without
-        dropout: the loss of `loss_and_grads(train=False)`, bit for bit,
-        without its gradient.
+        dropout and without a gradient: the loss that `loss_and_grads` gives
+        a dropout-0 model of the same parameters, bit for bit.
 
         Returns (loss, n_tokens); n_tokens == 0 yields loss 0.0. Runs on the
         sub-batches of `loss_and_grads` (see `split_rows`), each a scoring
@@ -599,11 +601,7 @@ class Seq2SeqTransformer:
         return loss, dlogits, n_tok
 
     def loss_and_grads(
-        self,
-        src_ids: np.ndarray,
-        tgt_in_ids: np.ndarray,
-        tgt_out_ids: np.ndarray,
-        train: bool = True,
+        self, src_ids: np.ndarray, tgt_in_ids: np.ndarray, tgt_out_ids: np.ndarray
     ) -> tuple[float, int]:
         """Forward + backward; gradients accumulate into the param store.
 
@@ -616,16 +614,18 @@ class Seq2SeqTransformer:
         tokens / all tokens before its backward pass, which drops those
         caches layer by layer.
 
-        With dropout on, masks are drawn per sub-batch: training stays
-        deterministic per seed, but draws differently from one pass over
-        the whole padded batch.
+        It always trains: at a dropout above 0 it draws masks from the
+        model's dropout stream, per sub-batch, so training stays
+        deterministic per seed but draws differently from one pass over the
+        whole padded batch. A dropout-0 model draws nothing; `loss` is its
+        loss without the backward.
         """
         self.store.zero_grads()
         n_total = int((tgt_out_ids != PAD_ID).sum())
         total = 0.0
         for src, tgt_in, tgt_out in self._sub_batches(src_ids, tgt_in_ids, tgt_out_ids):
-            enc_out, src_mask = self.encode(src, train)
-            loss, dlogits, n = self._ce(self.decode(enc_out, src_mask, tgt_in, train), tgt_out)
+            enc_out, src_mask = self.encode(src)
+            loss, dlogits, n = self._ce(self.decode(enc_out, src_mask, tgt_in), tgt_out)
             total += loss * n
             dlogits *= n / max(n_total, 1)
             self._backward(src, tgt_in, dlogits)
@@ -656,9 +656,19 @@ class Seq2SeqTransformer:
     ) -> np.ndarray:
         """Log-probabilities for the next token after each prefix, (B, V).
 
-        With a cache, prefix_ids hold only the positions after the cached ones.
+        A scoring decode: it drops nothing and leaves no array on a layer.
+        With a cache, prefix_ids hold only the positions after the cached
+        ones, and the step runs on the cache's folded products, not on the
+        layers; without one, the full-prefix decode runs in
+        `layers.scoring()`. A `scoring()` block around every cached step
+        made beam and greedy decodes 1.03x as slow (tools/ab_model.py, 10
+        rounds, 2-CPU host, BLAS on one thread).
         """
-        logits = self.decode(enc_out, src_mask, prefix_ids, train=False, cache=cache)
+        if cache is not None:
+            logits = self.decode(enc_out, src_mask, prefix_ids, cache=cache)
+        else:
+            with scoring():
+                logits = self.decode(enc_out, src_mask, prefix_ids)
         last = logits[:, -1, :].astype(np.float64)
         last -= np.maximum.reduce(last, axis=-1, keepdims=True)
         last -= np.log(np.add.reduce(np.exp(last), axis=-1, keepdims=True))

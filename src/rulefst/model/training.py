@@ -184,9 +184,12 @@ Pair = tuple[list[int], list[int]]
 def make_batch(pairs: list[Pair]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pad a list of (src_ids, tgt_ids) into (src, tgt_in, tgt_out) int64 arrays.
 
-    tgt_in is BOS-prefixed, tgt_out is EOS-suffixed; both PAD-filled.
+    tgt_in is BOS-prefixed, tgt_out is EOS-suffixed; both PAD-filled. An
+    empty list raises DataError.
     """
     b = len(pairs)
+    if not b:
+        raise DataError("empty batch: make_batch needs at least one pair")
     ls = max(len(s) for s, _ in pairs)
     lt = max(len(t) for _, t in pairs) + 1
     src = np.full((b, ls), PAD_ID, dtype=np.int64)
@@ -261,7 +264,7 @@ def train(
             order = shuffle_rng.permutation(len(train_set))
         src, tgt_in, tgt_out = make_batch([train_set[i] for i in order[start : start + spec.batch_size]])
         with np.errstate(over="ignore", invalid="ignore"):
-            loss, _ = model.loss_and_grads(src, tgt_in, tgt_out, train=True)
+            loss, _ = model.loss_and_grads(src, tgt_in, tgt_out)
         if not np.isfinite(loss):
             raise TrainingError(f"non-finite training loss at step {step}", step=step)
         bad = next((k for k, g in model.store.grads.items() if not np.isfinite(g).all()), None)

@@ -156,11 +156,13 @@ def normalize_tweet(s: str) -> str:
 @dataclass(frozen=True)
 class Vocabulary:
     """Token <-> id map with reserved ids 0..4 for the special tokens; a
-    token that would not read back from `save`'s file raises DataError."""
+    token that would not read back from `save`'s file raises DataError.
+    `tokens` is stored as a tuple, whatever sequence it is given as."""
 
     tokens: tuple[str, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "tokens", tuple(self.tokens))
         if self.tokens[: len(SPECIAL_TOKENS)] != SPECIAL_TOKENS:
             raise DataError("vocabulary must start with the reserved tokens")
         for i, t in enumerate(self.tokens):
@@ -210,7 +212,7 @@ class Vocabulary:
         while tokens and tokens[-1] == "":
             tokens.pop()
         try:
-            return cls(tuple(tokens))
+            return cls(tokens)
         except DataError as e:
             raise DataError(f"{path}: {e}") from None
 

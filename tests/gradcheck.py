@@ -1,8 +1,10 @@
 """Finite-difference validation of the hand-written backprop.
 
-Runs the model in float64 with dropout off, compares analytic gradients
-against central differences on a random subsample of entries in every
-parameter tensor.
+Compares the analytic gradients of `loss_and_grads` against central
+differences of `loss` on a random subsample of entries in every parameter
+tensor. The model must be float64 and have dropout 0: `loss_and_grads`
+always trains, so at a dropout above 0 it would differentiate a dropped-out
+loss that `loss`, which never drops, does not compute.
 """
 
 from __future__ import annotations
@@ -31,9 +33,11 @@ def grad_check(
     """
     if model.store.dtype != np.float64:
         raise ValueError("grad_check requires a float64 model")
+    if model.config.dropout > 0:
+        raise ValueError(f"grad_check requires dropout 0, not {model.config.dropout}")
     rng = rng or np.random.default_rng(0)
 
-    model.loss_and_grads(src_ids, tgt_in_ids, tgt_out_ids, train=False)
+    model.loss_and_grads(src_ids, tgt_in_ids, tgt_out_ids)
     analytic = {k: v.copy() for k, v in model.store.grads.items()}
 
     def loss_only() -> float:

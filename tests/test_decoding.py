@@ -280,6 +280,33 @@ def test_max_len_outside_the_output_range_raises_before_encoding(monkeypatch):
         beam_search(PrefixStep(random_scores(8, 0)), max_len=0)
 
 
+@pytest.mark.parametrize(
+    "sizes, message",
+    [
+        (dict(beam_size=2.5), r"beam_size=2\.5 must be an integer of at least 1"),
+        (dict(fanout=6.0), r"fanout=6\.0 must be an integer of at least 1"),
+        (dict(max_len=5.0), r"max_len=5\.0 must be an integer of at least 1"),
+        (dict(beam_size=True, fanout=True), r"beam_size=True must be an integer of at least 1"),
+        (dict(beam_size=0, fanout=0), r"beam_size=0 must be an integer of at least 1"),
+    ],
+    ids=["float-beam", "float-fanout", "float-max-len", "bool", "zero"],
+)
+def test_a_size_that_is_not_a_positive_integer_raises_before_encoding(monkeypatch, sizes, message):
+    model = tiny_model()
+
+    def no_encode(*args, **kwargs):
+        raise AssertionError("encoded a source that cannot be decoded")
+
+    monkeypatch.setattr(model, "encode", no_encode)
+    with pytest.raises(DataError, match=message):
+        beam_decode(model, [7, 8], **sizes)
+    with pytest.raises(DataError, match=message):
+        beam_search(PrefixStep(random_scores(8, 0)), **sizes)
+    if "max_len" in sizes:
+        with pytest.raises(DataError, match=message):
+            greedy_decode(model, [7, 8], **sizes)
+
+
 def test_decoder_cache_keeps_the_target_length_guard():
     model = tiny_model()
     step = model_step_fn(model, [7, 8])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from rulefst.model import ModelConfig, Seq2SeqTransformer, make_batch
-from rulefst.model.layers import Dense, Dropout, FeedForward, LayerNorm, MultiHeadAttention, ParamStore
+from rulefst.model.layers import Dense, Dropout, FeedForward, LayerNorm, MultiHeadAttention, ParamStore, scoring
 from rulefst.model.seq2seq import DecoderCache
 from rulefst.text import BOS_ID, PAD_ID
 
@@ -68,10 +68,10 @@ def test_layer_writes_neither_input_nor_gradient_nor_parameters(store, rng, make
 
 
 def test_dropout_in_training_writes_neither_input_nor_gradient(rng):
-    drop = Dropout(0.3)
+    drop = Dropout(0.3, rng)
     x, dout = normal(rng, 3, 5, D), normal(rng, 3, 5, D)
     unchanged = freeze(x, dout)
-    out = drop.forward(x, train=True, rng=rng)
+    out = drop.forward(x)
     assert out.dtype == np.float32 and drop._mask.dtype == bool
     drop.backward(dout)
     unchanged()
@@ -98,7 +98,7 @@ def test_training_step_with_dropout_writes_neither_batch_nor_parameters():
     model = small_model()
     batch = make_batch([([6, 7, 8, 9], [10, 11, 6]), ([7, 9], [8]), ([11], [PAD_ID, 6])])
     unchanged = freeze(*batch, *model.store.values.values())
-    loss, n_tok = model.loss_and_grads(*batch, train=True)
+    loss, n_tok = model.loss_and_grads(*batch)
     assert np.isfinite(loss) and n_tok > 0
     assert set(model.store.grads) == set(model.store.values)
     unchanged()
@@ -110,7 +110,8 @@ def test_attention_with_filled_caches_writes_neither_inputs_nor_filled_positions
     positions, its ids, the source, the folded cross-attention products and
     the parameters as they were."""
     model = small_model()
-    enc_out, src_mask = model.encode(np.array([[6, 7, PAD_ID, 8, 9]]))
+    with scoring():
+        enc_out, src_mask = model.encode(np.array([[6, 7, PAD_ID, 8, 9]]))
     unchanged = freeze(enc_out, src_mask, *model.store.values.values())
     cache = DecoderCache(model, enc_out, src_mask)
     cache.reorder(np.array([0, 0]))
@@ -134,7 +135,8 @@ def test_cached_decode_steps_write_neither_encoder_output_nor_parameters(rng):
     positions before it are those the reorder left, and the step's ids, the
     source, the parameters and the folded products stay as they were."""
     model = small_model()
-    enc_out, src_mask = model.encode(np.array([[6, 7, PAD_ID, 8, 9]]))
+    with scoring():
+        enc_out, src_mask = model.encode(np.array([[6, 7, PAD_ID, 8, 9]]))
     unchanged = freeze(enc_out, src_mask, *model.store.values.values())
     cache = DecoderCache(model, enc_out, src_mask)
     model.next_token_logprobs(enc_out, src_mask, np.array([[BOS_ID]]), cache)

@@ -210,7 +210,7 @@ def test_trailing_target_pad_ids_change_neither_loss_nor_gradients(dtype, pairs,
     results = []
     for ids in (tgt_in, filled):
         model = Seq2SeqTransformer(tiny_config(dtype=dtype, dropout=0.1, dec_layers=2), seed=seed)
-        loss, n_tok = model.loss_and_grads(src, ids, tgt_out, train=True)
+        loss, n_tok = model.loss_and_grads(src, ids, tgt_out)
         results.append((loss, n_tok, model.store.grads))
     (loss_a, n_a, grads_a), (loss_b, n_b, grads_b) = results
     assert loss_a == loss_b and n_a == n_b
@@ -317,12 +317,17 @@ def test_softmax_normalises_in_place_over_any_axis(axis, dtype, atol):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_dropout_draws_in_the_model_dtype_and_scales_what_it_keeps(dtype):
     x = np.full((40, 50), 2.0, dtype)
-    out = Dropout(0.25).forward(x, True, np.random.default_rng(9))
+    drop = Dropout(0.25, np.random.default_rng(9))
+    state = drop.rng.bit_generator.state
+    with scoring():  # passes its input through and draws nothing
+        assert drop.forward(x) is x and "_mask" not in vars(drop)
+    assert drop.rng.bit_generator.state == state
+    out = drop.forward(x)
     kept = out != 0
     assert out.dtype == dtype
     assert np.all(out[kept] == dtype(2.0) * (dtype(1.0) / dtype(0.75)))
     assert abs(kept.mean() - 0.75) < 0.03
-    assert np.array_equal(out, Dropout(0.25).forward(x, True, np.random.default_rng(9)))
+    assert np.array_equal(out, Dropout(0.25, np.random.default_rng(9)).forward(x))
     uniforms = np.random.default_rng(9).random(x.shape, dtype=dtype)
     assert np.array_equal(kept, uniforms < 0.75)  # for float64 the stream of rng.random(shape)
 
@@ -336,8 +341,8 @@ def test_dropout_equals_the_float_mask_formula_bit_for_bit(dtype):
     x = rng.normal(0.0, 2.0, size=(6, 9, 16)).astype(dtype)
     dout = rng.normal(0.0, 2.0, size=x.shape).astype(dtype)
     for rate in (0.1, 0.25, 0.3):
-        drop = Dropout(rate)
-        out = drop.forward(x, True, np.random.default_rng(11))
+        drop = Dropout(rate, np.random.default_rng(11))
+        out = drop.forward(x)
         dx = drop.backward(dout)
         keep = 1.0 - rate
         u = np.random.default_rng(11).random(x.shape, dtype=x.dtype)
@@ -358,10 +363,10 @@ def test_dropout_masks_drawn_in_turn_equal_rng_random_in_turn(dtype):
     from a generator of the same seed."""
     shapes = [(4, 6), (2, 3, 8), (10,), (64, 64), (1, 2), (3, 2, 16)]
     for rate in DROPOUT_RATES:
-        drop = Dropout(rate)
-        ours, numpy_stream = np.random.default_rng(4), np.random.default_rng(4)
+        drop = Dropout(rate, np.random.default_rng(4))
+        numpy_stream = np.random.default_rng(4)
         for shape in shapes:
-            drop.forward(np.ones(shape, dtype), True, ours)
+            drop.forward(np.ones(shape, dtype))
             assert np.array_equal(drop._mask, numpy_stream.random(shape, dtype=dtype) < 1.0 - rate), (rate, shape)
 
 
@@ -390,8 +395,8 @@ def test_dropout_keeps_a_word_exactly_when_numpys_uniform_of_it_is_below_keep(dt
         near = [i << shift | low for i in range(int(x) - 2, int(x) + 3) for low in (0, (1 << shift) - 1)]
         words = [lo | hi << 32 for lo, hi in zip(near[::2], near[1::2])] if dtype == np.float32 else near
         uniforms = (np.array(near, raw) >> shift).astype(dtype) * dtype(2.0**-bits)
-        drop = Dropout(rate)
-        drop.forward(np.ones(len(uniforms), dtype), True, RawWords(words))
+        drop = Dropout(rate, RawWords(words))
+        drop.forward(np.ones(len(uniforms), dtype))
         expected = uniforms < 1.0 - rate
         assert expected.any() and not expected.all()
         assert np.array_equal(drop._mask, expected), rate
@@ -403,18 +408,18 @@ def test_an_odd_sized_float32_mask_drops_the_unused_half_of_its_last_word():
     and the next one equals what rng.random gives after a draw one larger,
     not after the odd one. float64 draws take whole words, so odd sizes
     stay in step with rng.random."""
-    drop = Dropout(0.25)
-    ours, numpy_stream, one_larger = (np.random.default_rng(6) for _ in range(3))
-    drop.forward(np.ones((3, 5), np.float32), True, ours)
+    drop = Dropout(0.25, np.random.default_rng(6))
+    numpy_stream, one_larger = (np.random.default_rng(6) for _ in range(2))
+    drop.forward(np.ones((3, 5), np.float32))
     assert np.array_equal(drop._mask, numpy_stream.random((3, 5), dtype=np.float32) < 0.75)
     assert np.array_equal(drop._mask.reshape(-1), one_larger.random(16, dtype=np.float32)[:15] < 0.75)
-    drop.forward(np.ones((8, 8), np.float32), True, ours)
+    drop.forward(np.ones((8, 8), np.float32))
     assert np.array_equal(drop._mask, one_larger.random((8, 8), dtype=np.float32) < 0.75)
     assert not np.array_equal(drop._mask, numpy_stream.random((8, 8), dtype=np.float32) < 0.75)
 
-    ours, numpy_stream = np.random.default_rng(6), np.random.default_rng(6)
+    drop, numpy_stream = Dropout(0.25, np.random.default_rng(6)), np.random.default_rng(6)
     for shape in ((3, 5), (7,), (8, 8)):
-        drop.forward(np.ones(shape), True, ours)
+        drop.forward(np.ones(shape))
         assert np.array_equal(drop._mask, numpy_stream.random(shape) < 0.75)
 
 
@@ -429,10 +434,10 @@ def test_a_model_with_an_even_d_model_drops_as_rng_random_masks_would(monkeypatc
     config = ModelConfig(vocab_size=12, d_model=d_model, heads=heads, ffn_dim=ffn_dim, dropout=0.1)
     batch = batch_from([([6, 7, 8], [9, 10])])
     results = []
-    for keep in (Dropout._keep, lambda self, shape, dtype, rng: rng.random(shape, dtype=dtype) < 1.0 - self.rate):
+    for keep in (Dropout._keep, lambda self, shape, dtype: self.rng.random(shape, dtype=dtype) < 1.0 - self.rate):
         monkeypatch.setattr(Dropout, "_keep", keep)
         model = Seq2SeqTransformer(config, seed=5)
-        loss, _ = model.loss_and_grads(*batch, train=True)
+        loss, _ = model.loss_and_grads(*batch)
         results.append((loss, model.store.grads))
     (loss_a, grads_a), (loss_b, grads_b) = results
     assert (loss_a == loss_b and all(np.array_equal(grads_a[k], grads_b[k]) for k in grads_a)) == equal
@@ -566,15 +571,16 @@ def assert_all_in_dtype(dtype, **roots):
 def test_activations_caches_and_gradients_stay_in_model_dtype(dtype):
     model = Seq2SeqTransformer(tiny_config(dtype=dtype, dropout=0.1), seed=2)
     src, tgt_in, tgt_out = batch_from([([6, 7, 8, 9], [10, 11, 6]), ([7, 9], [8])])
-    model.decode(*model.encode(src, train=True), tgt_in, train=True)  # caches live until their backward
+    model.decode(*model.encode(src), tgt_in)  # caches live until their backward
     paths = assert_all_in_dtype(np.dtype(dtype), model=model)
     assert "model.enc_blocks.0.attn._attn" in paths
     assert model.dec_blocks[0].drop3._mask.dtype == bool
-    model.loss_and_grads(src, tgt_in, tgt_out, train=True)
+    model.loss_and_grads(src, tgt_in, tgt_out)
     assert_all_in_dtype(np.dtype(dtype), model=model)
     assert len(model.store.grads) == len(model.store.values)
 
-    enc_out, src_mask = model.encode(src[:1])
+    with scoring():
+        enc_out, src_mask = model.encode(src[:1])
     cache = DecoderCache(model, enc_out, src_mask)
     logits = model.decode(enc_out, src_mask, np.array([[BOS_ID]]), cache=cache)
     cache.reorder(np.array([0, 0]))
@@ -593,30 +599,38 @@ def layer_state(model):
             if not path.startswith("model.store.")}
 
 
-@pytest.mark.parametrize("train", [True, False])
-def test_no_layer_holds_a_forward_array_after_loss_and_grads(train):
+def test_no_layer_holds_a_forward_array_after_loss_and_grads():
     """encode and decode, the forward of `loss_and_grads`, cache for its
-    backward, which drops every cache; a forward that no backward follows
-    (`loss`, `evaluate_loss`, `forward`, the encode of a decode) caches
-    nothing."""
+    backward, which drops every cache, and draw their dropout masks from the
+    model's dropout stream; a forward that no backward follows (`loss`,
+    `evaluate_loss`, `forward`, the decoders, `next_token_logprobs` without
+    a cache) caches nothing and draws nothing."""
     model = Seq2SeqTransformer(tiny_config(dropout=0.1), seed=2)
+    stream = model.emb_drop_src.rng.bit_generator
     built = layer_state(model)
     pairs = [([6, 7, 8, 9], [10, 11, 6]), ([7, 9], [8])]
     batch = batch_from(pairs)
-    model.decode(*model.encode(batch[0], train), batch[1], train)
+    model.decode(*model.encode(batch[0]), batch[1])
     assert any(path.endswith("._attn") for path, _ in layer_state(model) - built)
-    model.loss_and_grads(*batch, train=train)
+    state = stream.state
+    model.loss_and_grads(*batch)
     assert layer_state(model) == built
+    assert stream.state != state
+    with scoring():
+        enc_out, src_mask = model.encode(batch[0])
     calls = {
         "loss": lambda: model.loss(*batch),
         "evaluate_loss": lambda: evaluate_loss(model, pairs),
-        "forward": lambda: model.forward(*batch[:2], train=train),
+        "forward": lambda: model.forward(*batch[:2]),
         "beam_decode": lambda: beam_decode(model, pairs[0][0], beam_size=2, fanout=3, max_len=4),
         "greedy_decode": lambda: greedy_decode(model, pairs[0][0], max_len=4),
+        "next_token_logprobs": lambda: model.next_token_logprobs(enc_out, src_mask, batch[1]),
     }
     for name, call in calls.items():
+        state = stream.state
         call()
         assert layer_state(model) == built, name
+        assert stream.state == state, name
 
 
 def test_scoring_leaves_layers_in_other_threads_and_after_it_caching():
@@ -640,12 +654,12 @@ def test_scoring_leaves_layers_in_other_threads_and_after_it_caching():
 def test_a_second_backward_without_a_forward_raises():
     model = Seq2SeqTransformer(tiny_config(dropout=0.1), seed=2)
     src, tgt_in, tgt_out = batch_from([([6, 7, 8, 9], [10, 11, 6]), ([7, 9], [8])])
-    enc_out, src_mask = model.encode(src, train=True)
-    _, dlogits, _ = model._ce(model.decode(enc_out, src_mask, tgt_in, train=True), tgt_out)
+    enc_out, src_mask = model.encode(src)
+    _, dlogits, _ = model._ce(model.decode(enc_out, src_mask, tgt_in), tgt_out)
     model._backward(src, tgt_in, dlogits)
     with pytest.raises(RuntimeError, match=r"Embedding: a backward without its forward \(_h2d is not cached\)"):
         model._backward(src, tgt_in, dlogits)
-    model.forward(src, tgt_in, train=True)  # a scoring forward, which caches nothing for a backward
+    model.forward(src, tgt_in)  # a scoring forward, which caches nothing for a backward
     with pytest.raises(RuntimeError, match=r"Embedding: a backward without its forward \(_h2d is not cached\)"):
         model._backward(src, tgt_in, dlogits)
 
@@ -655,16 +669,14 @@ def test_a_second_backward_without_a_forward_raises():
     lambda store, rng: LayerNorm(store, "ln", 8),
     lambda store, rng: MultiHeadAttention(store, "attn", 8, 2, rng),
     lambda store, rng: FeedForward(store, "ffn", 8, 16, rng),
-    lambda store, rng: Dropout(0.0),
+    lambda store, rng: Dropout(0.0, rng),
 ], ids=["Dense", "LayerNorm", "MultiHeadAttention", "FeedForward", "Dropout"])
 def test_each_layer_backward_takes_what_its_forward_cached(make):
     rng = np.random.default_rng(0)
     layer = make(ParamStore(np.float64), rng)
     x = rng.normal(size=(2, 3, 8))
-    forward = {
-        Dropout: lambda: layer.forward(x, train=True, rng=rng),
-        MultiHeadAttention: lambda: layer.forward(x, None),
-    }.get(type(layer), lambda: layer.forward(x))
+    def forward():
+        return layer.forward(x, None) if isinstance(layer, MultiHeadAttention) else layer.forward(x)
     dout = np.ones_like(forward())
     layer.backward(dout)
     with pytest.raises(RuntimeError, match=f"{type(layer).__name__}: a backward without its forward"):
@@ -683,8 +695,8 @@ def test_float32_loss_and_gradients_agree_with_float64_twin():
     m64 = Seq2SeqTransformer(replace(cfg, dtype="float64"), seed=4, params=m32.store.values)
     pairs = toy_pairs(6, seed=4, vocab=40)
     src, tgt_in, tgt_out = batch_from(pairs)
-    loss32, n32 = m32.loss_and_grads(src, tgt_in, tgt_out, train=False)
-    loss64, n64 = m64.loss_and_grads(src, tgt_in, tgt_out, train=False)
+    loss32, n32 = m32.loss_and_grads(src, tgt_in, tgt_out)
+    loss64, n64 = m64.loss_and_grads(src, tgt_in, tgt_out)
     assert n32 == n64 and isinstance(loss32, float)
     assert loss32 == pytest.approx(loss64, rel=1e-5)
     d = cfg.d_model
@@ -742,6 +754,16 @@ def test_grad_check_all_parameter_groups():
     src, tgt_in, tgt_out = batch_from([([6, 7, 8, 9], [10, 11, 6]), ([7, 9], [8])])
     errors = grad_check(model, src, tgt_in, tgt_out, epsilon=1e-5, samples_per_param=3)
     assert errors["overall"] < 1e-4, errors
+
+
+def test_grad_check_refuses_a_model_with_dropout():
+    """`loss_and_grads` always drops at a dropout above 0, and `loss` never
+    does, so their gradients cannot be compared."""
+    model = Seq2SeqTransformer(replace(tiny_model_for_check().config, dropout=0.1), seed=5)
+    batch = batch_from([([6, 7, 8, 9], [10, 11, 6])])
+    with pytest.raises(ValueError, match="requires dropout 0, not 0.1"):
+        grad_check(model, *batch)
+    assert model.store.grads == {}
 
 
 def test_zero_loss_example_zero_gradients():
@@ -823,7 +845,7 @@ def test_train_overfits_small_corpus():
         """Teacher-forced argmax accuracy over the non-[PAD] target positions."""
         src, tgt_in, tgt_out = make_batch(pairs)
         mask = tgt_out != PAD_ID
-        return float((np.argmax(model.forward(src, tgt_in, train=False), axis=-1)[mask] == tgt_out[mask]).mean())
+        return float((np.argmax(model.forward(src, tgt_in), axis=-1)[mask] == tgt_out[mask]).mean())
 
     cfg = ModelConfig(vocab_size=16, d_model=32, heads=4, enc_layers=1, dec_layers=1,
                       ffn_dim=64, max_len=16, dropout=0.0, dtype="float32")
@@ -945,6 +967,11 @@ def test_best_checkpoint_has_lowest_observed_val_loss():
 
     model = ck.restore_model()
     assert evaluate_loss(model, pairs[:8]) == pytest.approx(min(evals), abs=1e-6)
+
+
+def test_make_batch_refuses_an_empty_batch():
+    with pytest.raises(DataError, match="empty batch"):
+        make_batch([])
 
 
 def test_evaluate_loss_is_the_token_weighted_mean_of_per_pair_losses():

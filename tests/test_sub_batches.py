@@ -2,6 +2,7 @@
 give the loss and gradients of the whole padded batch."""
 
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -19,10 +20,10 @@ HEADS = 2
 FFN_DIM = 32
 
 
-def model(seed=0, dtype="float64"):
+def model(seed=0, dtype="float64", dropout=0.0):
     cfg = ModelConfig(
         vocab_size=12, d_model=16, heads=HEADS, enc_layers=1, dec_layers=2, ffn_dim=FFN_DIM,
-        max_len=MAX_LEN, dropout=0.0, dtype=dtype,
+        max_len=MAX_LEN, dropout=dropout, dtype=dtype,
     )
     return Seq2SeqTransformer(cfg, seed=seed)
 
@@ -84,7 +85,7 @@ def test_split_loss_equals_cross_entropy_of_the_full_padded_forward():
     with mock.patch.object(seq2seq, "SUB_BATCH_BYTES", budget_for(2, 8)):
         assert len(list(m._sub_batches(*batch))) >= 3
         loss, n_tok = m.loss(*batch)
-        grad_loss, _ = m.loss_and_grads(*batch, train=False)
+        grad_loss, _ = m.loss_and_grads(*batch)
     assert n_tok == n_full
     assert loss == pytest.approx(full, abs=1e-10)
     assert grad_loss == pytest.approx(full, abs=1e-10)
@@ -93,16 +94,18 @@ def test_split_loss_equals_cross_entropy_of_the_full_padded_forward():
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 @pytest.mark.parametrize("budget", [math.inf, budget_for(3, 10), 1], ids=["whole", "mid", "one-row"])
 def test_loss_is_the_loss_of_loss_and_grads_bit_for_bit(budget, dtype):
-    """`loss`, which computes no gradient, gives the loss of
-    `loss_and_grads(train=False)` bit for bit, also when a sub-batch holds
-    only the all-[PAD] target row, as at one row per sub-batch."""
+    """`loss`, which computes no gradient and drops nothing, gives a dropout
+    model the loss that `loss_and_grads` gives its dropout-0 twin, built
+    from the same parameters, bit for bit, also when a sub-batch holds only
+    the all-[PAD] target row, as at one row per sub-batch."""
     batch = mixed_batch(seed=3)
-    m = model(seed=6, dtype=dtype)
+    m = model(seed=6, dtype=dtype, dropout=0.1)
+    twin = Seq2SeqTransformer(replace(m.config, dropout=0.0), seed=6, params=m.store.values)
     with mock.patch.object(seq2seq, "SUB_BATCH_BYTES", budget):
         tokens = [int((tgt_out != PAD_ID).sum()) for _, _, tgt_out in m._sub_batches(*batch)]
         if budget == 1:
             assert 0 in tokens  # the all-[PAD] row's own sub-batch
-        assert m.loss(*batch) == m.loss_and_grads(*batch, train=False)
+        assert m.loss(*batch) == twin.loss_and_grads(*batch)
 
 
 def test_grad_check_passes_across_sub_batches():

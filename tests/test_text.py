@@ -257,6 +257,16 @@ def test_vocab_file_round_trip(tmp_path):
     assert Vocabulary.load(path) == vocab
 
 
+def test_a_vocabulary_given_a_list_stores_it_as_a_tuple():
+    tokens = [*SPECIAL_TOKENS, "a", "b"]
+    vocab = Vocabulary(tokens)
+    assert type(vocab.tokens) is tuple and vocab == Vocabulary(tuple(tokens))
+    assert hash(vocab) == hash(Vocabulary(tuple(tokens)))
+    assert vocab.encode(["b"]) == [len(SPECIAL_TOKENS) + 1]
+    tokens.append("c")  # the list stays the caller's
+    assert len(vocab) == len(SPECIAL_TOKENS) + 2
+
+
 @pytest.mark.parametrize("token", ["", "x\ny", "x\ry"])
 def test_build_vocab_refuses_a_token_that_would_not_read_back(token):
     message = rf"token {re.escape(repr(token))} at id {len(SPECIAL_TOKENS) + 1} is empty or holds a line break"
