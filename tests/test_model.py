@@ -599,13 +599,15 @@ def layer_state(model):
             if not path.startswith("model.store.")}
 
 
-def test_no_layer_holds_a_forward_array_after_loss_and_grads():
+@pytest.mark.parametrize("dropout", [True, False])
+def test_no_layer_holds_a_forward_array_after_loss_and_grads(dropout):
     """encode and decode, the forward of `loss_and_grads`, cache for its
-    backward, which drops every cache, and draw their dropout masks from the
-    model's dropout stream; a forward that no backward follows (`loss`,
-    `evaluate_loss`, `forward`, the decoders, `next_token_logprobs` without
-    a cache) caches nothing and draws nothing."""
-    model = Seq2SeqTransformer(tiny_config(dropout=0.1), seed=2)
+    backward, which drops every cache, and, at a dropout rate above 0, draw
+    their dropout masks from the model's dropout stream; a forward that no
+    backward follows (`loss`, `evaluate_loss`, `forward`, the decoders,
+    `next_token_logprobs` without a cache) caches nothing and draws nothing.
+    At rate 0 the training forward caches the same and draws nothing."""
+    model = Seq2SeqTransformer(tiny_config(dropout=0.1 if dropout else 0.0), seed=2)
     stream = model.emb_drop_src.rng.bit_generator
     built = layer_state(model)
     pairs = [([6, 7, 8, 9], [10, 11, 6]), ([7, 9], [8])]
@@ -615,7 +617,7 @@ def test_no_layer_holds_a_forward_array_after_loss_and_grads():
     state = stream.state
     model.loss_and_grads(*batch)
     assert layer_state(model) == built
-    assert stream.state != state
+    assert (stream.state != state) == dropout
     with scoring():
         enc_out, src_mask = model.encode(batch[0])
     calls = {
