@@ -104,31 +104,31 @@ def _check_sizes(beam_size, fanout, max_len) -> None:
 
 def model_step_fn(model: Seq2SeqTransformer, src_ids: Sequence[int]) -> StepFn:
     """Encode once, in `layers.scoring()`, and build the source's
-    DecoderCache; each step reorders
-    the cache by the back-pointers and feeds one new position per hypothesis
-    through the decoder.
+    DecoderCache; each step reorders the cache by the back-pointers and
+    feeds one new position per hypothesis through
+    `Seq2SeqTransformer.next_token_logprobs`.
 
-    An empty source, or one holding an id outside the vocabulary or a
-    [PAD], [BOS] or [EOS] (text.reserved_token_error), raises DataError
-    before anything is encoded. A step raises DataError on a back-pointer
-    outside 0..n-1, n the previous step's rows (1 at the first step, the
-    empty prefix), or below the back-pointer before it, on a token outside
-    the vocabulary, and past the model's max_len positions.
+    An empty source, or one holding a non-integer, an id outside the
+    vocabulary or a [PAD], [BOS] or [EOS] (text.reserved_token_error),
+    raises DataError before anything is encoded. A step raises DataError
+    on a back-pointer outside 0..n-1, n the previous step's rows (1 at the
+    first step, the empty prefix), or below the back-pointer before it, on
+    a token outside the vocabulary, and past the model's max_len positions.
     """
-    src = np.asarray([src_ids], dtype=np.int64)
-    if not src.size:
+    src_ids = list(src_ids)
+    if not src_ids:
         raise DataError("empty source")
-    bad = reserved_token_error(src[0].tolist(), model.config.vocab_size)
+    bad = reserved_token_error(src_ids, model.config.vocab_size)
     if bad:
         raise DataError(f"source {bad}")
     with scoring():  # no layer keeps an array: the decoder runs on the cache
-        enc_out, src_mask = model.encode(src)
+        enc_out, src_mask = model.encode(np.asarray([src_ids], dtype=np.int64))
     cache = DecoderCache(model, enc_out, src_mask)
 
     def step(parents: np.ndarray, tokens: np.ndarray) -> np.ndarray:
         cache.reorder(parents)
         new_ids = np.asarray(tokens, dtype=np.int64)[:, None]
-        return model.next_token_logprobs(enc_out, src_mask, new_ids, cache)
+        return model.next_token_logprobs(new_ids, cache)
 
     return step
 

@@ -1,4 +1,4 @@
-"""Neural network building blocks with hand-written backprop.
+"""Neural network layers with hand-written backprop.
 
 All parameters live in a ParamStore keyed by dotted names, so the optimizer,
 checkpointing and finite-difference checking can treat the model as a flat
@@ -9,11 +9,12 @@ Forward mode: `scoring()` is the one switch. A forward outside it trains:
 each layer caches the arrays its backward reads (`put_cache`) and Dropout
 drops. A forward that no backward follows runs inside it, where no layer
 caches anything and Dropout passes its input through, as inference under
-PyTorch's no_grad and eval() together (Paszke et al. 2019):
-`Seq2SeqTransformer.forward`, `loss` and `next_token_logprobs` and the
-decoders' encode do, so evaluation and decoding neither leave an array on a
-layer nor draw from the dropout stream, and each activation is freed as soon
-as the next layer has read it.
+PyTorch's no_grad and eval() together (Paszke et al. 2019).
+`Seq2SeqTransformer.forward` and `loss` and the decoders' encode run in it,
+and a decode step runs on a cache's folded products rather than on the
+layers, so evaluation and decoding neither leave an array on a layer nor
+draw from the dropout stream, and each activation is freed as soon as the
+next layer has read it.
 
 Cache lifetime: a layer's backward takes what its forward cached
 (`take_cache`): once read, the arrays are dropped, so a training step frees
@@ -21,11 +22,11 @@ each layer's activations as its backward passes it. A backward without its
 forward raises RuntimeError at once, rather than reusing stale arrays.
 
 Attention projections are fused: a self-attention layer has one `.wqkv`
-Dense of shape (d, 3d) whose column blocks are the query, key and value
-projections, and a cross-attention layer has `.wq` plus one `.wkv` of shape
-(d, 2d), keys then values. Each block is drawn from the rng in that order, as
-separate (d, d) projections would be. One Dense call per fused projection
-keeps NumPy's per-call overhead low.
+Dense of shape (d, 3d), whose first, second and last d columns are the
+query, key and value projections, and a cross-attention layer has `.wq` plus
+one `.wkv` of shape (d, 2d), keys then values. A fused Dense starts from one
+draw, as any other, and one Dense call per fused projection keeps NumPy's
+per-call overhead low.
 
 These layers run the full-prefix path that training and teacher-forced
 scoring use; cached decode steps run on products folded from their
@@ -205,22 +206,14 @@ def softmax(x: np.ndarray) -> np.ndarray:
 
 
 class Dense:
-    """x @ W + b over the last axis. With blocks > 1, W is `blocks` column
-    blocks of d_out // blocks columns, each drawn from the rng in turn, so a
-    fused projection starts from the weights its separate parts would."""
+    """x @ W + b over the last axis. W starts as one (d_in, d_out) draw of
+    N(0, 0.02) from the rng, b as zeros."""
 
-    def __init__(
-        self, store: ParamStore, name: str, d_in: int, d_out: int, rng: np.random.Generator, blocks: int = 1
-    ):
+    def __init__(self, store: ParamStore, name: str, d_in: int, d_out: int, rng: np.random.Generator):
         self.store = store
         self.name = name
         self._w, self._b = name + ".W", name + ".b"
-        width = d_out // blocks
-
-        def init(shape):
-            return np.concatenate([rng.normal(0.0, 0.02, size=(d_in, width)) for _ in range(blocks)], axis=1)
-
-        store.add(self._w, (d_in, d_out), init)
+        store.add(self._w, (d_in, d_out), lambda shape: rng.normal(0.0, 0.02, size=shape))
         store.add(self._b, (d_out,), np.zeros)
 
     @property
@@ -440,8 +433,6 @@ class MultiHeadAttention:
     def __init__(
         self, store: ParamStore, name: str, d_model: int, heads: int, rng: np.random.Generator, cross: bool = False
     ):
-        if d_model % heads:
-            raise ValueError("d_model must be divisible by heads")
         self.name = name
         self.heads = heads
         self.d_head = d_model // heads
@@ -450,9 +441,9 @@ class MultiHeadAttention:
         self.scale = 1.0 / math.sqrt(self.d_head)
         if cross:
             self.wq = Dense(store, name + ".wq", d_model, d_model, rng)
-            self.wkv = Dense(store, name + ".wkv", d_model, 2 * d_model, rng, blocks=2)
+            self.wkv = Dense(store, name + ".wkv", d_model, 2 * d_model, rng)
         else:
-            self.wqkv = Dense(store, name + ".wqkv", d_model, 3 * d_model, rng, blocks=3)
+            self.wqkv = Dense(store, name + ".wqkv", d_model, 3 * d_model, rng)
         self.wo = Dense(store, name + ".wo", d_model, d_model, rng)
 
     def _split(self, x: np.ndarray, parts: int) -> np.ndarray:

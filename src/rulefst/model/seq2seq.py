@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -122,8 +122,9 @@ class ModelConfig:
 
     def __post_init__(self):
         check_size("vocab_size", self.vocab_size, len(SPECIAL_TOKENS) + 1)  # the reserved tokens and one more
-        for name in ("d_model", "heads", "enc_layers", "dec_layers", "ffn_dim", "max_len"):
+        for name in ("d_model", "heads", "enc_layers", "dec_layers", "ffn_dim"):
             check_size(name, getattr(self, name))
+        check_size("max_len", self.max_len, 2)  # [BOS] and one output
         dropout = self.dropout
         if isinstance(dropout, bool) or not isinstance(dropout, numbers.Real) or not 0.0 <= dropout < 1.0:
             raise DataError(f"dropout={dropout!r} must be a number in [0, 1)")
@@ -264,11 +265,11 @@ class DecoderCache:
     prefix; `reorder` takes the rows that the next step extends.
 
     A cache is built for one source (batch 1; a batch raises DataError) and
-    bound to its model, `enc_out` and `src_mask` by identity: `decode` with
-    others raises DataError. It is also bound to the parameter values it
-    was built from: after a parameter update, build a new cache. Every
-    folded product and buffer is in the model's dtype; the constants mixed
-    in are Python floats, which never widen it.
+    keeps its `model`, `enc_out` and `src_mask`, to which it is bound by
+    identity: `decode` with others raises DataError. It is also bound to
+    the parameter values it was built from: after a parameter update, build
+    a new cache. Every folded product and buffer is in the model's dtype;
+    the constants mixed in are Python floats, which never widen it.
     """
 
     def __init__(self, model: "Seq2SeqTransformer", enc_out: np.ndarray, src_mask: np.ndarray):
@@ -277,7 +278,7 @@ class DecoderCache:
         self.config = model.config
         self.length = 0  # target positions decoded so far
         self.layers: list[_FoldedLayer] = []
-        self._source = (model, enc_out, src_mask)
+        self.model, self.enc_out, self.src_mask = model, enc_out, src_mask
         self._fold(model, enc_out, src_mask)
         self._allocate(1)
         self._rows = 1  # rows of the last step, or of the next one after a reorder
@@ -382,7 +383,7 @@ class DecoderCache:
             raise DataError(f"token {listed[i]} at row {i} is outside the vocabulary 0..{vocab - 1}")
         pos = self.length
         model._check_len(pos + 1, "target")
-        if self._source[0] is not model or self._source[1] is not enc_out or self._source[2] is not src_mask:
+        if self.model is not model or self.enc_out is not enc_out or self.src_mask is not src_mask:
             raise DataError("this DecoderCache is bound to the model and source it was built for")
         if rows != self._rows:
             raise DataError(f"cached decode got {rows} rows; the cache holds {self._rows}")
@@ -461,6 +462,14 @@ class Seq2SeqTransformer:
             raise DataError(f"{what} length {length} exceeds max_len={self.config.max_len}")
 
     def _embed(self, ids: np.ndarray, drop: Dropout) -> np.ndarray:
+        """Token plus positional embeddings of ids, through `drop`. Ids of a
+        non-integer dtype, or outside 0..vocab_size-1 (a negative id would
+        index the table from its end), raise DataError."""
+        if ids.dtype.kind not in "iu":
+            raise DataError(f"token ids must be integers, not {ids.dtype}")
+        low, high, vocab = int(ids.min()), int(ids.max()), self.config.vocab_size
+        if low < 0 or high >= vocab:
+            raise DataError(f"token id {low if low < 0 else high} is outside the vocabulary 0..{vocab - 1}")
         pos = self.store.values["embed.pos"][: ids.shape[1]]
         return drop.forward(self.tok.table[ids] + pos)
 
@@ -647,28 +656,18 @@ class Seq2SeqTransformer:
             dx = block.backward(dx)
         self._embed_backward(src_ids, dx, self.emb_drop_src)
 
-    def next_token_logprobs(
-        self,
-        enc_out: np.ndarray,
-        src_mask: np.ndarray,
-        prefix_ids: np.ndarray,
-        cache: DecoderCache | None = None,
-    ) -> np.ndarray:
-        """Log-probabilities for the next token after each prefix, (B, V).
+    def next_token_logprobs(self, new_ids: np.ndarray, cache: DecoderCache) -> np.ndarray:
+        """Log-probabilities (rows, V) of the next token after each of the
+        cache's rows, each extended by its id in new_ids, (rows, 1); the
+        cache then holds that position too (see DecoderCache).
 
-        A scoring decode: it drops nothing and leaves no array on a layer.
-        With a cache, prefix_ids hold only the positions after the cached
-        ones, and the step runs on the cache's folded products, not on the
-        layers; without one, the full-prefix decode runs in
-        `layers.scoring()`. A `scoring()` block around every cached step
-        made beam and greedy decodes 1.03x as slow (tools/ab_model.py, 10
-        rounds, 2-CPU host, BLAS on one thread).
+        The step runs on the cache's products, folded from the encoder output
+        and source mask it was built for, not on the layers: it drops nothing
+        and leaves no array on a layer with no `scoring()` block, which
+        around every step made beam and greedy decodes 1.03x as slow
+        (tools/ab_model.py, 10 rounds, 2-CPU host, BLAS on one thread).
         """
-        if cache is not None:
-            logits = self.decode(enc_out, src_mask, prefix_ids, cache=cache)
-        else:
-            with scoring():
-                logits = self.decode(enc_out, src_mask, prefix_ids)
+        logits = self.decode(cache.enc_out, cache.src_mask, new_ids, cache)
         last = logits[:, -1, :].astype(np.float64)
         last -= np.maximum.reduce(last, axis=-1, keepdims=True)
         last -= np.log(np.add.reduce(np.exp(last), axis=-1, keepdims=True))

@@ -206,8 +206,8 @@ def make_batch(pairs: list[Pair]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _validate_pairs(pairs: list[Pair], config: ModelConfig, what: str) -> None:
     """Refuse an empty set, an empty source, a pair too long for the model,
-    and an id outside the vocabulary or a [PAD], [BOS] or [EOS]
-    (text.reserved_token_error)."""
+    and a non-integer, an id outside the vocabulary or a [PAD], [BOS] or
+    [EOS] (text.reserved_token_error)."""
     if not pairs:
         raise DataError(f"{what} set is empty")
     for i, (s, t) in enumerate(pairs):

@@ -11,6 +11,7 @@ significant: it defines first-come-first-served priority downstream.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Sequence
 
@@ -154,6 +155,17 @@ def save_rules(rules: RuleSet, path) -> None:
         f.writelines(lines)
 
 
+def check_window(w) -> None:
+    """Raise DataError naming the window size unless w is an integer of at
+    least 0; a bool, a float such as 3.0, a string or None is not one.
+    Callers test the common case, `type(w) is int and w >= 0`, inline and
+    call this only when it fails: it runs once per serialized example."""
+    if isinstance(w, bool) or not isinstance(w, numbers.Integral):
+        raise DataError(f"window size must be an integer, not {w!r}")
+    if w < 0:
+        raise DataError(f"window size must be >= 0, not {w}")
+
+
 def match_rules(tokens: Sequence[str], rules: RuleSet, w: int = DEFAULT_WINDOW) -> tuple[RuleMatch, ...]:
     """Every (position, rule) occurrence, including overlaps, sorted by
     (start, rule file order). Matching is case-insensitive; matched_text
@@ -166,8 +178,8 @@ def match_rules(tokens: Sequence[str], rules: RuleSet, w: int = DEFAULT_WINDOW) 
     A call with the same w and the same tokens (casing included, since
     matched_text and the context windows keep it) as the last call on this
     rule set returns that call's tuple again; see `RuleSet`."""
-    if w < 0:
-        raise DataError(f"window size must be >= 0, not {w}")
+    if type(w) is not int or w < 0:
+        check_window(w)
     key = (w, tuple(tokens))
     last = rules._last
     if last is not None and last[0] == key:

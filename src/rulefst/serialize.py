@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DataError
-from .rules import RuleMatch, RuleSet, match_rules
+from .rules import RuleMatch, RuleSet, check_window, match_rules
 from .text import SEP
 
 NR, RB, RCAT, CARI = "NR", "RB", "RCAT", "CARI"
@@ -75,12 +75,13 @@ def serialize_example(
 ) -> SerializedExample:
     """The model input for source `x` and target `y` under `method`, with
     `max_len` applied as the module docstring states. An unknown method or
-    a negative window w raises DataError before any matching; RB, RCAT and
-    CARI call `match_rules(x, rules, w)` once, NR never."""
+    a window w that is not an integer of at least 0 (`rules.check_window`)
+    raises DataError before any matching; RB, RCAT and CARI call
+    `match_rules(x, rules, w)` once, NR never."""
     if method not in METHODS:
         raise DataError(f"unknown serialization method {method!r}")
-    if w < 0:
-        raise DataError(f"window size must be >= 0, not {w}")
+    if type(w) is not int or w < 0:
+        check_window(w)
     matches = () if method == NR else match_rules(x, rules, w)
     if not x:
         raise DataError("source sentence is empty")

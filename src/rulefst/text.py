@@ -8,6 +8,7 @@ toolkit.
 from __future__ import annotations
 
 import hashlib
+import numbers
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -27,14 +28,17 @@ PLACEHOLDERS = frozenset({"@USER", "HTTPURL", SEP})
 
 def reserved_token_error(ids: Sequence[int], vocab_size: int) -> str | None:
     """The complaint about the first id in `ids` that no sentence given to
-    the model may hold, or None if there is none: an id outside the
+    the model may hold, or None if there is none: a bool or any other
+    non-integer, "id X at position j is not an integer", an id outside the
     vocabulary, "id X at position j is outside the vocabulary 0..V-1", or a
     [PAD], [BOS] or [EOS] (ids 0..EOS_ID), "position j holds the reserved
     token X". These three give batches and decoding their structure; [SEP]
     and [UNK] may appear."""
-    if not ids or (min(ids) > EOS_ID and max(ids) < vocab_size):  # C-level passes for the usual case
-        return None
+    if set(map(type, ids)) <= {int} and (not ids or (min(ids) > EOS_ID and max(ids) < vocab_size)):
+        return None  # C-level passes for the usual case
     for j, tok_id in enumerate(ids):
+        if isinstance(tok_id, bool) or not isinstance(tok_id, numbers.Integral):
+            return f"id {tok_id!r} at position {j} is not an integer"
         if not 0 <= tok_id < vocab_size:
             return f"id {tok_id} at position {j} is outside the vocabulary 0..{vocab_size - 1}"
         if tok_id <= EOS_ID:

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from rulefst.errors import DataError
 from rulefst.model import ModelConfig, Seq2SeqTransformer, beam_decode, beam_search, greedy_decode, model_step_fn
+from rulefst.model.layers import scoring
 from rulefst.model.seq2seq import DecoderCache
 from rulefst.text import BOS_ID, EOS_ID, PAD_ID, SEP_ID, UNK_ID
 
@@ -58,21 +59,27 @@ def cache_step(model, src):
 
     def step(parents, tokens):
         cache.reorder(parents)
-        return model.next_token_logprobs(enc_out, src_mask, np.asarray(tokens, dtype=np.int64)[:, None], cache)
+        return model.next_token_logprobs(np.asarray(tokens, dtype=np.int64)[:, None], cache)
 
     return step
+
+
+def full_prefix_logprobs(model, enc_out, src_mask, prefixes):
+    """Reference next-token log-probs, (n, V): each whole prefix re-decoded
+    by the layers, without a cache, in `scoring()`, against the one
+    source's enc_out and src_mask."""
+    n = len(prefixes)
+    with scoring():
+        logits = model.decode(np.repeat(enc_out, n, 0), np.repeat(src_mask, n, 0), np.asarray(prefixes, np.int64))
+    last = logits[:, -1].astype(np.float64)
+    last -= last.max(axis=-1, keepdims=True)
+    return last - np.log(np.exp(last).sum(axis=-1, keepdims=True))
 
 
 def full_prefix_scores(model, src):
     """Reference scorer: re-decodes each whole prefix, without a cache."""
     enc_out, src_mask = model.encode(np.asarray([src], dtype=np.int64))
-
-    def score(prefixes):
-        n = len(prefixes)
-        tgt = np.asarray(prefixes, dtype=np.int64)
-        return model.next_token_logprobs(np.repeat(enc_out, n, 0), np.repeat(src_mask, n, 0), tgt)
-
-    return score
+    return lambda prefixes: full_prefix_logprobs(model, enc_out, src_mask, prefixes)
 
 
 def exhaustive_best(score, vocab_size, max_len):
@@ -423,24 +430,25 @@ def test_decoder_cache_is_bound_to_the_source_it_was_built_for():
     enc_a, mask_a = model.encode(np.array([[7, 8, 9]]))
     enc_b, mask_b = model.encode(np.array([[10, 11, 6]]))
     cache = DecoderCache(model, enc_a, mask_a)
+    assert cache.model is model and cache.enc_out is enc_a and cache.src_mask is mask_a
     twin = tiny_model()  # equal parameters, another model
     for other, enc, mask in ((twin, enc_a, mask_a), (model, enc_b, mask_b), (model, enc_a.copy(), mask_a),
                              (model, enc_a, mask_a.copy())):
         with pytest.raises(DataError, match="bound"):
-            other.next_token_logprobs(enc, mask, np.array([[BOS_ID]]), cache)
+            other.decode(enc, mask, np.array([[BOS_ID]]), cache)
     with pytest.raises(DataError, match="2 rows; the cache holds 1"):
         model.decode(enc_a, mask_a, np.array([[BOS_ID], [BOS_ID]]), cache=cache)
     assert cache.length == 0
-    first = model.next_token_logprobs(enc_a, mask_a, np.array([[BOS_ID]]), cache)
+    first = model.next_token_logprobs(np.array([[BOS_ID]]), cache)
     with pytest.raises(DataError, match="bound"):
-        model.next_token_logprobs(enc_b, mask_b, np.array([[7]]), cache)
+        model.decode(enc_b, mask_b, np.array([[7]]), cache)
     with pytest.raises(DataError, match="one new position"):
         model.decode(enc_a, mask_a, np.array([[7, 8]]), cache=cache)
     with pytest.raises(DataError, match="2 rows"):
         model.decode(enc_a, mask_a, np.array([[7], [8]]), cache=cache)
     assert cache.length == 1
-    second = model.next_token_logprobs(enc_a, mask_a, np.array([[7]]), cache)
-    reference = model.next_token_logprobs(enc_a, mask_a, np.array([[BOS_ID, 7]]))
+    second = model.next_token_logprobs(np.array([[7]]), cache)
+    reference = full_prefix_logprobs(model, enc_a, mask_a, [[BOS_ID, 7]])
     np.testing.assert_allclose(second, reference, rtol=0, atol=1e-9)
     assert not np.allclose(first, second)
 
@@ -453,8 +461,8 @@ def test_reorder_before_the_first_step_repeats_the_empty_prefix():
     enc_out, src_mask = model.encode(np.array([[7, 8, 9, 10]]))
     cache = DecoderCache(model, enc_out, src_mask)
     cache.reorder(np.array([0, 0, 0]))
-    got = model.next_token_logprobs(enc_out, src_mask, np.full((3, 1), BOS_ID), cache)
-    reference = model.next_token_logprobs(enc_out, src_mask, np.array([[BOS_ID]]))
+    got = model.next_token_logprobs(np.full((3, 1), BOS_ID), cache)
+    reference = full_prefix_logprobs(model, enc_out, src_mask, [[BOS_ID]])
     np.testing.assert_allclose(got, np.repeat(reference, 3, 0), rtol=0, atol=1e-9)
     with pytest.raises(DataError, match=r"back-pointer 1 at row 1\b.* 1 rows"):
         DecoderCache(model, enc_out, src_mask).reorder(np.array([0, 1]))
@@ -470,8 +478,11 @@ def test_reorder_before_the_first_step_repeats_the_empty_prefix():
         ([7, PAD_ID], r"source position 1 holds the reserved token \[PAD\]"),
         ([BOS_ID, 7], r"source position 0 holds the reserved token \[BOS\]"),
         ([7, 8, EOS_ID, 9], r"source position 2 holds the reserved token \[EOS\]"),
+        ([6.5, 7], r"source id 6\.5 at position 0 is not an integer"),
+        ([7, "6"], r"source id '6' at position 1 is not an integer"),
+        ([7, 8, True], r"source id True at position 2 is not an integer"),
     ],
-    ids=["negative", "far-above-vocab", "vocab-size", "empty", "pad", "bos", "eos"],
+    ids=["negative", "far-above-vocab", "vocab-size", "empty", "pad", "bos", "eos", "float", "str", "bool"],
 )
 def test_bad_source_raises_before_encoding(monkeypatch, src, message):
     model = tiny_model()  # vocab_size 12

@@ -49,7 +49,7 @@ def store():
 
 
 @pytest.mark.parametrize("make", [
-    lambda store, rng: Dense(store, "dense", D, 3 * D, rng, blocks=3),
+    lambda store, rng: Dense(store, "dense", D, 3 * D, rng),
     lambda store, rng: LayerNorm(store, "ln", D),
     lambda store, rng: FeedForward(store, "ffn", D, 2 * D, rng),
 ], ids=["Dense", "LayerNorm", "FeedForward"])
@@ -139,7 +139,7 @@ def test_cached_decode_steps_write_neither_encoder_output_nor_parameters(rng):
         enc_out, src_mask = model.encode(np.array([[6, 7, PAD_ID, 8, 9]]))
     unchanged = freeze(enc_out, src_mask, *model.store.values.values())
     cache = DecoderCache(model, enc_out, src_mask)
-    model.next_token_logprobs(enc_out, src_mask, np.array([[BOS_ID]]), cache)
+    model.next_token_logprobs(np.array([[BOS_ID]]), cache)
     folded = [a for layer in cache.layers for a in vars(layer).values() if isinstance(a, np.ndarray)]
     folded_unchanged = freeze(*folded)
     for parents in ([0, 0, 0], [0, 1, 1], [0, 1, 2], [1, 2]):
@@ -148,7 +148,7 @@ def test_cached_decode_steps_write_neither_encoder_output_nor_parameters(rng):
         filled = cache._kv[:rows, :, :, :, :t].copy()
         ids = rng.integers(PAD_ID, 12, size=(rows, 1))
         ids_unchanged = freeze(ids)
-        model.next_token_logprobs(enc_out, src_mask, ids, cache)
+        model.next_token_logprobs(ids, cache)
         ids_unchanged()
         assert np.array_equal(cache._kv[:rows, :, :, :, :t], filled)
     assert cache.length == 5

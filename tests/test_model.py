@@ -481,7 +481,7 @@ def test_fused_attention_equals_the_unfused_composition(cross):
     fused_store, ref_store = ParamStore(np.float64), ParamStore(np.float64)
     fused = MultiHeadAttention(fused_store, "a", d, heads, np.random.default_rng(3), cross=cross)
     ref = UnfusedAttention(ref_store, d, heads, np.random.default_rng(3))
-    # The fused weights start as the unfused ones, drawn in the same order.
+    # Each fused block takes a copy of its unfused projection's weights.
     blocks = {"wq": ("a.wq", 0), "wk": ("a.wkv", 0), "wv": ("a.wkv", 1)} if cross else {
         "wq": ("a.wqkv", 0), "wk": ("a.wqkv", 1), "wv": ("a.wqkv", 2)}
     blocks["wo"] = ("a.wo", 0)
@@ -489,10 +489,9 @@ def test_fused_attention_equals_the_unfused_composition(cross):
     for name, (fused_name, i) in blocks.items():
         cols = slice(i * d, (i + 1) * d)
         for part in (".W", ".b"):
-            assert np.array_equal(fused_store.values[fused_name + part][..., cols], ref_store.values[name + part])
-            noise = rng.normal(0.0, 0.3, ref_store.values[name + part].shape)  # nonzero biases too
-            ref_store.values[name + part] += noise
-            fused_store.values[fused_name + part][..., cols] += noise
+            value = ref_store.values[name + part]
+            value += rng.normal(0.0, 0.3, value.shape)  # nonzero biases too
+            fused_store.values[fused_name + part][..., cols] = value
     x, memory = rng.normal(size=(3, 5, d)), rng.normal(size=(3, 7, d))
     kv_in = memory if cross else x
     mask = np.where(rng.random((3, 1, 1, kv_in.shape[1])) < 0.3, -1e9, 0.0)
@@ -584,7 +583,7 @@ def test_activations_caches_and_gradients_stay_in_model_dtype(dtype):
     cache = DecoderCache(model, enc_out, src_mask)
     logits = model.decode(enc_out, src_mask, np.array([[BOS_ID]]), cache=cache)
     cache.reorder(np.array([0, 0]))
-    logprobs = model.next_token_logprobs(enc_out, src_mask, np.array([[6], [7]]), cache)
+    logprobs = model.next_token_logprobs(np.array([[6], [7]]), cache)
     paths = assert_all_in_dtype(np.dtype(dtype), model=model, cache=cache, logits=logits, enc_out=enc_out)
     folded = {f"cache.layers.0.{name}" for name in ("wqkv", "wo", "m", "vw", "w1", "w2")}
     buffers = {f"cache._{name}" for name in ("kv", "out", "sq", "xn", "ctx", "relu")}
@@ -604,8 +603,8 @@ def test_no_layer_holds_a_forward_array_after_loss_and_grads(dropout):
     """encode and decode, the forward of `loss_and_grads`, cache for its
     backward, which drops every cache, and, at a dropout rate above 0, draw
     their dropout masks from the model's dropout stream; a forward that no
-    backward follows (`loss`, `evaluate_loss`, `forward`, the decoders,
-    `next_token_logprobs` without a cache) caches nothing and draws nothing.
+    backward follows (`loss`, `evaluate_loss`, `forward`, the decoders)
+    caches nothing and draws nothing.
     At rate 0 the training forward caches the same and draws nothing."""
     model = Seq2SeqTransformer(tiny_config(dropout=0.1 if dropout else 0.0), seed=2)
     stream = model.emb_drop_src.rng.bit_generator
@@ -618,15 +617,12 @@ def test_no_layer_holds_a_forward_array_after_loss_and_grads(dropout):
     model.loss_and_grads(*batch)
     assert layer_state(model) == built
     assert (stream.state != state) == dropout
-    with scoring():
-        enc_out, src_mask = model.encode(batch[0])
     calls = {
         "loss": lambda: model.loss(*batch),
         "evaluate_loss": lambda: evaluate_loss(model, pairs),
         "forward": lambda: model.forward(*batch[:2]),
         "beam_decode": lambda: beam_decode(model, pairs[0][0], beam_size=2, fanout=3, max_len=4),
         "greedy_decode": lambda: greedy_decode(model, pairs[0][0], max_len=4),
-        "next_token_logprobs": lambda: model.next_token_logprobs(enc_out, src_mask, batch[1]),
     }
     for name, call in calls.items():
         state = stream.state
@@ -891,9 +887,12 @@ def test_train_runs_the_budget_and_evaluates_on_one_schedule(monkeypatch):
         ("train", 1, EOS_ID, r"train\[3\]: target position 1 holds the reserved token \[EOS\]"),
         ("train", 0, 12, r"train\[3\]: source id 12 at position 1 is outside the vocabulary 0\.\.11"),
         ("valid", 1, -1, r"valid\[3\]: target id -1 at position 1 is outside the vocabulary 0\.\.11"),
+        ("train", 0, 6.5, r"train\[3\]: source id 6\.5 at position 1 is not an integer"),
+        ("valid", 1, "6", r"valid\[3\]: target id '6' at position 1 is not an integer"),
+        ("train", 1, True, r"train\[3\]: target id True at position 1 is not an integer"),
     ],
     ids=["pad-in-a-train-source", "bos-in-a-valid-target", "eos-in-a-train-target", "vocab-size-in-a-train-source",
-         "negative-in-a-valid-target"],
+         "negative-in-a-valid-target", "float-in-a-train-source", "str-in-a-valid-target", "bool-in-a-train-target"],
 )
 def test_train_refuses_pad_bos_and_eos_in_a_pair(which, side, tok_id, message):
     """Also an id outside the vocabulary: one rule, text.reserved_token_error."""
@@ -907,6 +906,26 @@ def test_train_refuses_pad_bos_and_eos_in_a_pair(which, side, tok_id, message):
     sets[which][3] = tuple(pair)
     with pytest.raises(DataError, match=message):
         train(sets["train"], sets["valid"], cfg, spec)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [(np.array([[-1, 6]]), "token id -1 is outside the vocabulary 0..11"),
+     (np.array([[6, 12]]), "token id 12 is outside the vocabulary 0..11"),
+     (np.array([[6.0, 7.0]]), "token ids must be integers, not float64")],
+    ids=["negative", "vocab-size", "float"],
+)
+def test_the_array_apis_refuse_ids_outside_the_vocabulary(bad, message):
+    """Every path into the embedding table: a negative id would index it
+    from its end, and one at vocab_size or a float past it."""
+    model = Seq2SeqTransformer(tiny_config(), seed=0)  # vocab_size 12
+    good, tgt_out = np.array([[6, 7]]), np.array([[7, EOS_ID]])
+    calls = [lambda: model.loss(bad, good, tgt_out), lambda: model.loss(good, bad, tgt_out),
+             lambda: model.forward(bad, good), lambda: model.forward(good, bad),
+             lambda: model.loss_and_grads(bad, good, tgt_out), lambda: model.loss_and_grads(good, bad, tgt_out)]
+    for call in calls:
+        with pytest.raises(DataError, match=re.escape(message)):
+            call()
 
 
 def test_train_accepts_a_tweet_that_spells_reserved_tokens():
@@ -990,8 +1009,11 @@ def test_evaluate_loss_is_the_token_weighted_mean_of_per_pair_losses():
         ([([-1, 7], [8])], r"eval\[0\]: source id -1 at position 0 is outside the vocabulary 0\.\.11"),
         ([([7, 8], [9]), ([7, 8], [9, PAD_ID, 10])], r"eval\[1\]: target position 1 holds the reserved token \[PAD\]"),
         ([], r"eval set is empty"),
+        ([([6.5, 7], [8])], r"eval\[0\]: source id 6\.5 at position 0 is not an integer"),
+        ([([7], ["6"])], r"eval\[0\]: target id '6' at position 0 is not an integer"),
+        ([([7, True], [8])], r"eval\[0\]: source id True at position 1 is not an integer"),
     ],
-    ids=["negative-id", "pad-in-target", "empty"],
+    ids=["negative-id", "pad-in-target", "empty", "float-id", "str-id", "bool-id"],
 )
 def test_evaluate_loss_refuses_pairs_that_train_refuses(pairs, message):
     with pytest.raises(DataError, match=message):
@@ -1062,7 +1084,7 @@ def test_checkpoint_of_an_older_format_is_refused(tmp_path, monkeypatch):
     "field, value",
     [("dropout", -0.5), ("dropout", 1.0), ("heads", 0), ("ffn_dim", 0), ("enc_layers", -1), ("dec_layers", 0),
      ("d_model", 0), ("max_len", 0), ("dropout", float("nan")), ("dropout", True), ("d_model", 16.0),
-     ("heads", True), ("vocab_size", 12.0), ("vocab_size", 5), ("dtype", "int32")],
+     ("heads", True), ("vocab_size", 12.0), ("vocab_size", 5), ("dtype", "int32"), ("max_len", 1)],
 )
 def test_config_with_a_bad_value_is_refused_also_from_a_checkpoint(tmp_path, field, value):
     with pytest.raises(DataError, match=rf"\b{field}={value}"):

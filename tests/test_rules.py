@@ -182,6 +182,13 @@ def test_match_rules_refuses_a_negative_window():
         match_rules(["a"], rules, -1)
 
 
+@pytest.mark.parametrize("w", [1.5, "3", None, True], ids=["float", "str", "none", "bool"])
+def test_match_rules_refuses_a_window_that_is_not_an_integer(w):
+    rules = RuleSet((Rule("r", ("a",), (("b",),)),))
+    with pytest.raises(DataError, match=rf"window size must be an integer, not {re.escape(repr(w))}$"):
+        match_rules(["a"], rules, w)
+
+
 def test_match_ambiguous_sentence(demo_rules_path):
     rules = load_rules(demo_rules_path)
     tokens = tokenize(AMBIG_SENTENCE)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -194,6 +196,17 @@ def test_negative_window_raises_for_every_method(rules, monkeypatch):
     for method in METHODS:
         with pytest.raises(DataError, match="window size must be >= 0, not -1"):
             serialize_example(method, X_TOKENS, [], rules, -1)
+
+
+@pytest.mark.parametrize("w", [1.5, "3", None, True], ids=["float", "str", "none", "bool"])
+def test_a_window_that_is_not_an_integer_raises_for_every_method(rules, monkeypatch, w):
+    def no_match(*args, **kwargs):
+        raise AssertionError("matched with a window that is not an integer")
+
+    monkeypatch.setattr(serialize, "match_rules", no_match)
+    for method in METHODS:
+        with pytest.raises(DataError, match=rf"window size must be an integer, not {re.escape(repr(w))}$"):
+            serialize_example(method, X_TOKENS, [], rules, w)
 
 
 def test_cari_prefix_preserves_source_all_windows(rules):
