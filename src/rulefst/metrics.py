@@ -44,7 +44,9 @@ def _ngram_counts(tokens: Tokens, n: int) -> Counter:
 
 def bleu_statistics(hypotheses: Sequence[Tokens], reference_sets: Sequence[Sequence[Tokens]]) -> dict:
     """Pooled corpus statistics: clipped matches and totals per n, plus the
-    hypothesis/reference length sums for the brevity penalty."""
+    hypothesis/reference length sums for the brevity penalty. A hypothesis
+    or reference that is a string, not a token sequence, raises DataError
+    naming its index: BLEU would count its characters as tokens."""
     if not hypotheses:
         raise DataError("corpus BLEU needs at least one hypothesis")
     if len(hypotheses) != len(reference_sets):
@@ -55,7 +57,11 @@ def bleu_statistics(hypotheses: Sequence[Tokens], reference_sets: Sequence[Seque
     totals = [0] * MAX_N
     hyp_len = 0
     ref_len = 0
-    for hyp, refs in zip(hypotheses, reference_sets):
+    for i, (hyp, refs) in enumerate(zip(hypotheses, reference_sets)):
+        if isinstance(hyp, str):
+            raise DataError(f"hypothesis {i} is a string, not a token sequence")
+        if any(isinstance(r, str) for r in refs):
+            raise DataError(f"reference set {i} is or holds a string, not token sequences")
         if not refs:
             raise DataError("empty reference set")
         hyp = list(hyp)

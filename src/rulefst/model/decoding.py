@@ -30,10 +30,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..errors import DataError
+from ..errors import DataError, check_size
 from ..text import BOS_ID, EOS_ID, reserved_token_error
 from .layers import scoring
-from .seq2seq import DecoderCache, Seq2SeqTransformer, check_size
+from .seq2seq import DecoderCache, Seq2SeqTransformer
 
 # step_fn(parents, tokens) -> (n, V) next-token log-probs. Hypothesis i is the
 # prefix that row parents[i] of the previous call scored, extended by
@@ -67,7 +67,7 @@ def beam_search(
 
     Returns the generated ids without BOS, with the trailing EOS stripped.
     beam_size, fanout and max_len must be integers of at least 1
-    (`seq2seq.check_size`), or DataError names the first that is not.
+    (`errors.check_size`), or DataError names the first that is not.
     """
     _check_sizes(beam_size, fanout, max_len)
     finished: list[tuple[float, int, list[int]]] = []

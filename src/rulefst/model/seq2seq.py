@@ -13,7 +13,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from ..errors import DataError
+from ..errors import DataError, check_size
 from ..text import PAD_ID, SPECIAL_TOKENS
 from .layers import (
     LN_EPS,
@@ -91,13 +91,6 @@ def split_rows(
     if rows:
         out.append(np.asarray(rows))
     return out
-
-
-def check_size(name: str, value, low: int = 1) -> None:
-    """Raise DataError naming `name` unless `value` is an integer of at least
-    `low`; a bool, or a float such as 64.0, is not one."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-        raise DataError(f"{name}={value!r} must be an integer of at least {low}")
 
 
 @dataclass(frozen=True)
@@ -365,17 +358,20 @@ class DecoderCache:
         self._out = _fold_norm(model.dec_ln, table.T, model.store.values["out.bias"])  # (d + 1, V)
         self._centre = centre
         self._blocks = np.repeat(np.eye(heads, dtype=dtype), src_len, axis=0)  # (heads * S, heads): head of each key
-        self._keys_ones = np.ones(cfg.max_len, dtype)
         self._norm_ones = np.ones(d + 1, dtype)
 
     def decode(
         self, model: "Seq2SeqTransformer", enc_out: np.ndarray, src_mask: np.ndarray, tgt_in_ids: np.ndarray
     ) -> np.ndarray:
-        """Logits (rows, 1, V) of one new position per row, after the cached ones."""
+        """Logits (rows, 1, V) of one new position per row, after the cached
+        ones. Ids of a non-integer dtype, or outside 0..vocab_size-1, raise
+        DataError."""
         rows, t = tgt_in_ids.shape
         if t != 1:
             raise DataError(f"cached decoding takes one new position per row, not {t}")
         ids = tgt_in_ids[:, 0]
+        if ids.dtype.kind not in "iu":
+            raise DataError(f"token ids must be integers, not {ids.dtype}")
         listed = ids.tolist()
         vocab = self.config.vocab_size
         if rows and (min(listed) < 0 or max(listed) >= vocab):
@@ -388,7 +384,7 @@ class DecoderCache:
         if rows != self._rows:
             raise DataError(f"cached decode got {rows} rows; the cache holds {self._rows}")
         kv = self._kv[:rows]
-        keys_ones, norm_ones, heads = self._keys_ones[: pos + 1], self._norm_ones, self.config.heads
+        norm_ones, heads = self._norm_ones, self.config.heads
         sq, xn, ctx, relu = self._sq[:rows], self._xn[:rows], self._ctx[:rows], self._relu[:rows]
         sq_x, xn_x, ctx_heads, relu_x = sq[:, :-1], xn[:, :-1], self._ctx_heads[:rows], relu[:, :-1]
 
@@ -406,7 +402,7 @@ class DecoderCache:
             s = k @ qkv[:, 0, :, :, None]  # key-major: (rows, heads, keys, 1)
             s -= np.maximum.reduce(s, axis=-2, keepdims=True)
             np.exp(s, out=s)
-            s /= s.reshape(rows * heads, -1).dot(keys_ones).reshape(rows, heads, 1, 1)
+            s /= np.add.reduce(s, axis=-2, keepdims=True)
             np.matmul(s.swapaxes(-1, -2), v, out=ctx_heads)
             x += ctx.dot(f.wo)
 
@@ -464,9 +460,12 @@ class Seq2SeqTransformer:
     def _embed(self, ids: np.ndarray, drop: Dropout) -> np.ndarray:
         """Token plus positional embeddings of ids, through `drop`. Ids of a
         non-integer dtype, or outside 0..vocab_size-1 (a negative id would
-        index the table from its end), raise DataError."""
+        index the table from its end), and an array of no ids raise
+        DataError."""
         if ids.dtype.kind not in "iu":
             raise DataError(f"token ids must be integers, not {ids.dtype}")
+        if not ids.size:
+            raise DataError(f"token ids of shape {ids.shape} hold no id")
         low, high, vocab = int(ids.min()), int(ids.max()), self.config.vocab_size
         if low < 0 or high >= vocab:
             raise DataError(f"token id {low if low < 0 else high} is outside the vocabulary 0..{vocab - 1}")

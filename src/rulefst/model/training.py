@@ -11,9 +11,9 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from ..errors import DataError, TrainingError
+from ..errors import DataError, TrainingError, check_size
 from ..text import BOS_ID, EOS_ID, PAD_ID, reserved_token_error
-from .seq2seq import ModelConfig, Seq2SeqTransformer, check_size
+from .seq2seq import ModelConfig, Seq2SeqTransformer
 
 # 2: attention projections fused into .wqkv and .wkv; ModelConfig without
 # `positional` and `tie_embeddings`.

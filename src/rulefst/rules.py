@@ -11,11 +11,11 @@ significant: it defines first-come-first-served priority downstream.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Sequence
 
-from .errors import DataError
+from .errors import DataError, check_size
+from .text import read_lines
 
 # Context window default: up to 3 tokens on each side of a match, chosen by
 # hand rather than by a window-size sweep.
@@ -110,13 +110,7 @@ def parse_rule_line(line: str, lineno: int, source: str = "") -> Rule:
 def load_rules(path) -> RuleSet:
     """Load a rule file, preserving file order (= FCFS priority)."""
     rules: list[Rule] = []
-    try:
-        with open(path, encoding="utf-8") as f:
-            lines = f.readlines()
-    except UnicodeDecodeError as e:
-        raise DataError(f"{path}: not valid UTF-8: {e}") from None
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
+    for lineno, line in enumerate(read_lines(path), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         rules.append(parse_rule_line(line, lineno, source=str(path)))
@@ -155,17 +149,6 @@ def save_rules(rules: RuleSet, path) -> None:
         f.writelines(lines)
 
 
-def check_window(w) -> None:
-    """Raise DataError naming the window size unless w is an integer of at
-    least 0; a bool, a float such as 3.0, a string or None is not one.
-    Callers test the common case, `type(w) is int and w >= 0`, inline and
-    call this only when it fails: it runs once per serialized example."""
-    if isinstance(w, bool) or not isinstance(w, numbers.Integral):
-        raise DataError(f"window size must be an integer, not {w!r}")
-    if w < 0:
-        raise DataError(f"window size must be >= 0, not {w}")
-
-
 def match_rules(tokens: Sequence[str], rules: RuleSet, w: int = DEFAULT_WINDOW) -> tuple[RuleMatch, ...]:
     """Every (position, rule) occurrence, including overlaps, sorted by
     (start, rule file order). Matching is case-insensitive; matched_text
@@ -179,7 +162,7 @@ def match_rules(tokens: Sequence[str], rules: RuleSet, w: int = DEFAULT_WINDOW) 
     matched_text and the context windows keep it) as the last call on this
     rule set returns that call's tuple again; see `RuleSet`."""
     if type(w) is not int or w < 0:
-        check_window(w)
+        check_size("window size", w, 0)
     key = (w, tuple(tokens))
     last = rules._last
     if last is not None and last[0] == key:

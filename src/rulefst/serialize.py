@@ -30,9 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DataError
-from .rules import RuleMatch, RuleSet, check_window, match_rules
-from .text import SEP
+from .errors import DataError, check_size
+from .rules import RuleMatch, RuleSet, match_rules
+from .text import SEP, read_lines
 
 NR, RB, RCAT, CARI = "NR", "RB", "RCAT", "CARI"
 METHODS = (NR, RB, RCAT, CARI)
@@ -74,14 +74,17 @@ def serialize_example(
     max_len: int | None = None,
 ) -> SerializedExample:
     """The model input for source `x` and target `y` under `method`, with
-    `max_len` applied as the module docstring states. An unknown method or
-    a window w that is not an integer of at least 0 (`rules.check_window`)
-    raises DataError before any matching; RB, RCAT and CARI call
-    `match_rules(x, rules, w)` once, NR never."""
+    `max_len` applied as the module docstring states. An unknown method, a
+    window w that is not an integer of at least 0, and a given max_len that
+    is not an integer of at least 1 (`errors.check_size`) raise DataError
+    before any matching; RB, RCAT and CARI call `match_rules(x, rules, w)`
+    once, NR never."""
     if method not in METHODS:
         raise DataError(f"unknown serialization method {method!r}")
     if type(w) is not int or w < 0:
-        check_window(w)
+        check_size("window size", w, 0)
+    if max_len is not None and (type(max_len) is not int or max_len < 1):
+        check_size("max_len", max_len)
     matches = () if method == NR else match_rules(x, rules, w)
     if not x:
         raise DataError("source sentence is empty")
@@ -134,13 +137,7 @@ def read_examples_tsv(path, method: str | None = None) -> list[SerializedExample
     skipped. A line of any other shape, and a given method that differs from
     a line's own, raise DataError naming the line."""
     out: list[SerializedExample] = []
-    try:
-        with open(path, encoding="utf-8") as f:
-            lines = f.readlines()
-    except UnicodeDecodeError as e:
-        raise DataError(f"{path}: not valid UTF-8: {e}") from None
-    for lineno, line in enumerate(lines, start=1):
-        line = line.rstrip("\n")
+    for lineno, line in enumerate(read_lines(path), start=1):
         if not line:
             continue
         parts = line.split("\t")

@@ -26,6 +26,16 @@ PAD_ID, BOS_ID, EOS_ID, SEP_ID, UNK_ID = range(5)
 PLACEHOLDERS = frozenset({"@USER", "HTTPURL", SEP})
 
 
+def read_lines(path) -> list[str]:
+    """The lines of the UTF-8 file at `path`, each without its line break; a
+    file that is not UTF-8 raises DataError naming it."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return [line.rstrip("\n") for line in f]
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not valid UTF-8: {e}") from None
+
+
 def reserved_token_error(ids: Sequence[int], vocab_size: int) -> str | None:
     """The complaint about the first id in `ids` that no sentence given to
     the model may hold, or None if there is none: a bool or any other
@@ -37,12 +47,21 @@ def reserved_token_error(ids: Sequence[int], vocab_size: int) -> str | None:
     if set(map(type, ids)) <= {int} and (not ids or (min(ids) > EOS_ID and max(ids) < vocab_size)):
         return None  # C-level passes for the usual case
     for j, tok_id in enumerate(ids):
-        if isinstance(tok_id, bool) or not isinstance(tok_id, numbers.Integral):
-            return f"id {tok_id!r} at position {j} is not an integer"
-        if not 0 <= tok_id < vocab_size:
-            return f"id {tok_id} at position {j} is outside the vocabulary 0..{vocab_size - 1}"
+        error = _id_error(tok_id, j, vocab_size)
+        if error:
+            return error
         if tok_id <= EOS_ID:
             return f"position {j} holds the reserved token {SPECIAL_TOKENS[tok_id]}"
+    return None
+
+
+def _id_error(tok_id, j: int, vocab_size: int) -> str | None:
+    """The complaint about `tok_id`, the id at position j, if it is a bool or
+    any other non-integer, or outside the vocabulary 0..vocab_size-1."""
+    if isinstance(tok_id, bool) or not isinstance(tok_id, numbers.Integral):
+        return f"id {tok_id!r} at position {j} is not an integer"
+    if not 0 <= tok_id < vocab_size:
+        return f"id {tok_id} at position {j} is outside the vocabulary 0..{vocab_size - 1}"
     return None
 
 
@@ -188,10 +207,14 @@ class Vocabulary:
         return [idx.get(t, UNK_ID) for t in tokens]
 
     def decode(self, ids: Sequence[int]) -> list[str]:
+        """The tokens of `ids`. A bool or any other non-integer id, or an id
+        outside the vocabulary, raises DataError naming its position, with
+        `reserved_token_error`'s wording; reserved ids decode."""
         out = []
-        for i in ids:
-            if not 0 <= i < len(self.tokens):
-                raise DataError(f"token id {i} out of range for vocabulary of size {len(self.tokens)}")
+        for j, i in enumerate(ids):
+            error = _id_error(i, j, len(self.tokens))
+            if error:
+                raise DataError(error)
             out.append(self.tokens[i])
         return out
 
@@ -208,11 +231,7 @@ class Vocabulary:
     def load(cls, path) -> "Vocabulary":
         """Read what `save` wrote; DataError names the file if it is not a
         vocabulary."""
-        try:
-            with open(path, encoding="utf-8") as f:
-                tokens = [line.rstrip("\n") for line in f]
-        except UnicodeDecodeError as e:
-            raise DataError(f"{path}: not valid UTF-8: {e}") from None
+        tokens = read_lines(path)
         while tokens and tokens[-1] == "":
             tokens.pop()
         try:

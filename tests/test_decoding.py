@@ -453,6 +453,16 @@ def test_decoder_cache_is_bound_to_the_source_it_was_built_for():
     assert not np.allclose(first, second)
 
 
+@pytest.mark.parametrize("ids, dtype", [(np.array([[6.0]]), "float64"), (np.array([[True]]), "bool")],
+                         ids=["float", "bool"])
+def test_a_cached_step_refuses_ids_that_are_not_integers(ids, dtype):
+    model = tiny_model()
+    cache = DecoderCache(model, *model.encode(np.array([[7, 8, 9]])))
+    with pytest.raises(DataError, match=f"token ids must be integers, not {dtype}$"):
+        model.next_token_logprobs(ids, cache)
+    assert cache.length == 0
+
+
 def test_reorder_before_the_first_step_repeats_the_empty_prefix():
     """A new cache holds one row, the empty prefix: reordering it to three
     rows gives three [BOS] rows, each scored as the full-prefix path scores

@@ -123,6 +123,25 @@ def test_bleu_length_mismatch_errors():
         corpus_bleu([["a"]], [])
 
 
+SENTENCE = "the cat sat on the mat"
+TOKENS = SENTENCE.split()
+
+
+@pytest.mark.parametrize(
+    "hypotheses, reference_sets, message",
+    [([SENTENCE], [[SENTENCE]], "hypothesis 0 is a string"),
+     ([TOKENS, SENTENCE], [[TOKENS], [TOKENS]], "hypothesis 1 is a string"),
+     ([TOKENS], [SENTENCE], "reference set 0 is or holds a string"),
+     ([TOKENS, TOKENS], [[TOKENS], [TOKENS, SENTENCE]], "reference set 1 is or holds a string")],
+    ids=["both-strings", "hypothesis", "reference-set", "reference"],
+)
+def test_bleu_refuses_a_string_where_tokens_belong(hypotheses, reference_sets, message):
+    """A string would be scored as a sequence of characters."""
+    for score in (corpus_bleu, corpus_bleu_report):
+        with pytest.raises(DataError, match=message):
+            score(hypotheses, reference_sets)
+
+
 def test_report_json_line():
     report = corpus_bleu_report([["a", "b", "c", "d"]], [[["a", "b", "c", "d"]]])
     line = report.to_json_line()

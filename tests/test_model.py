@@ -928,6 +928,17 @@ def test_the_array_apis_refuse_ids_outside_the_vocabulary(bad, message):
             call()
 
 
+def test_the_array_apis_refuse_an_empty_id_array():
+    model = Seq2SeqTransformer(tiny_config(), seed=0)
+    good, empty = np.array([[6, 7]]), np.zeros((1, 0), np.int64)
+    enc_out, src_mask = model.encode(good)
+    calls = [lambda: model.encode(empty), lambda: model.forward(empty, good), lambda: model.forward(good, empty),
+             lambda: model.decode(enc_out, src_mask, empty)]
+    for call in calls:
+        with pytest.raises(DataError, match=re.escape("token ids of shape (1, 0) hold no id")):
+            call()
+
+
 def test_train_accepts_a_tweet_that_spells_reserved_tokens():
     """Raw text holding "[EOS]" or "[PAD]" tokenizes to ordinary tokens, so
     it trains like any other pair."""

@@ -176,16 +176,24 @@ def test_save_rules_refuses_exactly_the_rule_sets_that_would_not_read_back(tmp_p
 # ---- matching --------------------------------------------------------------
 
 
+def test_load_rules_refuses_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "rules.tsv"
+    path.write_bytes(b"r1\ta\tb\nr2\t\xff\xfe\tc\n")
+    with pytest.raises(DataError, match=re.escape(f"{path}: not valid UTF-8: ")):
+        load_rules(path)
+
+
+
 def test_match_rules_refuses_a_negative_window():
     rules = RuleSet((Rule("r", ("a",), (("b",),)),))
-    with pytest.raises(DataError, match="window size must be >= 0, not -1"):
+    with pytest.raises(DataError, match="window size=-1 must be an integer of at least 0$"):
         match_rules(["a"], rules, -1)
 
 
 @pytest.mark.parametrize("w", [1.5, "3", None, True], ids=["float", "str", "none", "bool"])
 def test_match_rules_refuses_a_window_that_is_not_an_integer(w):
     rules = RuleSet((Rule("r", ("a",), (("b",),)),))
-    with pytest.raises(DataError, match=rf"window size must be an integer, not {re.escape(repr(w))}$"):
+    with pytest.raises(DataError, match=rf"window size={re.escape(repr(w))} must be an integer of at least 0$"):
         match_rules(["a"], rules, w)
 
 

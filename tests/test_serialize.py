@@ -194,7 +194,7 @@ def test_negative_window_raises_for_every_method(rules, monkeypatch):
 
     monkeypatch.setattr(serialize, "match_rules", no_match)
     for method in METHODS:
-        with pytest.raises(DataError, match="window size must be >= 0, not -1"):
+        with pytest.raises(DataError, match="window size=-1 must be an integer of at least 0$"):
             serialize_example(method, X_TOKENS, [], rules, -1)
 
 
@@ -205,8 +205,19 @@ def test_a_window_that_is_not_an_integer_raises_for_every_method(rules, monkeypa
 
     monkeypatch.setattr(serialize, "match_rules", no_match)
     for method in METHODS:
-        with pytest.raises(DataError, match=rf"window size must be an integer, not {re.escape(repr(w))}$"):
+        with pytest.raises(DataError, match=rf"window size={re.escape(repr(w))} must be an integer of at least 0$"):
             serialize_example(method, X_TOKENS, [], rules, w)
+
+
+@pytest.mark.parametrize("max_len", [5.0, True, "9", 0], ids=["float", "bool", "str", "zero"])
+def test_a_max_len_that_is_not_a_positive_integer_raises_for_every_method(rules, monkeypatch, max_len):
+    def no_match(*args, **kwargs):
+        raise AssertionError("matched with a max_len that is not a positive integer")
+
+    monkeypatch.setattr(serialize, "match_rules", no_match)
+    for method in METHODS:
+        with pytest.raises(DataError, match=rf"max_len={re.escape(repr(max_len))} must be an integer of at least 1$"):
+            serialize_example(method, X_TOKENS, [], rules, 2, max_len=max_len)
 
 
 def test_cari_prefix_preserves_source_all_windows(rules):

@@ -15,6 +15,7 @@ from rulefst.text import (
     Vocabulary,
     build_vocab,
     normalize_tweet,
+    read_lines,
     reserved_token_error,
     tokenize,
 )
@@ -218,6 +219,30 @@ def test_decode_out_of_range_raises():
     vocab = build_vocab([["a"]])
     with pytest.raises(DataError):
         vocab.decode([len(vocab)])
+
+
+@pytest.mark.parametrize(
+    "ids, message",
+    [([True, 5], "id True at position 0 is not an integer"),
+     ([5, 1.0], "id 1.0 at position 1 is not an integer"),
+     ([5, "5"], "id '5' at position 1 is not an integer"),
+     ([5, 6], "id 6 at position 1 is outside the vocabulary 0..5")],
+    ids=["bool", "float", "str", "vocab-size"],
+)
+def test_decode_refuses_an_id_that_is_not_an_integer_or_outside_the_vocabulary(ids, message):
+    vocab = build_vocab([["a"]])
+    with pytest.raises(DataError, match=re.escape(message)):
+        vocab.decode(ids)
+
+
+def test_read_lines_returns_each_line_without_its_break(tmp_path):
+    path = tmp_path / "lines.txt"
+    path.write_bytes("a\n\nb c\r\n\td\u2028e\n".encode("utf-8"))
+    assert read_lines(path) == ["a", "", "b c", "\td\u2028e"]
+    path.write_bytes(b"a")
+    assert read_lines(path) == ["a"]
+    path.write_bytes(b"")
+    assert read_lines(path) == []
 
 
 def test_encode_empty_sequence_allowed():
