@@ -34,6 +34,6 @@ from .text import (
     normalize_tweet,
     tokenize,
 )
-from .metrics import EvalReport, corpus_bleu, corpus_bleu_report
+from .metrics import corpus_bleu
 
 __version__ = "0.1.0"

@@ -1,4 +1,5 @@
-"""Evaluation metric: multi-reference corpus BLEU.
+"""Evaluation metric: multi-reference corpus BLEU, as `bleu_statistics` (the
+pooled clipped n-gram counts and lengths) and `corpus_bleu` (the score).
 
 BLEU is BLEU-4 in the original corpus-level definition (Papineni et al.
 2002): geometric mean of clipped modified n-gram precisions for n = 1..4
@@ -8,10 +9,8 @@ closest-reference-length rule, unsmoothed.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import DataError
@@ -19,23 +18,6 @@ from .errors import DataError
 Tokens = Sequence[str]
 
 MAX_N = 4  # the longest n-gram BLEU counts
-
-
-@dataclass
-class EvalReport:
-    metric: str
-    value: float
-    n_examples: int
-    config: dict = field(default_factory=dict)
-
-    def to_json_line(self) -> str:
-        payload = {
-            "metric": self.metric,
-            "value": self.value,
-            "n_examples": self.n_examples,
-            "config": self.config,
-        }
-        return json.dumps(payload, sort_keys=True)
 
 
 def _ngram_counts(tokens: Tokens, n: int) -> Counter:
@@ -83,38 +65,14 @@ def bleu_statistics(hypotheses: Sequence[Tokens], reference_sets: Sequence[Seque
     return {"matches": matches, "totals": totals, "hyp_len": hyp_len, "ref_len": ref_len}
 
 
-def _bleu_from_stats(stats: dict) -> tuple[float, list[float], float]:
+def corpus_bleu(hypotheses: Sequence[Tokens], reference_sets: Sequence[Sequence[Tokens]]) -> float:
+    """Corpus BLEU in [0, 100] of `bleu_statistics`; 0 when any precision is
+    0, as it is when the hypotheses hold no token."""
+    stats = bleu_statistics(hypotheses, reference_sets)
     precisions = [num / den if den > 0 else 0.0 for num, den in zip(stats["matches"], stats["totals"])]
     hyp_len, ref_len = stats["hyp_len"], stats["ref_len"]
-    if hyp_len == 0:
-        return 0.0, precisions, 0.0
-    bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
     if any(p == 0.0 for p in precisions):
-        return 0.0, precisions, bp
+        return 0.0
+    bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
     log_mean = sum(math.log(p) for p in precisions) / MAX_N
-    return 100.0 * bp * math.exp(log_mean), precisions, bp
-
-
-def corpus_bleu(hypotheses: Sequence[Tokens], reference_sets: Sequence[Sequence[Tokens]]) -> float:
-    """Corpus BLEU in [0, 100]."""
-    stats = bleu_statistics(hypotheses, reference_sets)
-    score, _, _ = _bleu_from_stats(stats)
-    return score
-
-
-def corpus_bleu_report(hypotheses: Sequence[Tokens], reference_sets: Sequence[Sequence[Tokens]]) -> EvalReport:
-    stats = bleu_statistics(hypotheses, reference_sets)
-    score, precisions, bp = _bleu_from_stats(stats)
-    return EvalReport(
-        metric="bleu",
-        value=score,
-        n_examples=len(hypotheses),
-        config={
-            "max_n": MAX_N,
-            "smoothing": "none",
-            "precisions": precisions,
-            "brevity_penalty": bp,
-            "hyp_len": stats["hyp_len"],
-            "ref_len": stats["ref_len"],
-        },
-    )
+    return 100.0 * bp * math.exp(log_mean)

@@ -457,18 +457,25 @@ class Seq2SeqTransformer:
         if length > self.config.max_len:
             raise DataError(f"{what} length {length} exceeds max_len={self.config.max_len}")
 
-    def _embed(self, ids: np.ndarray, drop: Dropout) -> np.ndarray:
-        """Token plus positional embeddings of ids, through `drop`. Ids of a
-        non-integer dtype, or outside 0..vocab_size-1 (a negative id would
-        index the table from its end), and an array of no ids raise
-        DataError."""
+    def _id_error(self, ids: np.ndarray) -> str | None:
+        """Why ids cannot be embedded or scored, or None: ids of a
+        non-integer dtype, an array of no ids, or an id outside
+        0..vocab_size-1 (a negative id would index the table from its end)."""
         if ids.dtype.kind not in "iu":
-            raise DataError(f"token ids must be integers, not {ids.dtype}")
+            return f"token ids must be integers, not {ids.dtype}"
         if not ids.size:
-            raise DataError(f"token ids of shape {ids.shape} hold no id")
+            return f"token ids of shape {ids.shape} hold no id"
         low, high, vocab = int(ids.min()), int(ids.max()), self.config.vocab_size
         if low < 0 or high >= vocab:
-            raise DataError(f"token id {low if low < 0 else high} is outside the vocabulary 0..{vocab - 1}")
+            return f"token id {low if low < 0 else high} is outside the vocabulary 0..{vocab - 1}"
+        return None
+
+    def _embed(self, ids: np.ndarray, drop: Dropout) -> np.ndarray:
+        """Token plus positional embeddings of ids, through `drop`; ids that
+        `_id_error` refuses raise DataError."""
+        bad = self._id_error(ids)
+        if bad:
+            raise DataError(bad)
         pos = self.store.values["embed.pos"][: ids.shape[1]]
         return drop.forward(self.tok.table[ids] + pos)
 
@@ -520,9 +527,13 @@ class Seq2SeqTransformer:
         row, after the cache's length; enc_out and src_mask are those the
         cache was built for, and the cache then holds the new position too
         (see DecoderCache, which raises DataError on any other use).
+        Without one, tgt_in_ids of other rows than enc_out raise DataError,
+        and so do ids that `_id_error` refuses.
         """
         if cache is not None:
             return cache.decode(self, enc_out, src_mask, tgt_in_ids)
+        if len(tgt_in_ids) != len(enc_out):
+            raise DataError(f"tgt_in_ids has {len(tgt_in_ids)} rows; the encoder output has {len(enc_out)}")
         t = tgt_in_ids.shape[1]
         self._check_len(t, "target")
         self_mask = self.causal_mask(t, self.store.dtype)
@@ -551,7 +562,19 @@ class Seq2SeqTransformer:
 
     def _sub_batches(self, src_ids: np.ndarray, tgt_in_ids: np.ndarray, tgt_out_ids: np.ndarray):
         """Yield the (src, tgt_in, tgt_out) sub-batches of a padded batch, cut
-        by `split_rows` and each trimmed to its own longest source and target."""
+        by `split_rows` and each trimmed to its own longest source and target.
+        First it refuses the batches that `loss` lists, which NumPy would
+        mis-score or fail on."""
+        arrays = {"src_ids": src_ids, "tgt_in_ids": tgt_in_ids, "tgt_out_ids": tgt_out_ids}
+        for name, ids in arrays.items():
+            bad = f"shape {ids.shape} is not 2-D" if ids.ndim != 2 else self._id_error(ids)
+            if bad:
+                raise DataError(f"{name}: {bad}")
+        if not len(src_ids) == len(tgt_in_ids) == len(tgt_out_ids):
+            rows = ", ".join(f"{name} {len(ids)}" for name, ids in arrays.items())
+            raise DataError(f"the batch arrays hold different numbers of rows: {rows}")
+        if tgt_in_ids.shape[1] != tgt_out_ids.shape[1]:
+            raise DataError(f"tgt_in_ids is {tgt_in_ids.shape[1]} wide and tgt_out_ids {tgt_out_ids.shape[1]}")
         src_len, tgt_len = content_lengths(src_ids), content_lengths(tgt_out_ids)
         cfg = self.config
         for rows in split_rows(src_len, tgt_len, cfg.heads, cfg.ffn_dim, self.store.dtype.itemsize):
@@ -566,7 +589,10 @@ class Seq2SeqTransformer:
 
         Returns (loss, n_tokens); n_tokens == 0 yields loss 0.0. Runs on the
         sub-batches of `loss_and_grads` (see `split_rows`), each a scoring
-        `forward`, so no layer keeps an array after it.
+        `forward`, so no layer keeps an array after it. DataError names the
+        array that is not a 2-D integer array, holds no id (zero width) or
+        holds an id outside 0..vocab_size-1, and refuses arrays of different
+        row counts and a tgt_in of another width than tgt_out.
         """
         total, n_tok = 0.0, 0
         for src, tgt_in, tgt_out in self._sub_batches(src_ids, tgt_in_ids, tgt_out_ids):
@@ -626,7 +652,8 @@ class Seq2SeqTransformer:
         model's dropout stream, per sub-batch, so training stays
         deterministic per seed but draws differently from one pass over the
         whole padded batch. A dropout-0 model draws nothing; `loss` is its
-        loss without the backward.
+        loss without the backward. It refuses what `loss` refuses, before
+        any forward.
         """
         self.store.zero_grads()
         n_total = int((tgt_out_ids != PAD_ID).sum())

@@ -87,7 +87,11 @@ class Checkpoint:
         """Read a checkpoint; DataError names the file if it cannot be used,
         and a missing file raises FileNotFoundError. The parameters are
         checked against the stored config by building a model from them,
-        which draws no weights."""
+        which draws no weights. DataError also names the file and the key
+        of metadata that `train` does not write: a `step` or `seed` that is
+        not an integer of at least 0, a `vocab_hash` that is not a string,
+        and a `history` that is not a list of {"step", "val_loss"}
+        objects."""
         # np.load given a path leaves its file open when zipfile refuses it;
         # given a file, it never closes it, so this `with` closes it always.
         with open(path, "rb") as f:
@@ -120,8 +124,17 @@ class Checkpoint:
             raise DataError(f"{path}: checkpoint metadata has no {missing!r}")
         try:
             config = ModelConfig(**meta["config"])
+            for key in ("step", "seed"):
+                check_size(key, meta[key], 0)
         except (DataError, TypeError) as err:  # TypeError: a field ModelConfig does not have
             raise DataError(f"{path}: {err}") from err
+        if not isinstance(meta["vocab_hash"], str):
+            raise DataError(f"{path}: vocab_hash={meta['vocab_hash']!r} must be a string")
+        history = meta["history"]
+        if not isinstance(history, list) or not all(
+            isinstance(h, dict) and h.keys() == {"step", "val_loss"} for h in history
+        ):
+            raise DataError(f'{path}: history must be a list of {{"step", "val_loss"}} objects')
         try:
             Seq2SeqTransformer(config, params=params)
         except ValueError as err:

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from rulefst.errors import DataError
-from rulefst.metrics import corpus_bleu, corpus_bleu_report
+from rulefst.metrics import MAX_N, bleu_statistics, corpus_bleu
 
 
 def oracle_bleu(hyps, ref_sets, max_n=4):
@@ -54,9 +54,9 @@ def test_bleu_identity_is_exactly_100():
 def test_bleu_clipped_unigram_precision():
     hyp = "the the the the the the the".split()
     ref = "the cat is on the mat".split()
-    report = corpus_bleu_report([hyp], [[ref]])
-    assert report.config["max_n"] == 4
-    assert report.config["precisions"][0] == pytest.approx(2 / 7, abs=1e-12)
+    stats = bleu_statistics([hyp], [[ref]])
+    assert MAX_N == len(stats["matches"]) == len(stats["totals"]) == 4
+    assert stats["matches"][0] / stats["totals"][0] == pytest.approx(2 / 7, abs=1e-12)
 
 
 def test_bleu_matches_brute_force_oracle():
@@ -99,18 +99,22 @@ def test_bleu_adding_hypothesis_as_reference_never_hurts():
 def test_bleu_multi_reference_clipping():
     hyp = ["a", "b", "c"]
     refs = [["a", "x", "y"], ["z", "b", "c"]]
-    report = corpus_bleu_report([hyp], [refs])
+    stats = bleu_statistics([hyp], [refs])
     # unigrams: a from ref0, b and c from ref1 -> 3/3; bigrams: "b c" -> 1/2
-    assert report.config["precisions"][0] == pytest.approx(1.0)
-    assert report.config["precisions"][1] == pytest.approx(0.5)
+    assert stats["matches"][:2] == [3, 1]
+    assert stats["totals"][:2] == [3, 2]
 
 
 def test_bleu_brevity_penalty_uses_closest_reference():
     hyp = ["a", "b"]
     refs = [[["a", "b", "c", "d", "e"], ["a", "b", "x"]]]
-    report = corpus_bleu_report([hyp], refs)
-    assert report.config["ref_len"] == 3
-    assert report.config["brevity_penalty"] == pytest.approx(math.exp(1 - 3 / 2))
+    assert bleu_statistics([hyp], refs)["ref_len"] == 3
+    # Every precision is 1 here, so BLEU is 100 times the penalty of the
+    # 5-token reference, the closer one to the 4-token hypothesis.
+    hyp = ["a", "b", "c", "d"]
+    refs = [[["a", "b", "c", "d", "e", "f", "g", "h"], ["a", "b", "c", "d", "x"]]]
+    assert bleu_statistics([hyp], refs)["ref_len"] == 5
+    assert corpus_bleu([hyp], refs) == pytest.approx(100.0 * math.exp(1 - 5 / 4))
 
 
 def test_bleu_empty_reference_set_errors():
@@ -137,12 +141,6 @@ TOKENS = SENTENCE.split()
 )
 def test_bleu_refuses_a_string_where_tokens_belong(hypotheses, reference_sets, message):
     """A string would be scored as a sequence of characters."""
-    for score in (corpus_bleu, corpus_bleu_report):
-        with pytest.raises(DataError, match=message):
-            score(hypotheses, reference_sets)
+    with pytest.raises(DataError, match=message):
+        corpus_bleu(hypotheses, reference_sets)
 
-
-def test_report_json_line():
-    report = corpus_bleu_report([["a", "b", "c", "d"]], [[["a", "b", "c", "d"]]])
-    line = report.to_json_line()
-    assert '"metric": "bleu"' in line

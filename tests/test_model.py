@@ -939,6 +939,55 @@ def test_the_array_apis_refuse_an_empty_id_array():
             call()
 
 
+def _with_id(ids, value):
+    ids = ids.copy()
+    ids[0, 0] = value
+    return ids
+
+
+BAD_BATCHES = {  # edit of a good (src, tgt_in, tgt_out) batch -> the DataError it must raise
+    "src-one-row": (lambda s, i, o: (s[:1], i, o),
+                    "rows: src_ids 1, tgt_in_ids 2, tgt_out_ids 2"),
+    "tgt_out-one-row": (lambda s, i, o: (s, i, o[:1]),
+                        "rows: src_ids 2, tgt_in_ids 2, tgt_out_ids 1"),
+    "tgt_in-narrower": (lambda s, i, o: (s, i[:, :-1], o),
+                        "tgt_in_ids is 2 wide and tgt_out_ids 3"),
+    "tgt_out-negative": (lambda s, i, o: (s, i, _with_id(o, -1)),
+                         "tgt_out_ids: token id -1 is outside the vocabulary 0..11"),
+    "tgt_out-vocab-size": (lambda s, i, o: (s, i, _with_id(o, 12)),
+                           "tgt_out_ids: token id 12 is outside the vocabulary 0..11"),
+    "tgt_out-float": (lambda s, i, o: (s, i, o.astype(np.float64)),
+                      "tgt_out_ids: token ids must be integers, not float64"),
+    "src-zero-width": (lambda s, i, o: (s[:, :0], i, o),
+                       "src_ids: token ids of shape (2, 0) hold no id"),
+    "targets-zero-width": (lambda s, i, o: (s, i[:, :0], o[:, :0]),
+                           "tgt_in_ids: token ids of shape (2, 0) hold no id"),
+    "src-1-d": (lambda s, i, o: (s[0], i, o),
+                "src_ids: shape (3,) is not 2-D"),
+}
+
+
+@pytest.mark.parametrize("edit", BAD_BATCHES)
+def test_loss_and_loss_and_grads_refuse_batch_arrays_that_disagree(edit):
+    """Each would be mis-scored (one row scored for two) or fail in NumPy."""
+    model = Seq2SeqTransformer(tiny_config(), seed=1)
+    change, message = BAD_BATCHES[edit]
+    batch = change(*make_batch([([6, 7, 8], [9, 10]), ([6, 7], [9])]))
+    for call in (model.loss, model.loss_and_grads):
+        with pytest.raises(DataError, match=re.escape(message)):
+            call(*batch)
+
+
+def test_forward_and_decode_refuse_target_rows_that_differ_from_the_sources():
+    model = Seq2SeqTransformer(tiny_config(), seed=1)
+    src, tgt_in, _ = make_batch([([6, 7, 8], [9, 10]), ([6, 7], [9])])
+    enc_out, src_mask = model.encode(src)
+    message = "tgt_in_ids has 1 rows; the encoder output has 2"
+    for call in (lambda: model.forward(src, tgt_in[:1]), lambda: model.decode(enc_out, src_mask, tgt_in[:1])):
+        with pytest.raises(DataError, match=re.escape(message)):
+            call()
+
+
 def test_train_accepts_a_tweet_that_spells_reserved_tokens():
     """Raw text holding "[EOS]" or "[PAD]" tokenizes to ordinary tokens, so
     it trains like any other pair."""
@@ -1245,6 +1294,30 @@ def _checkpoint_with_hash(vocab_hash):
     cfg = tiny_config()
     params = {k: v.copy() for k, v in Seq2SeqTransformer(cfg, seed=3).store.values.items()}
     return Checkpoint(config=cfg, params=params, vocab_hash=vocab_hash, seed=3)
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [("seed", "abc", "seed='abc' must be an integer of at least 0"),
+     ("seed", 1.5, "seed=1.5 must be an integer of at least 0"),
+     ("seed", -1, "seed=-1 must be an integer of at least 0"),
+     ("seed", None, "seed=None must be an integer of at least 0"),
+     ("step", "x", "step='x' must be an integer of at least 0"),
+     ("vocab_hash", 5, "vocab_hash=5 must be a string"),
+     ("history", "nope", 'history must be a list of {"step", "val_loss"} objects'),
+     ("history", [{"step": 1}], 'history must be a list of {"step", "val_loss"} objects')],
+    ids=["seed-str", "seed-float", "seed-negative", "seed-none", "step-str", "vocab_hash-int", "history-str",
+         "history-entry"],
+)
+def test_checkpoint_metadata_of_the_wrong_type_is_refused_naming_file_and_key(tmp_path, key, value, message):
+    """Each loaded before; a bad seed then failed or went unseeded only in
+    restore_model."""
+    ck = _checkpoint_with_hash("abc123")
+    setattr(ck, key, value)
+    path = tmp_path / "bad_meta.npz"
+    ck.save(path)
+    with pytest.raises(DataError, match=re.escape(f"bad_meta.npz: {message}")):
+        Checkpoint.load(path)
 
 
 def test_restore_model_rejects_other_vocabulary():
