@@ -451,7 +451,7 @@ class MultiHeadAttention:
         b, l, _ = x.shape
         return x.reshape(b, l, parts, self.heads, self.d_head).transpose(2, 0, 3, 1, 4)
 
-    def forward(self, x: np.ndarray, mask: np.ndarray | None, memory: np.ndarray | None = None) -> np.ndarray:
+    def forward(self, x: np.ndarray, mask: np.ndarray, memory: np.ndarray | None = None) -> np.ndarray:
         """Attend from x to itself, or for cross-attention to `memory`."""
         if self.cross:
             q = self._split(self.wq.forward(x), 1)[0]
@@ -460,8 +460,7 @@ class MultiHeadAttention:
             q, k, v = self._split(self.wqkv.forward(x), 3)
         q *= self.scale  # in the projection's output, which this layer owns
         attn = k @ q.swapaxes(-1, -2)
-        if mask is not None:
-            attn += mask.swapaxes(-1, -2)
+        attn += mask.swapaxes(-1, -2)
         softmax(attn)  # normalises attn over the keys, in place
         b, _, _, lq = attn.shape
         ctx = np.empty((b, lq, self.heads, self.d_head), attn.dtype)

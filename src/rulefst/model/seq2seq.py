@@ -364,11 +364,15 @@ class DecoderCache:
         self, model: "Seq2SeqTransformer", enc_out: np.ndarray, src_mask: np.ndarray, tgt_in_ids: np.ndarray
     ) -> np.ndarray:
         """Logits (rows, 1, V) of one new position per row, after the cached
-        ones. Ids of a non-integer dtype, or outside 0..vocab_size-1, raise
-        DataError."""
-        rows, t = tgt_in_ids.shape
-        if t != 1:
-            raise DataError(f"cached decoding takes one new position per row, not {t}")
+        ones. Ids that are not a NumPy array of shape (rows, 1), of a
+        non-integer dtype or outside 0..vocab_size-1 raise DataError, and so
+        does a position past max_len. The ids are tested as a list, not with
+        `_ids`: on four rows a list's min() and max() take 0.4-0.7 us, the
+        array's 2.5 (2-CPU host), and the list names a bad id's row."""
+        if not isinstance(tgt_in_ids, np.ndarray) or tgt_in_ids.shape[1:] != (1,):
+            what = f"shape {tgt_in_ids.shape}" if isinstance(tgt_in_ids, np.ndarray) else type(tgt_in_ids).__name__
+            raise DataError(f"cached decoding takes a NumPy array of one new position per row, not {what}")
+        rows = len(tgt_in_ids)
         ids = tgt_in_ids[:, 0]
         if ids.dtype.kind not in "iu":
             raise DataError(f"token ids must be integers, not {ids.dtype}")
@@ -378,7 +382,8 @@ class DecoderCache:
             i = next(i for i, token in enumerate(listed) if not 0 <= token < vocab)
             raise DataError(f"token {listed[i]} at row {i} is outside the vocabulary 0..{vocab - 1}")
         pos = self.length
-        model._check_len(pos + 1, "target")
+        if pos + 1 > self.config.max_len:
+            raise DataError(f"target length {pos + 1} exceeds max_len={self.config.max_len}")
         if self.model is not model or self.enc_out is not enc_out or self.src_mask is not src_mask:
             raise DataError("this DecoderCache is bound to the model and source it was built for")
         if rows != self._rows:
@@ -453,29 +458,33 @@ class Seq2SeqTransformer:
 
     # ---- helpers -------------------------------------------------------
 
-    def _check_len(self, length: int, what: str) -> None:
-        if length > self.config.max_len:
-            raise DataError(f"{what} length {length} exceeds max_len={self.config.max_len}")
-
-    def _id_error(self, ids: np.ndarray) -> str | None:
-        """Why ids cannot be embedded or scored, or None: ids of a
-        non-integer dtype, an array of no ids, or an id outside
-        0..vocab_size-1 (a negative id would index the table from its end)."""
+    def _ids(self, name: str, ids: np.ndarray) -> None:
+        """Refuse, with a DataError that starts with `name`, id arrays that
+        the model cannot embed or score:
+        - a value that is not a NumPy array (nested lists included);
+        - an array that is not 2-D;
+        - a non-integer dtype (bool included);
+        - an array of no id (zero rows or zero width);
+        - more columns than max_len;
+        - an id outside 0..vocab_size-1 (a negative id would index the
+          table from its end)."""
+        if not isinstance(ids, np.ndarray):
+            raise DataError(f"{name}: {type(ids).__name__} is not a NumPy array")
+        if ids.ndim != 2:
+            raise DataError(f"{name}: shape {ids.shape} is not 2-D")
         if ids.dtype.kind not in "iu":
-            return f"token ids must be integers, not {ids.dtype}"
+            raise DataError(f"{name}: token ids must be integers, not {ids.dtype}")
         if not ids.size:
-            return f"token ids of shape {ids.shape} hold no id"
+            raise DataError(f"{name}: token ids of shape {ids.shape} hold no id")
+        if ids.shape[1] > self.config.max_len:
+            raise DataError(f"{name}: length {ids.shape[1]} exceeds max_len={self.config.max_len}")
         low, high, vocab = int(ids.min()), int(ids.max()), self.config.vocab_size
         if low < 0 or high >= vocab:
-            return f"token id {low if low < 0 else high} is outside the vocabulary 0..{vocab - 1}"
-        return None
+            raise DataError(f"{name}: token id {low if low < 0 else high} is outside the vocabulary 0..{vocab - 1}")
 
     def _embed(self, ids: np.ndarray, drop: Dropout) -> np.ndarray:
-        """Token plus positional embeddings of ids, through `drop`; ids that
-        `_id_error` refuses raise DataError."""
-        bad = self._id_error(ids)
-        if bad:
-            raise DataError(bad)
+        """Token plus positional embeddings of ids that `_ids` accepts,
+        through `drop`."""
         pos = self.store.values["embed.pos"][: ids.shape[1]]
         return drop.forward(self.tok.table[ids] + pos)
 
@@ -503,8 +512,9 @@ class Seq2SeqTransformer:
 
     def encode(self, src_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(encoder output, source [PAD] mask). Outside `layers.scoring()`
-        the layers cache for a backward and dropout drops."""
-        self._check_len(src_ids.shape[1], "source")
+        the layers cache for a backward and dropout drops. `_ids` lists
+        the src_ids it refuses."""
+        self._ids("src_ids", src_ids)
         mask = self.pad_mask(src_ids, self.store.dtype)
         x = self._embed(src_ids, self.emb_drop_src)
         for block in self.enc_blocks:
@@ -527,16 +537,15 @@ class Seq2SeqTransformer:
         row, after the cache's length; enc_out and src_mask are those the
         cache was built for, and the cache then holds the new position too
         (see DecoderCache, which raises DataError on any other use).
-        Without one, tgt_in_ids of other rows than enc_out raise DataError,
-        and so do ids that `_id_error` refuses.
+        Without one, tgt_in_ids that `_ids` refuses raise DataError, and
+        so do tgt_in_ids of other rows than enc_out.
         """
         if cache is not None:
             return cache.decode(self, enc_out, src_mask, tgt_in_ids)
+        self._ids("tgt_in_ids", tgt_in_ids)
         if len(tgt_in_ids) != len(enc_out):
             raise DataError(f"tgt_in_ids has {len(tgt_in_ids)} rows; the encoder output has {len(enc_out)}")
-        t = tgt_in_ids.shape[1]
-        self._check_len(t, "target")
-        self_mask = self.causal_mask(t, self.store.dtype)
+        self_mask = self.causal_mask(tgt_in_ids.shape[1], self.store.dtype)
         x = self._embed(tgt_in_ids, self.emb_drop_tgt)
         for block in self.dec_blocks:
             x = block.forward(x, enc_out, self_mask, src_mask)
@@ -552,7 +561,8 @@ class Seq2SeqTransformer:
         returns (logits, weights), weights holding every attention layer's
         (B, heads, Lq, Lk) weights under its parameter prefix (`enc0.attn`,
         `dec0.self`, `dec0.cross`, ...), the rows of each summing to 1 over
-        the keys.
+        the keys. `_ids` lists the src_ids and tgt_in_ids it refuses, and
+        `decode` refuses tgt_in_ids of other rows than src_ids.
         """
         weights = {} if attention else None
         with scoring(weights):
@@ -561,15 +571,14 @@ class Seq2SeqTransformer:
         return (logits, weights) if attention else logits
 
     def _sub_batches(self, src_ids: np.ndarray, tgt_in_ids: np.ndarray, tgt_out_ids: np.ndarray):
-        """Yield the (src, tgt_in, tgt_out) sub-batches of a padded batch, cut
-        by `split_rows` and each trimmed to its own longest source and target.
-        First it refuses the batches that `loss` lists, which NumPy would
-        mis-score or fail on."""
+        """A list of the (src, tgt_in, tgt_out) sub-batches of a padded batch,
+        cut by `split_rows` and each trimmed to its own longest source and
+        target. First, during the call (a list, not a generator), it refuses
+        the batches that `loss` lists, which NumPy would mis-score or fail
+        on."""
         arrays = {"src_ids": src_ids, "tgt_in_ids": tgt_in_ids, "tgt_out_ids": tgt_out_ids}
         for name, ids in arrays.items():
-            bad = f"shape {ids.shape} is not 2-D" if ids.ndim != 2 else self._id_error(ids)
-            if bad:
-                raise DataError(f"{name}: {bad}")
+            self._ids(name, ids)
         if not len(src_ids) == len(tgt_in_ids) == len(tgt_out_ids):
             rows = ", ".join(f"{name} {len(ids)}" for name, ids in arrays.items())
             raise DataError(f"the batch arrays hold different numbers of rows: {rows}")
@@ -577,10 +586,11 @@ class Seq2SeqTransformer:
             raise DataError(f"tgt_in_ids is {tgt_in_ids.shape[1]} wide and tgt_out_ids {tgt_out_ids.shape[1]}")
         src_len, tgt_len = content_lengths(src_ids), content_lengths(tgt_out_ids)
         cfg = self.config
-        for rows in split_rows(src_len, tgt_len, cfg.heads, cfg.ffn_dim, self.store.dtype.itemsize):
-            ls = max(int(src_len[rows].max()), 1)
-            lt = max(int(tgt_len[rows].max()), 1)
-            yield src_ids[rows, :ls], tgt_in_ids[rows, :lt], tgt_out_ids[rows, :lt]
+
+        def trim(rows):
+            ls, lt = max(int(src_len[rows].max()), 1), max(int(tgt_len[rows].max()), 1)
+            return src_ids[rows, :ls], tgt_in_ids[rows, :lt], tgt_out_ids[rows, :lt]
+        return [trim(rows) for rows in split_rows(src_len, tgt_len, cfg.heads, cfg.ffn_dim, self.store.dtype.itemsize)]
 
     def loss(self, src_ids: np.ndarray, tgt_in_ids: np.ndarray, tgt_out_ids: np.ndarray) -> tuple[float, int]:
         """Mean token cross-entropy over non-PAD target positions, without
@@ -590,9 +600,8 @@ class Seq2SeqTransformer:
         Returns (loss, n_tokens); n_tokens == 0 yields loss 0.0. Runs on the
         sub-batches of `loss_and_grads` (see `split_rows`), each a scoring
         `forward`, so no layer keeps an array after it. DataError names the
-        array that is not a 2-D integer array, holds no id (zero width) or
-        holds an id outside 0..vocab_size-1, and refuses arrays of different
-        row counts and a tgt_in of another width than tgt_out.
+        array that `_ids` refuses, and refuses arrays of different row
+        counts and a tgt_in of another width than tgt_out.
         """
         total, n_tok = 0.0, 0
         for src, tgt_in, tgt_out in self._sub_batches(src_ids, tgt_in_ids, tgt_out_ids):
@@ -655,10 +664,11 @@ class Seq2SeqTransformer:
         loss without the backward. It refuses what `loss` refuses, before
         any forward.
         """
+        batches = self._sub_batches(src_ids, tgt_in_ids, tgt_out_ids)
         self.store.zero_grads()
         n_total = int((tgt_out_ids != PAD_ID).sum())
         total = 0.0
-        for src, tgt_in, tgt_out in self._sub_batches(src_ids, tgt_in_ids, tgt_out_ids):
+        for src, tgt_in, tgt_out in batches:
             enc_out, src_mask = self.encode(src)
             loss, dlogits, n = self._ce(self.decode(enc_out, src_mask, tgt_in), tgt_out)
             total += loss * n
@@ -692,6 +702,8 @@ class Seq2SeqTransformer:
         and leaves no array on a layer with no `scoring()` block, which
         around every step made beam and greedy decodes 1.03x as slow
         (tools/ab_model.py, 10 rounds, 2-CPU host, BLAS on one thread).
+        new_ids that `_ids` refuses, or of another width than 1, raise
+        DataError: the step tests them itself and names a bad id's row.
         """
         logits = self.decode(cache.enc_out, cache.src_mask, new_ids, cache)
         last = logits[:, -1, :].astype(np.float64)

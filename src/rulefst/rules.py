@@ -93,27 +93,23 @@ class RuleMatch(NamedTuple):
     alternatives: tuple[tuple[str, ...], ...]
 
 
-def parse_rule_line(line: str, lineno: int, source: str = "") -> Rule:
-    parts = line.split("\t")
-    if len(parts) != 3:
-        raise DataError(f"{source or 'rules'}:{lineno}: expected 3 tab-separated fields, got {len(parts)}")
-    rule_id, pattern_s, alts_s = (p.strip() for p in parts)
-    if not rule_id:
-        raise DataError(f"{source or 'rules'}:{lineno}: empty rule id")
-    alternatives = tuple(tuple(a.split()) for a in alts_s.split("|"))
-    try:
-        return Rule(rule_id, tuple(pattern_s.split()), alternatives)
-    except DataError as e:
-        raise DataError(f"{source or 'rules'}:{lineno}: {e}") from None
-
-
 def load_rules(path) -> RuleSet:
     """Load a rule file, preserving file order (= FCFS priority)."""
     rules: list[Rule] = []
     for lineno, line in enumerate(read_lines(path), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
-        rules.append(parse_rule_line(line, lineno, source=str(path)))
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}")
+        rule_id, pattern_s, alts_s = (p.strip() for p in parts)
+        if not rule_id:
+            raise DataError(f"{path}:{lineno}: empty rule id")
+        alternatives = tuple(tuple(a.split()) for a in alts_s.split("|"))
+        try:
+            rules.append(Rule(rule_id, tuple(pattern_s.split()), alternatives))
+        except DataError as e:
+            raise DataError(f"{path}:{lineno}: {e}") from None
     try:
         return RuleSet(tuple(rules))
     except DataError as e:
@@ -160,7 +156,11 @@ def match_rules(tokens: Sequence[str], rules: RuleSet, w: int = DEFAULT_WINDOW) 
 
     A call with the same w and the same tokens (casing included, since
     matched_text and the context windows keep it) as the last call on this
-    rule set returns that call's tuple again; see `RuleSet`."""
+    rule set returns that call's tuple again; see `RuleSet`. A string
+    given as tokens raises DataError: its characters would match as
+    tokens."""
+    if isinstance(tokens, str):
+        raise DataError("tokens is a string, not a token sequence")
     if type(w) is not int or w < 0:
         check_size("window size", w, 0)
     key = (w, tuple(tokens))

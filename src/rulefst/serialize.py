@@ -77,14 +77,18 @@ def serialize_example(
     `max_len` applied as the module docstring states. An unknown method, a
     window w that is not an integer of at least 0, and a given max_len that
     is not an integer of at least 1 (`errors.check_size`) raise DataError
-    before any matching; RB, RCAT and CARI call `match_rules(x, rules, w)`
-    once, NR never."""
+    before any matching, and so does an x or y that is a string, not a
+    token sequence; RB, RCAT and CARI call `match_rules(x, rules, w)` once,
+    NR never."""
     if method not in METHODS:
         raise DataError(f"unknown serialization method {method!r}")
     if type(w) is not int or w < 0:
         check_size("window size", w, 0)
     if max_len is not None and (type(max_len) is not int or max_len < 1):
         check_size("max_len", max_len)
+    for name, tokens in (("x", x), ("y", y)):
+        if isinstance(tokens, str):
+            raise DataError(f"{name} is a string, not a token sequence")
     matches = () if method == NR else match_rules(x, rules, w)
     if not x:
         raise DataError("source sentence is empty")

@@ -203,6 +203,10 @@ class Vocabulary:
         return token in self._index
 
     def encode(self, tokens: Sequence[str]) -> list[int]:
+        """The ids of `tokens`, [UNK] for a token not in the vocabulary. A
+        string raises DataError: its characters would encode as tokens."""
+        if isinstance(tokens, str):
+            raise DataError("tokens is a string, not a token sequence")
         idx = self._index
         return [idx.get(t, UNK_ID) for t in tokens]
 
@@ -243,9 +247,15 @@ class Vocabulary:
 def build_vocab(corpus: Iterable[Sequence[str]]) -> Vocabulary:
     """Build a vocabulary from an iterable of token sequences: the reserved
     tokens, then every other distinct token by descending frequency, ties
-    broken alphabetically, so construction is deterministic."""
+    broken alphabetically, so construction is deterministic. A corpus that
+    is a string, or holds one, raises DataError naming it: its characters
+    would count as tokens."""
+    if isinstance(corpus, str):
+        raise DataError("the corpus is a string, not a sequence of token sequences")
     counts = Counter()
-    for tokens in corpus:
+    for i, tokens in enumerate(corpus):
+        if isinstance(tokens, str):
+            raise DataError(f"corpus element {i} is a string, not a token sequence")
         counts.update(tokens)
     for special in SPECIAL_TOKENS:
         counts.pop(special, None)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -453,12 +455,18 @@ def test_decoder_cache_is_bound_to_the_source_it_was_built_for():
     assert not np.allclose(first, second)
 
 
-@pytest.mark.parametrize("ids, dtype", [(np.array([[6.0]]), "float64"), (np.array([[True]]), "bool")],
-                         ids=["float", "bool"])
-def test_a_cached_step_refuses_ids_that_are_not_integers(ids, dtype):
+@pytest.mark.parametrize(
+    "ids, message",
+    [(np.array([[6.0]]), "token ids must be integers, not float64"),
+     (np.array([[True]]), "token ids must be integers, not bool"),
+     ([[6]], "a NumPy array of one new position per row, not list"),
+     (np.array([6]), "a NumPy array of one new position per row, not shape (1,)")],
+    ids=["float", "bool", "list", "1-d"],
+)
+def test_a_cached_step_refuses_ids_that_are_not_integers(ids, message):
     model = tiny_model()
     cache = DecoderCache(model, *model.encode(np.array([[7, 8, 9]])))
-    with pytest.raises(DataError, match=f"token ids must be integers, not {dtype}$"):
+    with pytest.raises(DataError, match=re.escape(message) + "$"):
         model.next_token_logprobs(ids, cache)
     assert cache.length == 0
 

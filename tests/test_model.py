@@ -674,7 +674,7 @@ def test_each_layer_backward_takes_what_its_forward_cached(make):
     layer = make(ParamStore(np.float64), rng)
     x = rng.normal(size=(2, 3, 8))
     def forward():
-        return layer.forward(x, None) if isinstance(layer, MultiHeadAttention) else layer.forward(x)
+        return layer.forward(x, np.zeros((1, 1, 1, 3))) if isinstance(layer, MultiHeadAttention) else layer.forward(x)
     dout = np.ones_like(forward())
     layer.backward(dout)
     with pytest.raises(RuntimeError, match=f"{type(layer).__name__}: a backward without its forward"):
@@ -908,35 +908,41 @@ def test_train_refuses_pad_bos_and_eos_in_a_pair(which, side, tok_id, message):
         train(sets["train"], sets["valid"], cfg, spec)
 
 
+def _every_array_api_refuses(bad, message):
+    """encode, full-prefix decode, forward, loss and loss_and_grads each
+    refuse `bad` in every id argument, with a DataError that names it."""
+    model = Seq2SeqTransformer(tiny_config(), seed=0)  # vocab_size 12, max_len 12
+    good, tgt_out = np.array([[6, 7]]), np.array([[7, EOS_ID]])
+    enc_out, src_mask = model.encode(good)
+    args = {"src_ids": (bad, good, tgt_out), "tgt_in_ids": (good, bad, tgt_out), "tgt_out_ids": (good, good, bad)}
+    calls = [("src_ids", model.encode, (bad,)), ("tgt_in_ids", model.decode, (enc_out, src_mask, bad))]
+    calls += [(name, model.forward, args[name][:2]) for name in ("src_ids", "tgt_in_ids")]
+    calls += [(name, entry, args[name]) for entry in (model.loss, model.loss_and_grads) for name in args]
+    for name, entry, call_args in calls:
+        with pytest.raises(DataError, match=re.escape(f"{name}: {message}")):
+            entry(*call_args)
+
+
 @pytest.mark.parametrize(
     "bad, message",
     [(np.array([[-1, 6]]), "token id -1 is outside the vocabulary 0..11"),
      (np.array([[6, 12]]), "token id 12 is outside the vocabulary 0..11"),
-     (np.array([[6.0, 7.0]]), "token ids must be integers, not float64")],
-    ids=["negative", "vocab-size", "float"],
+     (np.array([[6.0, 7.0]]), "token ids must be integers, not float64"),
+     ([[6, 7]], "list is not a NumPy array"),
+     (np.array([6, 7]), "shape (2,) is not 2-D"),
+     (np.array([[[6, 7]]]), "shape (1, 1, 2) is not 2-D"),
+     (np.full((1, 13), 6), "length 13 exceeds max_len=12")],
+    ids=["negative", "vocab-size", "float", "list", "1-d", "3-d", "wider-than-max-len"],
 )
 def test_the_array_apis_refuse_ids_outside_the_vocabulary(bad, message):
-    """Every path into the embedding table: a negative id would index it
-    from its end, and one at vocab_size or a float past it."""
-    model = Seq2SeqTransformer(tiny_config(), seed=0)  # vocab_size 12
-    good, tgt_out = np.array([[6, 7]]), np.array([[7, EOS_ID]])
-    calls = [lambda: model.loss(bad, good, tgt_out), lambda: model.loss(good, bad, tgt_out),
-             lambda: model.forward(bad, good), lambda: model.forward(good, bad),
-             lambda: model.loss_and_grads(bad, good, tgt_out), lambda: model.loss_and_grads(good, bad, tgt_out)]
-    for call in calls:
-        with pytest.raises(DataError, match=re.escape(message)):
-            call()
+    """And every other id array the model cannot embed or score: a
+    negative id would index the table from its end, one at vocab_size or a
+    float past it, and a list, a 1-D or 3-D array would fail in NumPy."""
+    _every_array_api_refuses(bad, message)
 
 
 def test_the_array_apis_refuse_an_empty_id_array():
-    model = Seq2SeqTransformer(tiny_config(), seed=0)
-    good, empty = np.array([[6, 7]]), np.zeros((1, 0), np.int64)
-    enc_out, src_mask = model.encode(good)
-    calls = [lambda: model.encode(empty), lambda: model.forward(empty, good), lambda: model.forward(good, empty),
-             lambda: model.decode(enc_out, src_mask, empty)]
-    for call in calls:
-        with pytest.raises(DataError, match=re.escape("token ids of shape (1, 0) hold no id")):
-            call()
+    _every_array_api_refuses(np.zeros((1, 0), np.int64), "token ids of shape (1, 0) hold no id")
 
 
 def _with_id(ids, value):
@@ -964,6 +970,8 @@ BAD_BATCHES = {  # edit of a good (src, tgt_in, tgt_out) batch -> the DataError 
                            "tgt_in_ids: token ids of shape (2, 0) hold no id"),
     "src-1-d": (lambda s, i, o: (s[0], i, o),
                 "src_ids: shape (3,) is not 2-D"),
+    "nested-lists": (lambda s, i, o: (s.tolist(), i.tolist(), o.tolist()),
+                     "src_ids: list is not a NumPy array"),
 }
 
 

@@ -19,7 +19,7 @@ from rulefst.serialize import (
     write_examples_tsv,
 )
 from rulefst.rules import Rule, RuleSet, load_rules
-from rulefst.text import SEP, tokenize
+from rulefst.text import SEP, build_vocab, tokenize
 
 from conftest import AMBIG_SENTENCE
 
@@ -218,6 +218,35 @@ def test_a_max_len_that_is_not_a_positive_integer_raises_for_every_method(rules,
     for method in METHODS:
         with pytest.raises(DataError, match=rf"max_len={re.escape(repr(max_len))} must be an integer of at least 1$"):
             serialize_example(method, X_TOKENS, [], rules, 2, max_len=max_len)
+
+
+STRING_CALLS = {  # a call given a string where a token sequence belongs -> its DataError
+    **{f"{method}-{side}": (lambda rules, m=method, xy=xy: serialize_example(m, *xy, rules, 2, 128),
+                            f"{side} is a string, not a token sequence")
+       for method in METHODS for side, xy in (("x", ("u ok", ["you", "ok"])), ("y", (["u", "ok"], "you ok")))},
+    # The same tokens as a tuple first, so that a string would find them in the memo.
+    "match_rules": (lambda rules: (match_rules(tuple("u ok"), rules, 1), match_rules("u ok", rules, 1)),
+                    "tokens is a string, not a token sequence"),
+    "vocabulary-encode": (lambda rules: build_vocab([["hi"]]).encode("hi"),
+                          "tokens is a string, not a token sequence"),
+    "build_vocab-corpus": (lambda rules: build_vocab("hello world"),
+                           "the corpus is a string, not a sequence of token sequences"),
+    "build_vocab-element": (lambda rules: build_vocab([["ok"], "hello world"]),
+                            "corpus element 1 is a string, not a token sequence"),
+}
+
+
+@pytest.mark.parametrize("call", STRING_CALLS)
+def test_a_string_where_tokens_belong_is_refused(rules, monkeypatch, call):
+    """Its characters would be taken for tokens: "u ok" would serialize to
+    ('u', ' ', 'o', 'k'). serialize_example refuses it before matching."""
+    def no_match(*args, **kwargs):
+        raise AssertionError("matched a string")
+
+    monkeypatch.setattr(serialize, "match_rules", no_match)
+    run, message = STRING_CALLS[call]
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        run(rules)
 
 
 def test_cari_prefix_preserves_source_all_windows(rules):
