@@ -14,6 +14,7 @@ from collections import Counter
 from typing import Sequence
 
 from .errors import DataError
+from .text import check_tokens
 
 Tokens = Sequence[str]
 
@@ -27,8 +28,8 @@ def _ngram_counts(tokens: Tokens, n: int) -> Counter:
 def bleu_statistics(hypotheses: Sequence[Tokens], reference_sets: Sequence[Sequence[Tokens]]) -> dict:
     """Pooled corpus statistics: clipped matches and totals per n, plus the
     hypothesis/reference length sums for the brevity penalty. A hypothesis
-    or reference that is a string, not a token sequence, raises DataError
-    naming its index: BLEU would count its characters as tokens."""
+    or reference that `text.check_tokens` refuses, and an empty reference
+    set, raise DataError naming its index."""
     if not hypotheses:
         raise DataError("corpus BLEU needs at least one hypothesis")
     if len(hypotheses) != len(reference_sets):
@@ -40,12 +41,11 @@ def bleu_statistics(hypotheses: Sequence[Tokens], reference_sets: Sequence[Seque
     hyp_len = 0
     ref_len = 0
     for i, (hyp, refs) in enumerate(zip(hypotheses, reference_sets)):
-        if isinstance(hyp, str):
-            raise DataError(f"hypothesis {i} is a string, not a token sequence")
-        if any(isinstance(r, str) for r in refs):
-            raise DataError(f"reference set {i} is or holds a string, not token sequences")
+        check_tokens(f"hypothesis {i}", hyp)
         if not refs:
-            raise DataError("empty reference set")
+            raise DataError(f"reference set {i} is empty")
+        for k, r in enumerate(refs):
+            check_tokens(f"reference {k} of set {i}", r)
         hyp = list(hyp)
         refs = [list(r) for r in refs]
         hyp_len += len(hyp)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import DataError, check_size
-from .text import read_lines
+from .text import check_tokens, read_lines
 
 # Context window default: up to 3 tokens on each side of a match, chosen by
 # hand rather than by a window-size sweep.
@@ -29,12 +29,15 @@ class Rule:
     alternatives: tuple[tuple[str, ...], ...]
 
     def __post_init__(self):
-        if not self.pattern or any(not t for t in self.pattern):
+        check_tokens(f"rule {self.id!r}: pattern", self.pattern)
+        if not self.pattern or "" in self.pattern:
             raise DataError(f"rule {self.id!r}: empty pattern")
         if not self.alternatives:
             raise DataError(f"rule {self.id!r}: no alternatives")
-        if any(not alt or any(not t for t in alt) for alt in self.alternatives):
-            raise DataError(f"rule {self.id!r}: empty alternative")
+        for k, alt in enumerate(self.alternatives):
+            check_tokens(f"rule {self.id!r}: alternative {k}", alt)
+            if not alt or "" in alt:
+                raise DataError(f"rule {self.id!r}: empty alternative")
         if len(set(self.alternatives)) != len(self.alternatives):
             raise DataError(f"rule {self.id!r}: duplicate alternatives")
         object.__setattr__(self, "pattern", tuple(t.lower() for t in self.pattern))
@@ -156,11 +159,11 @@ def match_rules(tokens: Sequence[str], rules: RuleSet, w: int = DEFAULT_WINDOW) 
 
     A call with the same w and the same tokens (casing included, since
     matched_text and the context windows keep it) as the last call on this
-    rule set returns that call's tuple again; see `RuleSet`. A string
-    given as tokens raises DataError: its characters would match as
-    tokens."""
-    if isinstance(tokens, str):
-        raise DataError("tokens is a string, not a token sequence")
+    rule set returns that call's tuple again; see `RuleSet`.
+    `check_tokens` refuses what is not a token sequence, before the memo is
+    read: a string whose characters equal the last call's tokens would
+    find it."""
+    check_tokens("tokens", tokens)
     if type(w) is not int or w < 0:
         check_size("window size", w, 0)
     key = (w, tuple(tokens))

@@ -32,7 +32,7 @@ from typing import Sequence
 
 from .errors import DataError, check_size
 from .rules import RuleMatch, RuleSet, match_rules
-from .text import SEP, read_lines
+from .text import SEP, check_tokens, read_lines
 
 NR, RB, RCAT, CARI = "NR", "RB", "RCAT", "CARI"
 METHODS = (NR, RB, RCAT, CARI)
@@ -77,18 +77,17 @@ def serialize_example(
     `max_len` applied as the module docstring states. An unknown method, a
     window w that is not an integer of at least 0, and a given max_len that
     is not an integer of at least 1 (`errors.check_size`) raise DataError
-    before any matching, and so does an x or y that is a string, not a
-    token sequence; RB, RCAT and CARI call `match_rules(x, rules, w)` once,
-    NR never."""
+    before any matching, and so does an x or y that `text.check_tokens`
+    refuses; RB, RCAT and CARI call `match_rules(x, rules, w)` once, NR
+    never."""
     if method not in METHODS:
         raise DataError(f"unknown serialization method {method!r}")
     if type(w) is not int or w < 0:
         check_size("window size", w, 0)
     if max_len is not None and (type(max_len) is not int or max_len < 1):
         check_size("max_len", max_len)
-    for name, tokens in (("x", x), ("y", y)):
-        if isinstance(tokens, str):
-            raise DataError(f"{name} is a string, not a token sequence")
+    check_tokens("x", x)
+    check_tokens("y", y)
     matches = () if method == NR else match_rules(x, rules, w)
     if not x:
         raise DataError("source sentence is empty")
@@ -121,12 +120,15 @@ def serialize_example(
 def write_examples_tsv(examples: Sequence[SerializedExample], path) -> None:
     """One `input<TAB>target<TAB>method<TAB>truncated` line per example, with
     truncated written as 0 or 1. An example that would not read back as
-    written (a method not in METHODS, a token that is empty or holds
-    whitespace) raises DataError naming it, before anything is written."""
+    written (a method not in METHODS, an input or target that
+    `text.check_tokens` refuses, a token that is empty or holds whitespace)
+    raises DataError naming it, before anything is written."""
     lines = []
     for i, ex in enumerate(examples):
         if ex.method not in METHODS:
             raise DataError(f"example {i}: unknown serialization method {ex.method!r}")
+        check_tokens(f"example {i}: input", ex.input)
+        check_tokens(f"example {i}: target", ex.target)
         fields = [" ".join(ex.input), " ".join(ex.target)]
         if fields[0].split() != list(ex.input) or fields[1].split() != list(ex.target):
             raise DataError(f"example {i}: a token is empty or holds whitespace")

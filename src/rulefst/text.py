@@ -11,6 +11,7 @@ import hashlib
 import numbers
 import re
 from collections import Counter
+from collections.abc import Collection
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -27,13 +28,33 @@ PLACEHOLDERS = frozenset({"@USER", "HTTPURL", SEP})
 
 
 def read_lines(path) -> list[str]:
-    """The lines of the UTF-8 file at `path`, each without its line break; a
-    file that is not UTF-8 raises DataError naming it."""
+    """The lines of the UTF-8 file at `path`, each without its line break and
+    the first without a leading byte-order mark; a file that is not UTF-8
+    raises DataError naming it."""
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8-sig") as f:
             return [line.rstrip("\n") for line in f]
     except UnicodeDecodeError as e:
         raise DataError(f"{path}: not valid UTF-8: {e}") from None
+
+
+def check_tokens(name: str, tokens: Sequence[str]) -> None:
+    """Raise DataError naming `name` unless `tokens` is a token sequence: a
+    sized iterable of `str` instances (subclasses such as `numpy.str_` too)
+    that is not itself a string. A string is refused since its characters
+    would be taken for tokens, an iterator since this check would use it up,
+    and a token that is not a string by its position ("x: token 1 at position
+    0 is not a string"). The usual case costs one C-level pass, `str.join`'s."""
+    if isinstance(tokens, str):
+        raise DataError(f"{name} is a string, not a token sequence")
+    try:
+        len(tokens)
+        "".join(tokens)
+    except TypeError:
+        for j, t in enumerate(tokens if isinstance(tokens, Collection) else ()):
+            if not isinstance(t, str):
+                raise DataError(f"{name}: token {t!r} at position {j} is not a string") from None
+        raise DataError(f"{name}: {type(tokens).__name__} is not a token sequence") from None
 
 
 def reserved_token_error(ids: Sequence[int], vocab_size: int) -> str | None:
@@ -145,7 +166,11 @@ def tokenize(s: str) -> list[str]:
     so the chunks of `s.lower()` are the lowered chunks of `s`. And `re`'s
     `\\w` is `str.isalnum` plus `_`, so a lowered chunk for which
     `isalnum()` holds is exactly one `\\w+` match; only chunks that hold
-    punctuation, `_` or symbols go through the regex."""
+    punctuation, `_` or symbols go through the regex.
+
+    An `s` that is not a `str` raises DataError naming it."""
+    if not isinstance(s, str):
+        raise DataError(f"tokenize: s is {type(s).__name__}, not a string")
     out: list[str] = []
     for chunk, lowered in zip(s.split(), s.lower().split()):
         if chunk in PLACEHOLDERS:
@@ -164,7 +189,10 @@ def normalize_tweet(s: str) -> str:
 
     Each step is skipped when it cannot match, which leaves the output
     unchanged: every URL match holds `http` or `www.`, every mention holds
-    `@`, and every emoji key is non-ASCII."""
+    `@`, and every emoji key is non-ASCII. An `s` that is not a `str` raises
+    DataError naming it."""
+    if not isinstance(s, str):
+        raise DataError(f"normalize_tweet: s is {type(s).__name__}, not a string")
     if "http" in s or "www." in s:
         s = _URL_RE.sub(" HTTPURL ", s)
     if "@" in s:
@@ -185,6 +213,7 @@ class Vocabulary:
     tokens: tuple[str, ...]
 
     def __post_init__(self):
+        check_tokens("tokens", self.tokens)
         object.__setattr__(self, "tokens", tuple(self.tokens))
         if self.tokens[: len(SPECIAL_TOKENS)] != SPECIAL_TOKENS:
             raise DataError("vocabulary must start with the reserved tokens")
@@ -203,10 +232,9 @@ class Vocabulary:
         return token in self._index
 
     def encode(self, tokens: Sequence[str]) -> list[int]:
-        """The ids of `tokens`, [UNK] for a token not in the vocabulary. A
-        string raises DataError: its characters would encode as tokens."""
-        if isinstance(tokens, str):
-            raise DataError("tokens is a string, not a token sequence")
+        """The ids of `tokens`, [UNK] for a token not in the vocabulary.
+        `check_tokens` refuses what is not a token sequence."""
+        check_tokens("tokens", tokens)
         idx = self._index
         return [idx.get(t, UNK_ID) for t in tokens]
 
@@ -247,15 +275,12 @@ class Vocabulary:
 def build_vocab(corpus: Iterable[Sequence[str]]) -> Vocabulary:
     """Build a vocabulary from an iterable of token sequences: the reserved
     tokens, then every other distinct token by descending frequency, ties
-    broken alphabetically, so construction is deterministic. A corpus that
-    is a string, or holds one, raises DataError naming it: its characters
-    would count as tokens."""
-    if isinstance(corpus, str):
-        raise DataError("the corpus is a string, not a sequence of token sequences")
+    broken alphabetically, so construction is deterministic. `check_tokens`
+    refuses a corpus element that is not a token sequence, naming it (a
+    corpus that is a string fails on its first character)."""
     counts = Counter()
     for i, tokens in enumerate(corpus):
-        if isinstance(tokens, str):
-            raise DataError(f"corpus element {i} is a string, not a token sequence")
+        check_tokens(f"corpus element {i}", tokens)
         counts.update(tokens)
     for special in SPECIAL_TOKENS:
         counts.pop(special, None)

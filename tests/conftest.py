@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 
@@ -37,8 +39,7 @@ def demo_rules_path(tmp_path):
 AB_MODEL_TINY = {"VOCAB": 40, "BATCHES": 1, "BATCH": 4, "STEPS": 1, "SOURCES": 2, "SRC_LEN": 12, "MAX_LEN": 8}
 
 
-@pytest.fixture
-def ab_model(monkeypatch):
+def _tiny_ab_model(monkeypatch):
     monkeypatch.syspath_prepend(os.path.join(REPO, "tools"))
     import ab_model
 
@@ -48,11 +49,19 @@ def ab_model(monkeypatch):
 
 
 @pytest.fixture
-def ab_model_a_a(ab_model, capsys):
-    """This checkout against itself over two rounds: the stdout lines and the
-    per-round seconds."""
-    assert ab_model.main([REPO, REPO, "--rounds", "2"]) == 0
-    lines = capsys.readouterr().out.splitlines()
+def ab_model(monkeypatch):
+    return _tiny_ab_model(monkeypatch)
+
+
+@pytest.fixture(scope="session")
+def ab_model_a_a():
+    """This checkout against itself over two rounds, run once per session for
+    the decode and the training tests: the stdout lines and the per-round
+    seconds."""
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as monkeypatch, contextlib.redirect_stdout(out):
+        assert _tiny_ab_model(monkeypatch).main([REPO, REPO, "--rounds", "2"]) == 0
+    lines = out.getvalue().splitlines()
     rounds = [json.loads(line) for line in lines if line.startswith('{"round": ')]
     assert len(rounds) == 2
     return lines, rounds

@@ -118,8 +118,10 @@ def test_bleu_brevity_penalty_uses_closest_reference():
 
 
 def test_bleu_empty_reference_set_errors():
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="^reference set 0 is empty$"):
         corpus_bleu([["a"]], [[]])
+    with pytest.raises(DataError, match="^reference set 1 is empty$"):
+        corpus_bleu([["a"], ["b"]], [[["a"]], []])
 
 
 def test_bleu_length_mismatch_errors():
@@ -135,8 +137,8 @@ TOKENS = SENTENCE.split()
     "hypotheses, reference_sets, message",
     [([SENTENCE], [[SENTENCE]], "hypothesis 0 is a string"),
      ([TOKENS, SENTENCE], [[TOKENS], [TOKENS]], "hypothesis 1 is a string"),
-     ([TOKENS], [SENTENCE], "reference set 0 is or holds a string"),
-     ([TOKENS, TOKENS], [[TOKENS], [TOKENS, SENTENCE]], "reference set 1 is or holds a string")],
+     ([TOKENS], [SENTENCE], "reference 0 of set 0 is a string"),
+     ([TOKENS, TOKENS], [[TOKENS], [TOKENS, SENTENCE]], "reference 1 of set 1 is a string")],
     ids=["both-strings", "hypothesis", "reference-set", "reference"],
 )
 def test_bleu_refuses_a_string_where_tokens_belong(hypotheses, reference_sets, message):

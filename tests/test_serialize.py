@@ -1,10 +1,12 @@
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from rulefst import serialize
 from rulefst.errors import DataError
+from rulefst.metrics import corpus_bleu
 from rulefst.rules import RuleMatch, match_rules
 from rulefst.serialize import (
     CARI,
@@ -19,7 +21,7 @@ from rulefst.serialize import (
     write_examples_tsv,
 )
 from rulefst.rules import Rule, RuleSet, load_rules
-from rulefst.text import SEP, build_vocab, tokenize
+from rulefst.text import SEP, SPECIAL_TOKENS, Vocabulary, build_vocab, tokenize
 
 from conftest import AMBIG_SENTENCE
 
@@ -230,7 +232,7 @@ STRING_CALLS = {  # a call given a string where a token sequence belongs -> its 
     "vocabulary-encode": (lambda rules: build_vocab([["hi"]]).encode("hi"),
                           "tokens is a string, not a token sequence"),
     "build_vocab-corpus": (lambda rules: build_vocab("hello world"),
-                           "the corpus is a string, not a sequence of token sequences"),
+                           "corpus element 0 is a string, not a token sequence"),
     "build_vocab-element": (lambda rules: build_vocab([["ok"], "hello world"]),
                             "corpus element 1 is a string, not a token sequence"),
 }
@@ -247,6 +249,74 @@ def test_a_string_where_tokens_belong_is_refused(rules, monkeypatch, call):
     run, message = STRING_CALLS[call]
     with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
         run(rules)
+
+
+def tsv_call(example):
+    return lambda rules, tmp_path: write_examples_tsv([SerializedExample(NR, ("a",), ("b",)), example],
+                                                      tmp_path / "x.tsv")
+
+
+NOT_TOKENS_CALLS = {  # a call given a non-string token, or what is no token sequence -> its DataError
+    **{f"{method}-{side}": (lambda rules, tmp_path, m=method, xy=xy: serialize_example(m, *xy, rules, 2),
+                            f"{side}: token 1 at position 0 is not a string")
+       for method in METHODS for side, xy in (("x", ([1, 2], ["a"])), ("y", (["u", "ok"], [1])))},
+    "match_rules": (lambda rules, tmp_path: match_rules([1, 2], rules, 1), "tokens: token 1 at position 0 is not a string"),
+    "vocabulary-encode": (lambda rules, tmp_path: build_vocab([["hi"]]).encode([1, 2, None]),
+                          "tokens: token 1 at position 0 is not a string"),
+    "vocabulary-encode-int": (lambda rules, tmp_path: build_vocab([["hi"]]).encode(5), "tokens: int is not a token sequence"),
+    # The check would use an iterator up, and encode would then see no token.
+    "vocabulary-encode-iterator": (lambda rules, tmp_path: build_vocab([["hi"]]).encode(iter(["hi"])),
+                                   "tokens: list_iterator is not a token sequence"),
+    "vocabulary": (lambda rules, tmp_path: Vocabulary([*SPECIAL_TOKENS, "a", b"b"]),
+                   "tokens: token b'b' at position 6 is not a string"),
+    "build_vocab": (lambda rules, tmp_path: build_vocab([["ok"], [1, 2]]),
+                    "corpus element 1: token 1 at position 0 is not a string"),
+    "rule-pattern": (lambda rules, tmp_path: Rule("r", (1,), (("a",),)),
+                     "rule 'r': pattern: token 1 at position 0 is not a string"),
+    "rule-alternative": (lambda rules, tmp_path: Rule("r", ("a",), (("b",), ("c", None))),
+                         "rule 'r': alternative 1: token None at position 1 is not a string"),
+    "rule-alternative-string": (lambda rules, tmp_path: Rule("r", ("a",), (("b",), "cd")),
+                                "rule 'r': alternative 1 is a string, not a token sequence"),
+    "write_examples_tsv-input": (tsv_call(SerializedExample(NR, ("a", 1), ("b",))),
+                                 "example 1: input: token 1 at position 1 is not a string"),
+    "write_examples_tsv-target": (tsv_call(SerializedExample(NR, ("a",), "ab")),
+                                  "example 1: target is a string, not a token sequence"),
+    "corpus_bleu-hypothesis": (lambda rules, tmp_path: corpus_bleu([[1, 2]], [[[1, 2]]]),
+                               "hypothesis 0: token 1 at position 0 is not a string"),
+    "corpus_bleu-reference": (lambda rules, tmp_path: corpus_bleu([["a"], ["a"]], [[["a"]], [["a"], ["b", None]]]),
+                              "reference 1 of set 1: token None at position 1 is not a string"),
+}
+
+
+@pytest.mark.parametrize("call", NOT_TOKENS_CALLS)
+def test_a_non_string_token_or_a_non_sequence_is_refused_by_name(rules, monkeypatch, tmp_path, call):
+    """A non-string token is named with its position: [1, 2, None] would
+    encode as three [UNK] ids, (1, 2) would be an NR input and BLEU would
+    score int tokens. serialize_example refuses before matching, the TSV
+    writer before writing."""
+    def no_match(*args, **kwargs):
+        raise AssertionError("matched a non-string token")
+
+    monkeypatch.setattr(serialize, "match_rules", no_match)
+    run, message = NOT_TOKENS_CALLS[call]
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        run(rules, tmp_path)
+    assert not (tmp_path / "x.tsv").exists()
+
+
+def test_numpy_string_tokens_pass_and_give_what_plain_strings_give(rules, tmp_path):
+    """numpy.str_ is a subclass of str, so every entry point takes it."""
+    x, y = list(np.array(X_TOKENS)), list(np.array(["you", "ok"]))
+    assert type(x[0]) is np.str_
+    vocab = build_vocab([x, y])
+    assert vocab == build_vocab([X_TOKENS, ["you", "ok"]]) and vocab.encode(x) == vocab.encode(X_TOKENS)
+    rule = Rule(np.str_("r"), tuple(np.array(["Extro"])), (tuple(np.array(["extra", "x"])),))
+    assert rule == Rule("r", ("extro",), (("extra", "x"),))
+    assert match_rules(x, rules, 2) == match_rules(list(X_TOKENS), rules, 2)
+    examples = [serialize_example(m, x, y, rules, 2) for m in METHODS]
+    assert examples == [serialize_example(m, X_TOKENS, ["you", "ok"], rules, 2) for m in METHODS]
+    write_examples_tsv(examples, tmp_path / "x.tsv")
+    assert read_examples_tsv(tmp_path / "x.tsv") == examples
 
 
 def test_cari_prefix_preserves_source_all_windows(rules):

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rulefst.errors import DataError
+from rulefst.rules import Rule, load_rules
+from rulefst.serialize import NR, SerializedExample, read_examples_tsv
 from rulefst.text import (
     EMOJI_NAMES,
     EOS_ID,
@@ -243,6 +245,30 @@ def test_read_lines_returns_each_line_without_its_break(tmp_path):
     assert read_lines(path) == ["a"]
     path.write_bytes(b"")
     assert read_lines(path) == []
+
+
+BOM = "\ufeff".encode("utf-8")
+
+
+def test_every_reader_drops_a_leading_byte_order_mark_and_keeps_a_later_one(tmp_path):
+    """An editor may save a file with one; the first rule id or token would
+    otherwise start with U+FEFF."""
+    path = tmp_path / "lines.txt"
+    path.write_bytes(BOM + "a\n\ufeffb\n".encode("utf-8"))
+    assert read_lines(path) == ["a", "\ufeffb"]
+    path.write_bytes(BOM + b"r1\tu\tyou\n")
+    assert load_rules(path).rules == (Rule("r1", ("u",), (("you",),)),)
+    path.write_bytes(BOM + b"hi u\tyou\tNR\t0\n")
+    assert read_examples_tsv(path) == [SerializedExample(NR, ("hi", "u"), ("you",))]
+    path.write_bytes(BOM + "\n".join([*SPECIAL_TOKENS, "a"]).encode("utf-8") + b"\n")
+    assert Vocabulary.load(path) == Vocabulary((*SPECIAL_TOKENS, "a"))
+
+
+@pytest.mark.parametrize("s", [5, None, b"hi you", ["hi"]], ids=["int", "none", "bytes", "list"])
+@pytest.mark.parametrize("fn", [tokenize, normalize_tweet], ids=["tokenize", "normalize_tweet"])
+def test_raw_text_that_is_not_a_string_is_refused_naming_it(fn, s):
+    with pytest.raises(DataError, match=f"^{fn.__name__}: s is {type(s).__name__}, not a string$"):
+        fn(s)
 
 
 def test_encode_empty_sequence_allowed():

@@ -24,6 +24,15 @@ wins (ties count for neither) and one verdict, the first that holds, where
   parent, so the runs cannot tell whether the change is within the bound;
 - no gain: the change's median is no worse than the parent's by more than
   the bound, and no gain is shown.
+
+A "gain" can be host drift, not the change. The host's speed drifts between
+pairs, and ten pairs plus the parent's quartile spread do not always tell the
+two apart: on serialize-bigrules (seed 28, 10 pairs of 40 s) a change whose
+training ran the same reductions as its parent's read `train_pairs_per_s`
+197.3 -> 215.3, 9 wins in 10, a "gain". Before trusting a gain, run the
+control: the same command with the parent directory given as both PARENT_DIR
+and CHANGE_DIR. If the control reads a gain too, the host drifted; more
+pairs narrow the doubt.
 """
 
 from __future__ import annotations
